@@ -17,7 +17,7 @@ import argparse
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +43,8 @@ from .shadowing import ShadowPair, orbit_shadow_experiment, shadow_step_check
 from .mapdef import to_planar_series
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    map_source: str
-    solver: SolverConfig
-    output_path: str | None
+# exit status of a verification that ran and found its property violated
+EXIT_VERIFY_FAILED = 3
 
 
 def _fmt(v: float) -> str:
@@ -263,7 +259,8 @@ def _cmd_manifold_param(args) -> int:
 
 def _cmd_verify_invariance(args) -> int:
     m = resolve_map(args.map)
-    cfg = _solver_config(args)
+    # --tol is the verification tolerance; the solver keeps its own tol_converge
+    cfg = replace(_solver_config(args), tol_converge=SolverConfig().tol_converge)
     curve, _, _ = solve_manifold(m, cfg)
     tol = args.tol if args.tol is not None else cfg.tol_invariance
     max_res, rep = invariance_residual(m, curve, samples=args.steps or 200)
@@ -276,7 +273,7 @@ def _cmd_verify_invariance(args) -> int:
         ("status", "PASS" if ok else "FAIL"),
     ]
     _emit(None, _report(pairs), args.out)
-    return 0
+    return 0 if ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify_shadow(args) -> int:
@@ -294,7 +291,7 @@ def _cmd_verify_shadow(args) -> int:
             ("status", "PASS" if ok else "FAIL"),
         ]
         _emit(None, _report(pairs), args.out)
-        return 0
+        return 0 if ok else EXIT_VERIFY_FAILED
     if args.x0 is None:
         raise InvcurveError("verify-shadow needs either --x/--xhat or --x0/--offset")
     trace = orbit_shadow_experiment(
@@ -315,7 +312,7 @@ def _cmd_verify_shadow(args) -> int:
         ("status", "PASS" if nonexpanding else "FAIL"),
     ]
     _emit(csv_text, _report(pairs), args.out)
-    return 0
+    return 0 if nonexpanding else EXIT_VERIFY_FAILED
 
 
 def _cmd_repulsion(args) -> int:
@@ -417,25 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(cfg: RunConfig, args: argparse.Namespace) -> int:
-    """Execute one parsed command; returns the process exit status."""
-    return args.func(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    cfg = RunConfig(
-        command=args.command,
-        map_source=args.map,
-        solver=_solver_config(args),
-        output_path=args.out,
-    )
     try:
-        return run(cfg, args)
+        return args.func(args)
     except InvcurveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

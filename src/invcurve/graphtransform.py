@@ -10,6 +10,7 @@ Numerics that matter here:
 
 * Grids are geometric ("graded") with the smallest positive node a fixed
   fraction of x_max, because all the dynamics concentrates near the origin.
+  Every grid of one size is x_max times the same unit grid.
 * Re-graphing interpolates the tangency-scaled ordinate Y / X^3 with a
   monotone piecewise cubic (PCHIP) in X rather than Y itself.  The scaled
   ordinate is nearly constant for any curve tangent to order three, so the
@@ -18,6 +19,24 @@ Numerics that matter here:
   drown in interpolation noise.
 * Monotonicity of the image abscissas is a hard guard: it is exactly the
   condition for the image to be a graph again.
+
+The push kernel (`_PushKernel`) is the one push path, shared by `push_curve`
+and the level loop.  Each push costs a few dozen NumPy calls on grid-sized
+arrays; its largest temporaries are the power tables of x and y and their
+product with the coefficients, a few dozen rows of grid size, so the
+allocator reuses heap memory instead of mapping fresh pages every push:
+
+* the map is evaluated from dense coefficient matrices, one matrix product
+  of the stacked components with the power table of x, weighted by the power
+  table of y (`_MapEvaluator`);
+* the re-graph is a private Fritsch-Carlson PCHIP (Fritsch & Carlson, SIAM
+  J. Numer. Anal. 17, 1980) that builds and evaluates in one pass, with the
+  same slopes, coefficients and evaluation order as SciPy's
+  `PchipInterpolator` (`_pchip_regraph`);
+* the new grid is x_max times the unit grid computed once per solve, and a
+  level carries raw (xs, fs) arrays, building one `Curve` when it ends.
+
+`Curve.eval`, the certify and query path, keeps SciPy's interpolator.
 
 Certificates are measured, not assumed: suprema of x^(m-N) |F^(m)(x)| on the
 grid, the smallest observed dX/dx, and the drift constant
@@ -28,6 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -45,15 +65,18 @@ TANGENCY_POWER = 3
 
 
 def graded_grid(x_max: float, size: int) -> np.ndarray:
-    """Geometric grid on [0, x_max]: zero plus size-1 nodes down to GRID_SPAN*x_max."""
+    """Geometric grid on [0, x_max]: zero plus size-1 nodes down to GRID_SPAN*x_max.
+
+    The grid is x_max times graded_grid(1.0, size), bit for bit.
+    """
     if x_max <= 0.0 or not math.isfinite(x_max):
         raise ValueError(f"x_max must be positive and finite, got {x_max}")
     if size < 8:
         raise ValueError("grid needs at least 8 nodes")
-    pos = np.geomspace(x_max * GRID_SPAN, x_max, size - 1)
-    pos[0] = x_max * GRID_SPAN
-    pos[-1] = x_max
-    return np.concatenate(([0.0], pos))
+    pos = np.geomspace(GRID_SPAN, 1.0, size - 1)
+    pos[0] = GRID_SPAN
+    pos[-1] = 1.0
+    return x_max * np.concatenate(([0.0], pos))
 
 
 @dataclass(frozen=True)
@@ -126,46 +149,141 @@ def seed_curve(rho: float, grid_size: int) -> Curve:
 
 
 # ---------------------------------------------------------------------------
-# fast polynomial evaluation for the push loop
+# push kernel: map evaluation and re-graph
 # ---------------------------------------------------------------------------
 
 
 class _MapEvaluator:
-    """Vectorized evaluation of both polynomial components."""
+    """Vectorized evaluation of both polynomial components.
+
+    Component k is a dense matrix C_k[i, j], the coefficient of x^i y^j.  On
+    points (x, y) its value is sum_j y^j (sum_i C_k[i, j] x^i): both
+    components stacked into one matrix, multiplied with the power table of
+    x, weighted by the power table of y and summed over j.
+    """
 
     def __init__(self, m: MapSpec | PlanarSeriesMap):
         if isinstance(m, MapSpec):
-            xt, yt = m.sorted_terms()
+            parts = m.sorted_terms()
         else:
-            xt, yt = m.fx.terms(), m.fy.terms()
-        self._parts = []
-        dmax_x = dmax_y = 0
-        for terms in (xt, yt):
-            ii = np.array([k[0] for k, _ in terms], dtype=int)
-            jj = np.array([k[1] for k, _ in terms], dtype=int)
-            cc = np.array([c for _, c in terms], dtype=float)
-            self._parts.append((ii, jj, cc))
-            if ii.size:
-                dmax_x = max(dmax_x, int(ii.max()))
-                dmax_y = max(dmax_y, int(jj.max()))
-        self._dmax_x = dmax_x
-        self._dmax_y = dmax_y
+            parts = (m.fx.terms(), m.fy.terms())
+        keys = [k for terms in parts for k, _ in terms]
+        self._dmax_x = max((i for i, _ in keys), default=0)
+        self._dmax_y = max((j for _, j in keys), default=0)
+        coef = np.zeros((2, self._dmax_y + 1, self._dmax_x + 1))
+        for comp, terms in zip(coef, parts):
+            for (i, j), c in terms:
+                comp[j, i] = c
+        # row k * (dmax_y + 1) + j holds C_k[:, j]
+        self._coef = coef.reshape(-1, self._dmax_x + 1)
 
     @staticmethod
     def _power_table(v: np.ndarray, dmax: int) -> np.ndarray:
-        table = np.empty((v.size, dmax + 1))
-        table[:, 0] = 1.0
+        """Rows v^0 .. v^dmax, each power one multiplication from the last."""
+        table = np.empty((dmax + 1, v.size))
+        table[0] = 1.0
         for d in range(1, dmax + 1):
-            table[:, d] = table[:, d - 1] * v
+            np.multiply(table[d - 1], v, out=table[d])
         return table
 
     def eval(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        px = self._power_table(np.asarray(x, dtype=float), self._dmax_x)
-        py = self._power_table(np.asarray(y, dtype=float), self._dmax_y)
-        out = []
-        for ii, jj, cc in self._parts:
-            out.append((px[:, ii] * py[:, jj]) @ cc)
-        return out[0], out[1]
+        x = np.asarray(x, dtype=float)
+        acc = self._coef @ self._power_table(x, self._dmax_x)
+        acc = acc.reshape(2, self._dmax_y + 1, x.size)
+        acc *= self._power_table(np.asarray(y, dtype=float), self._dmax_y)
+        big_x, big_y = acc.sum(axis=1)
+        return big_x, big_y
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point estimate, clamped to keep the shape
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_regraph(xk: np.ndarray, yk: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+    """Monotone cubic (Fritsch-Carlson PCHIP) through (xk, yk), evaluated at q.
+
+    Interior slopes are the weighted harmonic means of the neighbouring
+    secants (zero at a sign change or a flat secant), end slopes the
+    one-sided three-point estimates with SciPy's clamps; coefficients and
+    the evaluation order are SciPy's, so the values match its
+    PchipInterpolator.  q must be increasing; returns None when it leaves
+    [xk[0], xk[-1]].
+    """
+    if not (xk[0] <= q[0] and q[-1] <= xk[-1]):
+        return None
+    h = xk[1:] - xk[:-1]
+    m = (yk[1:] - yk[:-1]) / h
+    d = np.empty_like(xk)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    sm = np.sign(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[1:-1] = np.where(sm[1:] * sm[:-1] > 0.0, inner, 0.0)
+    d[0] = _end_slope(*h[:2].tolist(), *m[:2].tolist())
+    d[-1] = _end_slope(*h[:-3:-1].tolist(), *m[:-3:-1].tolist())
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c1 = (m - d[:-1]) / h - t
+    c0 = t / h
+    # interval k holds xk[k] <= q < xk[k+1]; q = xk[-1] falls in the last one
+    k = np.searchsorted(xk, q, side="right") - 1
+    np.minimum(k, xk.size - 2, out=k)
+    s = q - xk[k]
+    s2 = s * s
+    return yk[k] + d[k] * s + c1[k] * s2 + c0[k] * (s2 * s)
+
+
+class _PushKernel:
+    """One push of a sampled graph through a map, re-graphed onto the graded grid."""
+
+    def __init__(self, m: MapSpec | PlanarSeriesMap, grid_size: int):
+        self._ev = _MapEvaluator(m)
+        self.unit = graded_grid(1.0, grid_size)
+
+    def push(
+        self, xs: np.ndarray, fs: np.ndarray, bound_cap: float | None
+    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Image (xs, fs) on the new grid, smallest secant dX/dx, drift constant."""
+        big_x, big_y = self._ev.eval(xs, fs)
+        if big_x[0] != 0.0 or big_y[0] != 0.0:
+            raise GuardError("image of the origin moved off the origin")
+        dx = big_x[1:] - big_x[:-1]
+        rising = dx > 0.0
+        if not rising.all():
+            bad = int(np.argmin(rising))
+            raise GuardError(
+                f"graph monotonicity guard failed: image abscissas stall at x = {xs[bad]:.6g}"
+            )
+        min_slope = float(np.min(dx / (xs[1:] - xs[:-1])))
+        xm = float(xs[-1])
+        drift_c = float(abs(big_x[-1] - (xm + xm * xm)) / xm**3)
+
+        new_xs = float(big_x[-1]) * self.unit
+        pos = big_x[1:]
+        scaled = big_y[1:] / pos**TANGENCY_POWER
+        new_scaled = _pchip_regraph(pos, scaled, new_xs[1:])
+        if new_scaled is None or not np.all(np.isfinite(new_scaled)):
+            raise GuardError("re-graph interpolation left the image range")
+        if bound_cap is not None:
+            worst = float(np.max(np.abs(new_scaled)))
+            if worst > bound_cap:
+                raise GuardError(
+                    f"|F|/x^3 reached {worst:.3e} after the push, above the cap {bound_cap:.3e}"
+                )
+        new_fs = np.empty_like(new_xs)
+        new_fs[0] = 0.0
+        np.multiply(new_scaled, new_xs[1:] ** TANGENCY_POWER, out=new_fs[1:])
+        return new_xs, new_fs, min_slope, drift_c
 
 
 # ---------------------------------------------------------------------------
@@ -211,39 +329,6 @@ def bound_certificate(c: Curve, n_power: int, m_max: int) -> BoundCertificate:
     return BoundCertificate(tuple(ks), n_power, m_max)
 
 
-def _push_once(
-    ev: _MapEvaluator, c: Curve, grid_size: int, bound_cap: float | None
-) -> tuple[Curve, float, float]:
-    x, f = c.xs, c.fs
-    big_x, big_y = ev.eval(x, f)
-    if big_x[0] != 0.0 or big_y[0] != 0.0:
-        raise GuardError("image of the origin moved off the origin")
-    dx = np.diff(big_x)
-    if np.any(dx <= 0.0):
-        bad = int(np.argmax(dx <= 0.0))
-        raise GuardError(
-            f"graph monotonicity guard failed: image abscissas stall at x = {x[bad]:.6g}"
-        )
-    min_slope = float(np.min(dx / np.diff(x)))
-    xm = c.x_max
-    drift_c = float(abs(big_x[-1] - (xm + xm * xm)) / xm**3)
-
-    new_xs = graded_grid(float(big_x[-1]), grid_size)
-    scaled = big_y[1:] / big_x[1:] ** TANGENCY_POWER
-    interp = PchipInterpolator(big_x[1:], scaled, extrapolate=False)
-    new_scaled = interp(new_xs[1:])
-    if not np.all(np.isfinite(new_scaled)):
-        raise GuardError("re-graph interpolation left the image range")
-    if bound_cap is not None:
-        worst = float(np.max(np.abs(new_scaled)))
-        if worst > bound_cap:
-            raise GuardError(
-                f"|F|/x^3 reached {worst:.3e} after the push, above the cap {bound_cap:.3e}"
-            )
-    new_fs = np.concatenate(([0.0], new_scaled * new_xs[1:] ** TANGENCY_POWER))
-    return Curve(new_xs, new_fs), min_slope, drift_c
-
-
 def push_curve(
     m: MapSpec | PlanarSeriesMap,
     c: Curve,
@@ -262,8 +347,9 @@ def push_curve(
     """
     if max_x is not None and c.x_max > max_x:
         raise GuardError(f"curve reaches {c.x_max:.6g}, past the working bound {max_x:.6g}")
-    ev = _MapEvaluator(m)
-    out, min_slope, drift_c = _push_once(ev, c, grid_size or c.xs.size, bound_cap)
+    kernel = _PushKernel(m, grid_size or c.xs.size)
+    xs, fs, min_slope, drift_c = kernel.push(c.xs, c.fs, bound_cap)
+    out = Curve(xs, fs)
     cert = bound_certificate(out, n_power, m_max)
     return out, replace(cert, min_dxdx=min_slope, xmax_drift_c=drift_c)
 
@@ -324,37 +410,40 @@ class SolveDiagnostics:
     config: SolverConfig = field(repr=False)
 
 
-def _prepare(m: MapSpec, cfg: SolverConfig) -> tuple[NormalFormResult, _MapEvaluator]:
+def _prepare(m: MapSpec, cfg: SolverConfig) -> tuple[NormalFormResult, _PushKernel]:
     order = cfg.series_order or max(cfg.norm_order + 2, m.degree, DEFAULT_ORDER)
     nf = normalize_to_order(to_planar_series(m, order), cfg.norm_order)
-    return nf, _MapEvaluator(nf.normalized)
+    return nf, _PushKernel(nf.normalized, cfg.grid_size)
 
 
-def _run_level(ev: _MapEvaluator, rho: float, cfg: SolverConfig) -> LevelResult:
-    curve = seed_curve(rho, cfg.grid_size)
-    trace = [curve.x_max]
+def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResult:
+    xs = rho * kernel.unit
+    fs = np.zeros_like(xs)
+    x_max = float(xs[-1])
+    trace = [x_max]
     min_slope = math.inf
     max_drift = 0.0
     margin = math.inf
     # the quadratic drift guarantees termination; the cap only catches stalls
     cap = int(2.0 / rho) * (int(math.log(cfg.delta / rho)) + 2) + 64
-    while curve.x_max <= cfg.delta:
+    while x_max <= cfg.delta:
         if len(trace) > cap:
             raise ConvergenceError(
                 f"push iteration exceeded its step cap ({cap}) at rho={rho:g}",
                 history=trace,
             )
-        prev = curve.x_max
-        curve, slope, drift = _push_once(ev, curve, cfg.grid_size, cfg.bound_cap)
-        if curve.x_max <= prev:
+        prev = x_max
+        xs, fs, slope, drift = kernel.push(xs, fs, cfg.bound_cap)
+        x_max = float(xs[-1])
+        if x_max <= prev:
             raise GuardError("x_max failed to increase during a push")
-        trace.append(curve.x_max)
+        trace.append(x_max)
         min_slope = min(min_slope, slope)
         max_drift = max(max_drift, drift)
-        margin = min(margin, curve.x_max - (prev + 0.5 * prev * prev))
+        margin = min(margin, x_max - (prev + 0.5 * prev * prev))
     return LevelResult(
         rho=rho,
-        curve=curve,
+        curve=Curve(xs, fs),
         nu_bar=len(trace) - 1,
         x_max_trace=np.array(trace),
         min_dxdx=min_slope,
@@ -367,6 +456,26 @@ def _comparison_grid(delta: float, size: int = 256) -> np.ndarray:
     return np.geomspace(delta * 1e-5, 0.5 * delta, size)
 
 
+def _refine(
+    kernel: _PushKernel, cfg: SolverConfig, levels: int
+) -> Iterator[tuple[LevelResult, float | None]]:
+    """Run the levels rho0 * rho_factor^k, k = 0..levels-1, one at a time.
+
+    Yields each level with the sup-norm gap between its final curve and the
+    previous level's on [0, delta/2] (None for the first level).
+    """
+    grid = _comparison_grid(cfg.delta)
+    rho = cfg.rho0
+    prev_vals = None
+    for _ in range(levels):
+        lv = _run_level(kernel, rho, cfg)
+        vals = lv.curve.eval(grid)
+        gap = None if prev_vals is None else float(np.max(np.abs(vals - prev_vals)))
+        yield lv, gap
+        prev_vals = vals
+        rho *= cfg.rho_factor
+
+
 def rho_refinement(
     m: MapSpec, cfg: SolverConfig, levels: int
 ) -> tuple[list[LevelResult], list[float]]:
@@ -376,20 +485,13 @@ def rho_refinement(
     sup-norm gaps between successive final curves on [0, delta/2].
     """
     cfg.validate()
-    _, ev = _prepare(m, cfg)
-    grid = _comparison_grid(cfg.delta)
+    _, kernel = _prepare(m, cfg)
     results: list[LevelResult] = []
     gaps: list[float] = []
-    rho = cfg.rho0
-    prev_vals = None
-    for _ in range(levels):
-        lv = _run_level(ev, rho, cfg)
+    for lv, gap in _refine(kernel, cfg, levels):
         results.append(lv)
-        vals = lv.curve.eval(grid)
-        if prev_vals is not None:
-            gaps.append(float(np.max(np.abs(vals - prev_vals))))
-        prev_vals = vals
-        rho *= cfg.rho_factor
+        if gap is not None:
+            gaps.append(gap)
     return results, gaps
 
 
@@ -406,24 +508,17 @@ def solve_manifold(
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
-    nf, ev = _prepare(m, cfg)
-    grid = _comparison_grid(cfg.delta)
+    nf, kernel = _prepare(m, cfg)
     levels: list[LevelResult] = []
     gaps: list[float] = []
-    rho = cfg.rho0
-    prev_vals = None
     converged = False
-    for _ in range(cfg.max_levels):
-        lv = _run_level(ev, rho, cfg)
+    for lv, gap in _refine(kernel, cfg, cfg.max_levels):
         levels.append(lv)
-        vals = lv.curve.eval(grid)
-        if prev_vals is not None:
-            gaps.append(float(np.max(np.abs(vals - prev_vals))))
-            if gaps[-1] <= cfg.tol_converge:
+        if gap is not None:
+            gaps.append(gap)
+            if gap <= cfg.tol_converge:
                 converged = True
                 break
-        prev_vals = vals
-        rho *= cfg.rho_factor
     if not converged:
         raise ConvergenceError(
             f"refinement gaps never reached {cfg.tol_converge:g} "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invcurve.cli import main, resolve_map
+from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
 
 FAST = ["--rho0", "0.00625", "--grid", "128"]
 
@@ -116,6 +116,17 @@ class TestVerifyCommands:
         assert code == 0
         assert parse_report(out)["status"] == "PASS"
 
+    def test_invariance_fail_exit_status(self, capsys):
+        # --tol is the verification tolerance; the solve still converges
+        code, out, _ = run_cli(
+            capsys, "verify-invariance", "--map", "builtin:PERT(lambda=1,mu=0,c=0.1)",
+            *FAST, "--tol", "1e-30",
+        )
+        assert code == EXIT_VERIFY_FAILED == 3
+        rep = parse_report(out)
+        assert rep["status"] == "FAIL"
+        assert float(rep["max_residual"]) > 1e-30
+
     def test_shadow_pair_example(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -139,6 +150,17 @@ class TestVerifyCommands:
         assert set(cols) == {"step", "x", "xhat", "metric"}
         assert np.all(np.diff(cols["metric"]) <= 0.0)
         assert parse_report(err)["status"] == "PASS"
+
+    def test_shadow_pair_fail_exit_status(self, capsys):
+        # on the raw perturbed map an x offset picks up a y offset of order
+        # x^2 dx, which the x^-3 weight of the metric blows up
+        code, out, _ = run_cli(
+            capsys, "verify-shadow", "--map", "builtin:PERT", "--x", "0.05", "--xhat", "0.05000000002",
+        )
+        assert code == EXIT_VERIFY_FAILED
+        rep = parse_report(out)
+        assert rep["status"] == "FAIL"
+        assert float(rep["after"]) > float(rep["before"])
 
     def test_shadow_needs_arguments(self, capsys):
         code, _, err = run_cli(capsys, "verify-shadow", "--map", "builtin:CANON")
