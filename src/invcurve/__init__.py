@@ -18,6 +18,7 @@ from .errors import (
     InvcurveError,
     MapFormatError,
     MapValidationError,
+    SeriesError,
 )
 from .graphtransform import (
     BoundCertificate,
@@ -104,6 +105,7 @@ __all__ = [
     "RepulsionTrace",
     "Series1",
     "Series2",
+    "SeriesError",
     "ShadowPair",
     "SolveDiagnostics",
     "SolverConfig",

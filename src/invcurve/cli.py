@@ -46,6 +46,12 @@ from .mapdef import to_planar_series
 # exit status of a verification that ran and found its property violated
 EXIT_VERIFY_FAILED = 3
 
+# `compare` passes when the solvers disagree by at most
+# max(COMPARE_CUBIC * x^3, COMPARE_FLOOR) at every compared node (the
+# method-agreement bound of the acceptance criteria); it does not follow --tol
+COMPARE_CUBIC = 1e-6
+COMPARE_FLOOR = 1e-9
+
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
@@ -194,10 +200,8 @@ def _cmd_normalize(args) -> int:
     pairs = [("order", order), ("series_order", series_order)]
     pairs.extend((f"gamma_{n}", g) for n, g in zip(range(3, order + 1), nf.gammas))
     table = ["normalized coefficients (component exp_x exp_y value):"]
-    for (i, j), c in nf.normalized.fx.terms():
-        table.append(f"X {i} {j} {_fmt(c)}")
-    for (i, j), c in nf.normalized.fy.terms():
-        table.append(f"Y {i} {j} {_fmt(c)}")
+    for comp, terms in zip("XY", nf.normalized.sorted_terms()):
+        table.extend(f"{comp} {i} {j} {_fmt(c)}" for (i, j), c in terms)
     _emit(None, _report(pairs, table), args.out)
     return 0
 
@@ -344,31 +348,25 @@ def _cmd_repulsion(args) -> int:
 
 def _cmd_compare(args) -> int:
     m = resolve_map(args.map)
-    cfg = _solver_config(args)
     order = args.order if args.order is not None else DEFAULT_CONJUGACY_ORDER
     # --order feeds the conjugacy side; the solver keeps its own default
-    cfg = SolverConfig(
-        norm_order=8,
-        delta=cfg.delta,
-        rho0=cfg.rho0,
-        rho_factor=cfg.rho_factor,
-        grid_size=cfg.grid_size,
-        m_max=cfg.m_max,
-        tol_converge=cfg.tol_converge,
-    )
+    cfg = replace(_solver_config(args), norm_order=8)
     cmp_res = compare_methods(m, cfg, order)
+    allowed = np.maximum(COMPARE_CUBIC * cmp_res.xs**3, COMPARE_FLOOR)
+    ok = bool(np.all(cmp_res.diffs <= allowed))
     pairs = [
         ("sup_disagreement", cmp_res.sup_disagreement),
         ("gt_a3", cmp_res.gt_a3),
         ("param_a3", cmp_res.param_a3),
         ("d", cmp_res.conjugacy.d),
+        ("status", "PASS" if ok else "FAIL"),
     ]
     text = ["per-decade max disagreement (lo hi sup):"]
     text.extend(
         f"  {_fmt(lo)} {_fmt(hi)} {_fmt(sup)}" for lo, hi, sup in cmp_res.decade_rows
     )
     _emit(None, _report(pairs, text), args.out)
-    return 0
+    return 0 if ok else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------

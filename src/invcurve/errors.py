@@ -33,3 +33,7 @@ class ConvergenceError(InvcurveError):
 
 class ConjugacyError(InvcurveError):
     """The conjugacy coefficient equations could not be solved."""
+
+
+class SeriesError(InvcurveError, ValueError):
+    """A truncated-series operation got operands outside its domain."""

@@ -163,10 +163,7 @@ class _MapEvaluator:
     """
 
     def __init__(self, m: MapSpec | PlanarSeriesMap):
-        if isinstance(m, MapSpec):
-            parts = m.sorted_terms()
-        else:
-            parts = (m.fx.terms(), m.fy.terms())
+        parts = m.sorted_terms()
         keys = [k for terms in parts for k, _ in terms]
         self._dmax_x = max((i for i, _ in keys), default=0)
         self._dmax_y = max((j for _, j in keys), default=0)

@@ -162,12 +162,8 @@ def parse_map_spec(text: str | Iterable[str]) -> MapSpec:
 
 def format_map_spec(m: MapSpec) -> str:
     """Render a MapSpec back into the text format (sorted, 17 significant digits)."""
-    out = []
-    xt, yt = m.sorted_terms()
-    for (i, j), c in xt:
-        out.append(f"X {i} {j} {c:.17g}")
-    for (i, j), c in yt:
-        out.append(f"Y {i} {j} {c:.17g}")
+    pairs = zip("XY", m.sorted_terms())
+    out = [f"{comp} {i} {j} {c:.17g}" for comp, terms in pairs for (i, j), c in terms]
     return "\n".join(out) + "\n"
 
 
@@ -182,25 +178,15 @@ def eval_map(m: MapSpec, p: Point, with_jacobian: bool = False):
     image = Point(eval_terms(xt, p.x, p.y), eval_terms(yt, p.x, p.y))
     if not with_jacobian:
         return image
-    jac = np.array(
-        [
-            [_partial(xt, p, "x"), _partial(xt, p, "y")],
-            [_partial(yt, p, "x"), _partial(yt, p, "y")],
-        ]
-    )
+    jac = np.array([[eval_terms(d, p.x, p.y) for d in _gradient_terms(t)] for t in (xt, yt)])
     return image, jac
 
 
-def _partial(terms, p: Point, var: str) -> float:
-    acc = 0.0
-    for (i, j), c in terms:
-        if var == "x":
-            if i > 0:
-                acc += c * i * p.x ** (i - 1) * p.y**j
-        else:
-            if j > 0:
-                acc += c * j * p.x**i * p.y ** (j - 1)
-    return acc
+def _gradient_terms(terms) -> tuple[list, list]:
+    """The term lists of d/dx and d/dy."""
+    ddx = [((i - 1, j), i * c) for (i, j), c in terms if i > 0]
+    ddy = [((i, j - 1), j * c) for (i, j), c in terms if j > 0]
+    return ddx, ddy
 
 
 def invert_point(

@@ -36,9 +36,8 @@ def shear_map(gamma: float, n: int, order: int) -> PlanarSeriesMap:
 
 
 def _zero_pure_coeff(m: PlanarSeriesMap, n: int) -> PlanarSeriesMap:
-    table = dict(m.fy.coeffs)
-    table.pop((n, 0), None)
-    return PlanarSeriesMap(m.fx, Series2(table, m.order), m.order)
+    fy = m.fy - Series2({(n, 0): m.fy.coeff(n, 0)}, m.order)
+    return PlanarSeriesMap(m.fx, fy, m.order)
 
 
 def normalize_step(m: PlanarSeriesMap, n: int) -> tuple[PlanarSeriesMap, float]:

@@ -36,9 +36,11 @@ from .mapdef import MapSpec, Point, invert_point, to_planar_series
 from .series import (
     PlanarSeriesMap,
     Series1,
+    Series2,
     compose_maps,
     invert_map_series,
     reverse_series,
+    substitute,
 )
 
 DEFAULT_CONJUGACY_ORDER = 10
@@ -61,25 +63,28 @@ class ConjugacyResult:
 
 
 def square_map(m: MapSpec, order: int) -> PlanarSeriesMap:
-    """The map composed with itself, as a truncated series pair."""
-    sm = to_planar_series(m, order)
+    """The map composed with itself, as a truncated longdouble series pair."""
+    sm = to_planar_series(m, order).astype(np.longdouble)
     return compose_maps(sm, sm)
 
 
 def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
     """Series inverse of the squared map, with its structure asserted.
 
-    The pure x^2 coefficient of the first component must be -2 and the xy
+    Squaring and inversion run at np.longdouble and the result is rounded
+    to binary64 once, so every coefficient of psi is within about half a
+    unit in the last place (binary64 inversion drifts by hundreds).  The
+    pure x^2 coefficient of the first component must be -2 and the xy
     coefficient of the second must be 2*lambda; the squared map's second
     component must carry no pure x^3 term.
     """
     if order < 4:
         raise ValueError("psi needs order at least 4")
     sq = square_map(m, order)
-    stray = abs(sq.fy.coeff(3, 0))
+    stray = abs(float(sq.fy.coeff(3, 0)))
     if stray > _STRUCT_TOL:
         raise ConjugacyError(f"squared map has a pure x^3 term in Y ({stray:.3e})")
-    psi = invert_map_series(sq)
+    psi = invert_map_series(sq).astype(np.float64)
     if abs(psi.fx.coeff(2, 0) + 2.0) > _STRUCT_TOL:
         raise ConjugacyError(
             f"x^2 coefficient of the inverted square is {psi.fx.coeff(2, 0)!r}, expected -2"
@@ -94,71 +99,38 @@ def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
 
 # The residual of Psi(K) - K(R) sums products of inverse-series coefficients
 # that reach 1e5 and cancel to ~1e-10 in binary64, which would drown the
-# certified bound.  The residual (and the stage right-hand sides) are
-# therefore evaluated in extended precision; the returned coefficients stay
-# binary64.
+# certified bound, so it runs on the same series core at np.longdouble (K and
+# R as series in x alone); the returned coefficients stay binary64.  The stage
+# unknowns enter the order-n residual linearly, with a matrix read off Psi's
+# low coefficients (the cohomological equation; Haro et al., The
+# Parameterization Method, 2016): one residual evaluation per stage sweep.
 
 
-class _LongResidual:
-    def __init__(self, psi: PlanarSeriesMap, order: int):
-        self.order = order
-        self.px = self._dense(psi.fx, order)
-        self.py = self._dense(psi.fy, order)
+def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of t^0 .. t^order of Psi(K(t)) - K(R(t)), at psi's dtype."""
+    n, dtype = psi.order, psi.fx.dtype
+    k1, k2 = Series2.in_x(a, n, dtype), Series2.in_x(b, n, dtype)
+    lhs = substitute([psi.fx, psi.fy], k1, k2)
+    model = Series2.in_x([0.0, 1.0, -2.0, d], n, dtype)
+    rhs = substitute([k1, k2], model, Series2.zero(n, dtype))
+    return tuple((u - v).x_coeffs() for u, v in zip(lhs, rhs))
 
-    @staticmethod
-    def _dense(s, order: int) -> np.ndarray:
-        table = np.zeros((order + 1, order + 1), dtype=np.longdouble)
-        for (i, j), c in s.coeffs.items():
-            if i + j <= order:
-                table[i, j] = c
-        return table
 
-    def _mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        n = self.order
-        out = np.zeros(n + 1, dtype=np.longdouble)
-        for i, a in enumerate(u):
-            if a == 0.0:
-                continue
-            hi = n + 1 - i
-            out[i:] += a * v[:hi]
-        return out
+def _stage_matrix(psi: PlanarSeriesMap, n: int) -> np.ndarray:
+    """Derivative of the order-n residual in the stage unknowns.
 
-    def _compose(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        n = self.order
-        acc = np.zeros(n + 1, dtype=np.longdouble)
-        for c in outer[::-1]:
-            acc = self._mul(acc, inner)
-            acc[0] += c
-        return acc
-
-    def _eval2(self, table: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-        n = self.order
-        one = np.zeros(n + 1, dtype=np.longdouble)
-        one[0] = 1.0
-        pows1, pows2 = [one], [one]
-        for _ in range(n):
-            pows1.append(self._mul(pows1[-1], k1))
-            pows2.append(self._mul(pows2[-1], k2))
-        acc = np.zeros(n + 1, dtype=np.longdouble)
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                c = table[i, j]
-                if c != 0.0:
-                    acc += c * self._mul(pows1[i], pows2[j])
-        return acc
-
-    def residual(self, a, b, d) -> tuple[np.ndarray, np.ndarray]:
-        n = self.order
-        k1 = np.array(a, dtype=np.longdouble)
-        k2 = np.array(b, dtype=np.longdouble)
-        model = np.zeros(n + 1, dtype=np.longdouble)
-        model[1] = 1.0
-        model[2] = -2.0
-        if n >= 3:
-            model[3] = d
-        r1 = self._eval2(self.px, k1, k2) - self._compose(k1, model)
-        r2 = self._eval2(self.py, k1, k2) - self._compose(k2, model)
-        return r1, r2
+    Order 3 pins d, which enters only through -K1(R) with K1'(0) = 1.  Order
+    n >= 4 pins a_(n-1), b_(n-1): with K1 = t + ..., K2 = O(t^3) and
+    R^(n-1) = t^(n-1) - 2 (n-1) t^n + ..., they reach t^n through the x^2 and
+    xy terms of Psi and through K(R).
+    """
+    if n == 3:
+        return np.array([[-1.0], [0.0]])
+    shift = 2.0 * (n - 1)
+    p, q = psi.fx, psi.fy
+    row1 = [2.0 * p.coeff(2, 0) + shift, p.coeff(1, 1)]
+    row2 = [2.0 * q.coeff(2, 0), q.coeff(1, 1) + shift]
+    return np.array([row1, row2])
 
 
 def solve_conjugacy(
@@ -182,79 +154,47 @@ def solve_conjugacy(
     if psi.fy.coeff(1, 1) <= 0.0:
         raise ConjugacyError("sign condition failed: xy coefficient of psi2 not positive")
 
-    scale = max(
-        1.0,
-        max((abs(v) for v in psi.fx.coeffs.values()), default=1.0),
-        max((abs(v) for v in psi.fy.coeffs.values()), default=1.0),
-    )
+    scale = max(1.0, *(abs(v) for s in (psi.fx, psi.fy) for v in s.coeffs.values()))
     stage_tol = 1e-9 * scale
 
-    a = [0.0] * (order + 1)
-    b = [0.0] * (order + 1)
-    a[1] = 1.0
-    if order >= 2:
-        a[2] = float(t2_coefficient)
+    a, b = [0.0] * (order + 1), [0.0] * (order + 1)
+    a[1], a[2] = 1.0, float(t2_coefficient)
     d = 0.0
-    engine = _LongResidual(psi, order)
 
-    def stage_solve(n: int, unknowns: list[tuple[str, int]]) -> None:
-        nonlocal d
-        base1, base2 = engine.residual(a, b, d)
-        rhs = -np.array([base1[n], base2[n]], dtype=float)
-        cols = []
-        for kind, idx in unknowns:
-            if kind == "d":
-                r1, r2 = engine.residual(a, b, d + 1.0)
-            elif kind == "a":
-                a[idx] += 1.0
-                r1, r2 = engine.residual(a, b, d)
-                a[idx] -= 1.0
-            else:
-                b[idx] += 1.0
-                r1, r2 = engine.residual(a, b, d)
-                b[idx] -= 1.0
-            cols.append([float(r1[n] - base1[n]), float(r2[n] - base2[n])])
-        mat = np.array(cols).T
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if np.max(np.abs(mat @ sol - rhs)) > stage_tol:
-            raise ConjugacyError(
-                f"rank-deficient coefficient equations at order {n} "
-                "admit no minimum-norm solution"
-            )
-        for (kind, idx), val in zip(unknowns, sol):
-            if kind == "d":
-                d += float(val)
-            elif kind == "a":
-                a[idx] += float(val)
-            else:
-                b[idx] += float(val)
-
-    # two sweeps per order: the second polishes the binary64 increments
-    for _ in range(2):
-        stage_solve(3, [("d", 0)])
-    for n in range(4, order + 1):
+    # the order-n equations involve nothing beyond order n, so each stage
+    # works at its own order; two sweeps per order, the second polishes the
+    # binary64 increments
+    for n in range(3, order + 1):
+        mat = _stage_matrix(psi, n)
+        psi_n = psi.truncate(n).astype(np.longdouble)
         for _ in range(2):
-            stage_solve(n, [("a", n - 1), ("b", n - 1)])
+            r1, r2 = _conjugacy_residual(psi_n, a, b, d)
+            rhs = -np.array([r1[n], r2[n]], dtype=float)
+            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+            if np.max(np.abs(mat @ sol - rhs)) > stage_tol:
+                raise ConjugacyError(
+                    f"rank-deficient coefficient equations at order {n} "
+                    "admit no minimum-norm solution"
+                )
+            if n == 3:
+                d += float(sol[0])
+            else:
+                a[n - 1] += float(sol[0])
+                b[n - 1] += float(sol[1])
 
-    r1, r2 = engine.residual(a, b, d)
-    residual_max = float(
-        max(np.max(np.abs(r1[: order + 1])), np.max(np.abs(r2[: order + 1])))
-    )
+    r1, r2 = _conjugacy_residual(psi.truncate(order).astype(np.longdouble), a, b, d)
+    residual_max = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     if residual_max > 1e-10 * scale:
         raise ConjugacyError(
             f"conjugacy residual {residual_max:.3e} exceeds tolerance through order {order}"
         )
 
-    k1 = Series1(tuple(a))
-    k2 = Series1(tuple(b))
+    k1, k2 = Series1(tuple(a)), Series1(tuple(b))
     phi = k2.compose(reverse_series(k1)).truncate(order)
-    low = [abs(phi.coeff(k)) for k in range(min(3, order + 1))]
-    if max(low) > _STRUCT_TOL:
-        raise ConjugacyError(f"graph function keeps sub-cubic terms ({max(low):.3e})")
-    cleaned = list(phi.coeffs)
-    for k in range(min(3, len(cleaned))):
-        cleaned[k] = 0.0
-    phi = Series1(tuple(cleaned))
+    low = max(abs(c) for c in phi.coeffs[:3])
+    if low > _STRUCT_TOL:
+        raise ConjugacyError(f"graph function keeps sub-cubic terms ({low:.3e})")
+    phi = Series1((0.0, 0.0, 0.0) + phi.coeffs[3:])
     return ConjugacyResult(k1, k2, float(d), phi, order, float(residual_max))
 
 
@@ -288,8 +228,7 @@ def graph_invariance_check(m: MapSpec, phi: Series1, order: int) -> GraphInvaria
     inv = invert_map_series(to_planar_series(m, work))
     t = Series1.identity(work)
     phi_w = phi.truncate(work)
-    x_of_t = inv.fx.eval_series(t, phi_w)
-    y_of_t = inv.fy.eval_series(t, phi_w)
+    x_of_t, y_of_t = (s.eval_series(t, phi_w) for s in (inv.fx, inv.fy))
     phi_tilde = y_of_t.compose(reverse_series(x_of_t)).truncate(order)
     diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))
     subcubic = max(abs(phi_tilde.coeff(k)) for k in range(min(3, order + 1)))

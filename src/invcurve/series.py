@@ -1,10 +1,16 @@
 """Truncated power-series arithmetic: univariate, bivariate, and planar maps.
 
-Univariate series are dense coefficient tuples, bivariate series are sparse
-dictionaries keyed by exponent pairs, and a planar map is a pair of bivariate
-series with no constant term and an invertible linear part.  Every operation
-truncates to the carrying order and returns a new immutable value, so series
-can be shared freely across threads.
+Univariate series are dense coefficient tuples.  A bivariate series is one
+dense triangular numpy array of the coefficients of x^i y^j, i + j <= order,
+in graded order (1; x, y; x^2, xy, y^2; ...), so truncation keeps a prefix;
+its dtype is a parameter (binary64 by default, `np.longdouble` where
+cancellation needs extended precision).  A product is one vectorised
+truncated 2-D convolution over a per-order table of term pairs (Brent &
+Kung, J. ACM 1978); substitution is Horner in y over the powers of the x
+substitute.  A planar map is a pair of bivariate series with no constant
+term and an invertible linear part.  Every operation truncates to the
+carrying order and returns a new immutable value, so series can be shared
+freely across threads.
 
 The module supplies the three nontrivial primitives the rest of the package
 is built on: composition of planar maps, local inversion of a planar map near
@@ -14,10 +20,14 @@ part), and reversion of a univariate series.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .errors import SeriesError
 
 DEFAULT_ORDER = 12
 
@@ -36,7 +46,7 @@ class Series1:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
-            raise ValueError("Series1 needs at least the constant coefficient")
+            raise SeriesError("Series1 needs at least the constant coefficient")
 
     @property
     def order(self) -> int:
@@ -80,50 +90,31 @@ class Series1:
 
     def __mul__(self, other: Series1) -> Series1:
         n = min(self.order, other.order)
-        out = [0.0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0.0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0.0:
-                    out[i + j] += a * b
-        return Series1(tuple(out))
+        return Series1(tuple(np.convolve(self.coeffs[: n + 1], other.coeffs[: n + 1])[: n + 1]))
 
     def compose(self, inner: Series1) -> Series1:
         """self(inner(t)); inner must have zero constant term."""
         if inner.coeff(0) != 0.0:
-            raise ValueError("composition needs a zero constant term in the inner series")
+            raise SeriesError(f"composition needs inner(0) = 0, got {inner.coeff(0)!r}")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
         result = Series1.from_coeffs([self.coeff(n)], n)
         for k in range(n - 1, -1, -1):
-            result = result * inner
-            result = Series1(
-                tuple(
-                    (result.coeffs[i] + self.coeff(k)) if i == 0 else result.coeffs[i]
-                    for i in range(n + 1)
-                )
-            )
+            result = result * inner + Series1.from_coeffs([self.coeff(k)], n)
         return result
 
     def eval(self, x):
         """Horner evaluation; accepts scalars or numpy arrays."""
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        if np.isscalar(x):
-            return float(acc)
-        return acc
+        acc = np.polyval(self.coeffs[::-1], np.asarray(x, dtype=float))
+        return float(acc) if np.isscalar(x) else acc
 
 
 def reverse_series(s: Series1) -> Series1:
     """Compositional inverse g with s(g(t)) = t up to the truncation order."""
     if s.coeff(0) != 0.0:
-        raise ValueError("series reversion needs s(0) = 0")
+        raise SeriesError(f"series reversion needs s(0) = 0, got s(0) = {s.coeff(0)!r}")
     a1 = s.coeff(1)
     if a1 == 0.0:
-        raise ValueError("series reversion needs a nonzero linear coefficient")
+        raise SeriesError("series reversion needs a nonzero linear coefficient s'(0), got 0")
     n = s.order
     g = Series1.identity(n).scale(1.0 / a1)
     # each sweep fixes one more order; h = s - a1 t starts at degree 2
@@ -139,37 +130,77 @@ def reverse_series(s: Series1) -> Series1:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Series2:
-    """Sparse bivariate series: coeffs maps (i, j) to the x^i y^j coefficient.
+def _size(order: int) -> int:
+    return (order + 1) * (order + 2) // 2
 
-    Canonical form stores no zero coefficients and no key with i + j beyond
-    the order.
+
+def _index(i, j):
+    """Array slot of x^i y^j (integers or integer arrays)."""
+    return (i + j) * (i + j + 1) // 2 + j
+
+
+# keys: exponent pair of each array slot; ii, jj: its exponents; the pairs
+# (left[p], right[p]) whose exponents add up to slot k are the run
+# starts[k] .. starts[k + 1] - 1 (the product table)
+_Tables = namedtuple("_Tables", "keys ii jj left right starts")
+
+
+@lru_cache(maxsize=None)
+def _tables(order: int) -> _Tables:
+    keys = tuple((d - j, j) for d in range(order + 1) for j in range(d + 1))
+    ii = np.array([i for i, _ in keys])
+    jj = np.array([j for _, j in keys])
+    deg = ii + jj
+    p, q = np.nonzero(deg[:, None] + deg[None, :] <= order)
+    target = _index(ii[p] + ii[q], jj[p] + jj[q])
+    perm = np.argsort(target, kind="stable")
+    target = target[perm]
+    starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]])
+    tables = _Tables(keys, ii, jj, p[perm], q[perm], starts)
+    for arr in (ii, jj, tables.left, tables.right, starts):
+        arr.flags.writeable = False
+    return tables
+
+
+class Series2:
+    """Dense bivariate series truncated at total degree `order`.
+
+    `Series2(coeffs, order, dtype)` takes a mapping from (i, j) to the x^i
+    y^j coefficient; keys beyond the order are an error.  `coeffs` is the
+    canonical sparse view: no zero coefficients, no key beyond the order.
     """
 
-    coeffs: Mapping[tuple[int, int], float]
-    order: int
+    __slots__ = ("_c", "order")
 
-    def __post_init__(self):
-        clean: dict[tuple[int, int], float] = {}
-        for key, val in self.coeffs.items():
-            i, j = key
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in key {key}")
-            if i + j > self.order:
-                raise ValueError(f"key {key} exceeds truncation order {self.order}")
-            v = float(val)
-            if v != 0.0:
-                clean[(int(i), int(j))] = v
-        object.__setattr__(self, "coeffs", clean)
+    def __new__(cls, coeffs: Mapping[tuple[int, int], float], order: int, dtype=np.float64):
+        arr = np.zeros(_size(order), dtype=dtype)
+        for (i, j), val in coeffs.items():
+            if min(i, j) < 0 or i + j > order:
+                raise SeriesError(f"key {(i, j)} is negative or exceeds truncation order {order}")
+            arr[_index(i, j)] = val
+        return cls._wrap(arr, order)
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> Series2:
-        return cls({}, order)
+    def _wrap(cls, arr: np.ndarray, order: int) -> Series2:
+        out = object.__new__(cls)
+        arr.flags.writeable = False
+        object.__setattr__(out, "_c", arr)
+        object.__setattr__(out, "order", order)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Series2 is immutable")
+
+    def __reduce__(self):
+        return Series2._wrap, (self._c, self.order)
 
     @classmethod
-    def constant(cls, value: float, order: int = DEFAULT_ORDER) -> Series2:
-        return cls({(0, 0): value}, order)
+    def zero(cls, order: int = DEFAULT_ORDER, dtype=np.float64) -> Series2:
+        return cls({}, order, dtype)
+
+    @classmethod
+    def constant(cls, value: float, order: int = DEFAULT_ORDER, dtype=np.float64) -> Series2:
+        return cls({(0, 0): value}, order, dtype)
 
     @classmethod
     def x(cls, order: int = DEFAULT_ORDER) -> Series2:
@@ -182,106 +213,147 @@ class Series2:
     @classmethod
     def from_terms(cls, terms: Mapping[tuple[int, int], float], order: int) -> Series2:
         """Build from a raw table, silently dropping terms beyond the order."""
-        kept = {k: v for k, v in terms.items() if k[0] + k[1] <= order}
-        return cls(kept, order)
+        return cls({k: v for k, v in terms.items() if k[0] + k[1] <= order}, order)
+
+    @classmethod
+    def in_x(cls, coeffs: Sequence[float], order: int, dtype=np.float64) -> Series2:
+        """The univariate series sum_k coeffs[k] x^k, truncated at the order."""
+        return cls({(k, 0): c for k, c in enumerate(coeffs) if k <= order}, order, dtype)
+
+    def x_coeffs(self) -> np.ndarray:
+        """The coefficients of x^0 .. x^order."""
+        return self._c[_index(np.arange(self.order + 1), 0)]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._c.dtype
+
+    @property
+    def coeffs(self) -> dict[tuple[int, int], float]:
+        keys = _tables(self.order).keys
+        nz = np.flatnonzero(self._c)
+        return dict(zip([keys[k] for k in nz], self._c[nz].tolist()))
+
+    def astype(self, dtype) -> Series2:
+        return Series2._wrap(self._c.astype(dtype), self.order)
 
     def coeff(self, i: int, j: int) -> float:
-        return self.coeffs.get((i, j), 0.0)
+        if i < 0 or j < 0 or i + j > self.order:
+            return 0.0
+        return self._c[_index(i, j)].item()
 
     def terms(self) -> list[tuple[tuple[int, int], float]]:
         return sorted(self.coeffs.items())
 
     def truncate(self, order: int) -> Series2:
-        return Series2.from_terms(self.coeffs, order)
+        arr = np.zeros(_size(order), dtype=self.dtype)
+        arr[: self._c.size] = self._c[: arr.size]  # the shorter prefix of the two
+        return Series2._wrap(arr, order)
+
+    def __eq__(self, other) -> bool:
+        same_order = isinstance(other, Series2) and other.order == self.order
+        return same_order and bool(np.array_equal(self._c, other._c))
 
     def __add__(self, other: Series2) -> Series2:
         n = min(self.order, other.order)
-        out = {k: v for k, v in self.coeffs.items() if k[0] + k[1] <= n}
-        for k, v in other.coeffs.items():
-            if k[0] + k[1] <= n:
-                out[k] = out.get(k, 0.0) + v
-        return Series2(out, n)
+        return Series2._wrap(self._c[: _size(n)] + other._c[: _size(n)], n)
 
     def __sub__(self, other: Series2) -> Series2:
         return self + (-other)
 
     def __neg__(self) -> Series2:
-        return Series2({k: -v for k, v in self.coeffs.items()}, self.order)
+        return Series2._wrap(-self._c, self.order)
 
     def scale(self, factor: float) -> Series2:
-        return Series2({k: factor * v for k, v in self.coeffs.items()}, self.order)
+        return Series2._wrap(self._c * factor, self.order)
 
     def __mul__(self, other: Series2) -> Series2:
         n = min(self.order, other.order)
-        out: dict[tuple[int, int], float] = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > n:
-                    continue
-                key = (i, j)
-                out[key] = out.get(key, 0.0) + a * b
-        return Series2(out, n)
+        t = _tables(n)
+        prod = self._c[t.left] * other._c[t.right]
+        return Series2._wrap(np.add.reduceat(prod, t.starts), n)
+
+    def _by_powers(self, n: int) -> np.ndarray:
+        """Coefficient matrix C[j, i] of x^i y^j through order n, trimmed to the
+        highest powers present."""
+        t = _tables(n)
+        arr = self._c[: _size(n)]
+        nz = np.flatnonzero(arr)
+        ii, jj = t.ii[nz], t.jj[nz]
+        mat = np.zeros((jj.max(initial=0) + 1, ii.max(initial=0) + 1), dtype=arr.dtype)
+        mat[jj, ii] = arr[nz]
+        return mat
 
     def subst(self, sx: Series2, sy: Series2) -> Series2:
         """Substitute x -> sx, y -> sy; both must have zero constant term."""
-        if sx.coeff(0, 0) != 0.0 or sy.coeff(0, 0) != 0.0:
-            raise ValueError("substitution needs zero constant terms")
-        n = min(self.order, sx.order, sy.order)
-        sx, sy = sx.truncate(n), sy.truncate(n)
-        max_i = max((i for (i, _) in self.coeffs), default=0)
-        max_j = max((j for (_, j) in self.coeffs), default=0)
-        pow_x = _powers(sx, max_i, n)
-        pow_y = _powers(sy, max_j, n)
-        out = Series2.zero(n)
-        for (i, j), c in self.terms():
-            out = out + (pow_x[i] * pow_y[j]).scale(c)
-        return out
+        return substitute([self], sx, sy)[0]
 
     def eval_series(self, sx: Series1, sy: Series1) -> Series1:
         """Substitute univariate series for x and y; zero constant terms required."""
-        if sx.coeff(0) != 0.0 or sy.coeff(0) != 0.0:
-            raise ValueError("substitution needs zero constant terms")
         n = min(self.order, sx.order, sy.order)
-        sx, sy = sx.truncate(n), sy.truncate(n)
-        max_i = max((i for (i, _) in self.coeffs), default=0)
-        max_j = max((j for (_, j) in self.coeffs), default=0)
-        one = Series1.from_coeffs([1.0], n)
-        px = [one]
-        for _ in range(max_i):
-            px.append(px[-1] * sx)
-        py = [one]
-        for _ in range(max_j):
-            py.append(py[-1] * sy)
-        out = Series1.zero(n)
-        for (i, j), c in self.terms():
-            out = out + (px[i] * py[j]).scale(c)
-        return out
+        out = self.subst(Series2.in_x(sx.coeffs, n), Series2.in_x(sy.coeffs, n))
+        return Series1(tuple(out.x_coeffs()))
 
     def eval(self, x, y):
         """Evaluate the polynomial at a point (or arrays of points)."""
         return eval_terms(self.terms(), x, y)
 
 
-def _powers(s: Series2, upto: int, order: int) -> list[Series2]:
-    out = [Series2.constant(1.0, order)]
-    for _ in range(upto):
-        out.append(out[-1] * s)
+def substitute(parts: Sequence[Series2], sx: Series2, sy: Series2) -> list[Series2]:
+    """Each series of `parts` with x -> sx, y -> sy (zero constant terms).
+
+    The powers of sx are formed once for all parts; each part is then Horner
+    in y over the linear combinations sum_i c_ij sx^i.
+    """
+    cx, cy = sx.coeff(0, 0), sy.coeff(0, 0)
+    if cx != 0.0 or cy != 0.0:
+        raise SeriesError(
+            f"substitution needs zero constant terms, got x -> {cx!r} and y -> {cy!r}"
+        )
+    n = min(sx.order, sy.order, *(p.order for p in parts))
+    mats = [p._by_powers(n) for p in parts]
+    dtype = np.result_type(sx.dtype, sy.dtype, *(p.dtype for p in parts))
+    powers = [Series2.constant(1.0, n, dtype)]
+    for _ in range(max(m.shape[1] for m in mats) - 1):
+        powers.append(powers[-1] * sx)
+    table = np.stack([p._c for p in powers])
+    out = []
+    for mat in mats:
+        rows = mat @ table[: mat.shape[1]]
+        acc = Series2._wrap(rows[-1], n)
+        for row in rows[-2::-1]:
+            acc = Series2._wrap((acc * sy)._c + row, n)
+        out.append(acc)
     return out
 
 
 def eval_terms(terms, x, y):
     """Sum c * x^i * y^j over a sorted term list.
 
-    Shared by polynomial map evaluation and series evaluation so the two
-    paths agree bit for bit.
+    Shared by polynomial map evaluation and series evaluation.  Powers come
+    from tables built by repeated multiplication and terms are added in list
+    order, so two scalars, summed in plain floats, give the same bits as the
+    array path.
     """
-    acc = np.zeros_like(np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
+    scalar = np.isscalar(x) and np.isscalar(y)
+    if scalar:
+        x, y = float(x), float(y)
+    else:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    px = _power_table(x, max((i for (i, _), _ in terms), default=0))
+    py = _power_table(y, max((j for (_, j), _ in terms), default=0))
+    acc = 0.0 if scalar else np.zeros_like(x * y)
     for (i, j), c in terms:
-        acc = acc + c * np.asarray(x, dtype=float) ** i * np.asarray(y, dtype=float) ** j
-    if np.isscalar(x) and np.isscalar(y):
-        return float(acc)
+        acc = acc + c * px[i] * py[j]
     return acc
+
+
+def _power_table(v, upto: int) -> list:
+    """v^0 .. v^upto, each power one multiplication from the last."""
+    out = [1.0 if isinstance(v, float) else np.ones_like(v)]
+    for _ in range(upto):
+        out.append(out[-1] * v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +373,18 @@ class PlanarSeriesMap:
     order: int
 
     def __post_init__(self):
-        if self.fx.order != self.order or self.fy.order != self.order:
-            raise ValueError("component orders must match the map order")
-        if self.fx.coeff(0, 0) != 0.0 or self.fy.coeff(0, 0) != 0.0:
-            raise ValueError("planar series maps must fix the origin")
+        orders = (self.fx.order, self.fy.order)
+        if orders != (self.order, self.order):
+            raise SeriesError(f"component orders {orders} differ from map order {self.order}")
+        constants = (self.fx.coeff(0, 0), self.fy.coeff(0, 0))
+        if constants != (0.0, 0.0):
+            raise SeriesError(f"a planar series map must fix the origin, got {constants}")
         if self.linear_determinant() == 0.0:
-            raise ValueError("linear part is singular")
+            raise SeriesError("linear part is singular (determinant 0)")
 
     def linear_part(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.fx.coeff(1, 0), self.fx.coeff(0, 1)],
-                [self.fy.coeff(1, 0), self.fy.coeff(0, 1)],
-            ]
-        )
+        f, g = self.fx, self.fy
+        return np.array([[f.coeff(1, 0), f.coeff(0, 1)], [g.coeff(1, 0), g.coeff(0, 1)]])
 
     def linear_determinant(self) -> float:
         a, b = self.fx.coeff(1, 0), self.fx.coeff(0, 1)
@@ -325,16 +395,25 @@ class PlanarSeriesMap:
     def identity(cls, order: int = DEFAULT_ORDER) -> PlanarSeriesMap:
         return cls(Series2.x(order), Series2.y(order), order)
 
+    def truncate(self, order: int) -> PlanarSeriesMap:
+        return PlanarSeriesMap(self.fx.truncate(order), self.fy.truncate(order), order)
+
+    def astype(self, dtype) -> PlanarSeriesMap:
+        return PlanarSeriesMap(self.fx.astype(dtype), self.fy.astype(dtype), self.order)
+
     def eval(self, x, y):
         return self.fx.eval(x, y), self.fy.eval(x, y)
+
+    def sorted_terms(self) -> tuple[list, list]:
+        """The term lists of both components, as `MapSpec.sorted_terms` gives them."""
+        return self.fx.terms(), self.fy.terms()
 
 
 def compose_maps(outer: PlanarSeriesMap, inner: PlanarSeriesMap) -> PlanarSeriesMap:
     """outer(inner(x, y)) truncated to the common order."""
     if outer.order != inner.order:
-        raise ValueError(f"order mismatch: {outer.order} vs {inner.order}")
-    fx = outer.fx.subst(inner.fx, inner.fy)
-    fy = outer.fy.subst(inner.fx, inner.fy)
+        raise SeriesError(f"order mismatch: {outer.order} vs {inner.order}")
+    fx, fy = substitute([outer.fx, outer.fy], inner.fx, inner.fy)
     return PlanarSeriesMap(fx, fy, outer.order)
 
 
@@ -342,28 +421,28 @@ def invert_map_series(m: PlanarSeriesMap) -> PlanarSeriesMap:
     """Local inverse g with m(g) = identity up to the truncation order.
 
     The linear part is inverted exactly; higher orders are filled in by the
-    fixed-point sweep g <- L^-1 (id - h(g)) with h the nonlinear part of m,
-    which corrects one additional order per sweep.
+    fixed-point sweep g <- L^-1 (id - h(g)) with h the nonlinear part of m.
+    The order-k terms of h(g) involve g only through order k - 1, so the
+    sweep that extends g from order k - 1 to order k runs at order k.
     """
     det = m.linear_determinant()
     if det == 0.0:
-        raise ValueError("cannot invert a map with singular linear part")
+        raise SeriesError("cannot invert a map with singular linear part (determinant 0)")
     a, b = m.fx.coeff(1, 0), m.fx.coeff(0, 1)
     c, d = m.fy.coeff(1, 0), m.fy.coeff(0, 1)
     ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
     n = m.order
 
-    lin_x = Series2({(1, 0): a, (0, 1): b}, n)
-    lin_y = Series2({(1, 0): c, (0, 1): d}, n)
-    hx = m.fx - lin_x
-    hy = m.fy - lin_y
+    dtype = np.result_type(m.fx.dtype, m.fy.dtype)
+    hx = m.fx - Series2({(1, 0): a, (0, 1): b}, n, dtype)
+    hy = m.fy - Series2({(1, 0): c, (0, 1): d}, n, dtype)
 
-    x_, y_ = Series2.x(n), Series2.y(n)
-    gx = x_.scale(ia) + y_.scale(ib)
-    gy = x_.scale(ic) + y_.scale(id_)
-    for _ in range(max(n - 1, 0)):
-        rx = x_ - hx.subst(gx, gy)
-        ry = y_ - hy.subst(gx, gy)
+    gx = Series2({(1, 0): ia, (0, 1): ib}, 1, dtype)
+    gy = Series2({(1, 0): ic, (0, 1): id_}, 1, dtype)
+    for k in range(2, n + 1):
+        hgx, hgy = substitute([hx, hy], gx.truncate(k), gy.truncate(k))
+        rx = Series2.x(k) - hgx
+        ry = Series2.y(k) - hgy
         gx = rx.scale(ia) + ry.scale(ib)
         gy = rx.scale(ic) + ry.scale(id_)
     return PlanarSeriesMap(gx, gy, n)

@@ -33,12 +33,6 @@ METRIC_X_POWER = 8
 MapLike = MapSpec | PlanarSeriesMap
 
 
-def _component_terms(m: MapLike) -> tuple[list, list]:
-    if isinstance(m, MapSpec):
-        return m.sorted_terms()
-    return m.fx.terms(), m.fy.terms()
-
-
 @dataclass(frozen=True)
 class ShadowPair:
     """A base point and its shadowing partner (the hatted point)."""
@@ -88,7 +82,7 @@ def _offset_image(terms, x: float, y: float, dx: float, dy: float) -> float:
 
 
 def _step(m: MapLike, x, y, dx, dy):
-    xt, yt = _component_terms(m)
+    xt, yt = m.sorted_terms()
     return (
         eval_terms(xt, x, y),
         eval_terms(yt, x, y),

@@ -81,6 +81,16 @@ def random_form2_map(rng: np.random.Generator) -> MapSpec:
     return MapSpec(x_terms, y_terms)
 
 
+def acceptance_battery(seed: int = 1729) -> list[MapSpec]:
+    """The twelve-map battery: CANON, PERT(c=0.1) and ten random maps."""
+    from invcurve import canon, pert
+
+    rng = np.random.default_rng(seed)
+    maps = [canon(1.0, 0.0), pert(1.0, 0.0, 0.1)]
+    maps += [random_form2_map(rng) for _ in range(10)]
+    return maps
+
+
 def flatten_map(m: MapSpec, n_power: int = 8):
     """The map in flattened coordinates (no pure-x terms in Y through n_power)."""
     order = max(n_power + 2, m.degree, 12)
@@ -110,3 +120,51 @@ def sample_shadow_pair(rng: np.random.Generator, delta: float, n_power: int):
         pair = ShadowPair(Point(x, y), Point(x + dx, y + dy))
         if abs(pair.q.y) <= pair.q.x**n_power and shadow_metric(pair) <= 1.0:
             return pair
+
+
+# ---------------------------------------------------------------------------
+# dict-keyed bivariate series: a reference for the dense series core
+# ---------------------------------------------------------------------------
+
+
+def dict_mul(a: dict, b: dict, order: int) -> dict:
+    """Product of {(i, j): c} tables, truncated at total degree `order`."""
+    out: dict = {}
+    for (i1, j1), u in a.items():
+        for (i2, j2), v in b.items():
+            if i1 + i2 + j1 + j2 <= order:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + u * v
+    return out
+
+
+def dict_subst(f: dict, sx: dict, sy: dict, order: int) -> dict:
+    """f(sx, sy), one product chain per term."""
+    out: dict = {}
+    for (i, j), c in f.items():
+        term = {(0, 0): c}
+        for factor in [sx] * i + [sy] * j:
+            term = dict_mul(term, factor, order)
+        for key, v in term.items():
+            out[key] = out.get(key, 0) + v
+    return out
+
+
+def dict_invert(fx: dict, fy: dict, order: int) -> tuple[dict, dict]:
+    """Local inverse by the sweep g <- L^-1 (id - h(g)), one order per sweep."""
+    a, b = fx.get((1, 0), 0), fx.get((0, 1), 0)
+    c, d = fy.get((1, 0), 0), fy.get((0, 1), 0)
+    det = a * d - b * c
+    ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
+    hx = {k: v for k, v in fx.items() if sum(k) >= 2}
+    hy = {k: v for k, v in fy.items() if sum(k) >= 2}
+    gx, gy = {(1, 0): ia, (0, 1): ib}, {(1, 0): ic, (0, 1): id_}
+    for _ in range(order - 1):
+        rx = {k: -v for k, v in dict_subst(hx, gx, gy, order).items()}
+        ry = {k: -v for k, v in dict_subst(hy, gx, gy, order).items()}
+        rx[(1, 0)] = rx.get((1, 0), 0) + 1
+        ry[(0, 1)] = ry.get((0, 1), 0) + 1
+        keys = set(rx) | set(ry)
+        gx = {k: ia * rx.get(k, 0) + ib * ry.get(k, 0) for k in keys}
+        gy = {k: ic * rx.get(k, 0) + id_ * ry.get(k, 0) for k in keys}
+    return gx, gy

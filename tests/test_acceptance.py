@@ -30,21 +30,13 @@ from invcurve import (
     tangency_fit,
     to_planar_series,
 )
-from oracles import flatten_map, pert_jet_closed_form, random_form2_map, sample_shadow_pair
+from oracles import acceptance_battery, flatten_map, pert_jet_closed_form, sample_shadow_pair
 
 DELTA = 0.05
 RANDOM_SEED = 1729
 BASE_CFG = SolverConfig()  # norm_order 8, delta 0.05, rho0 delta/50, grid 512
 
-
-def _battery_maps():
-    rng = np.random.default_rng(RANDOM_SEED)
-    maps = [canon(1.0, 0.0), pert(1.0, 0.0, 0.1)]
-    maps += [random_form2_map(rng) for _ in range(10)]
-    return maps
-
-
-BATTERY = _battery_maps()
+BATTERY = acceptance_battery(RANDOM_SEED)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from invcurve import cli
 from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
 
 FAST = ["--rho0", "0.00625", "--grid", "128"]
@@ -192,6 +193,19 @@ class TestCompare:
         assert float(rep["param_a3"]) == pytest.approx(0.05, abs=1e-10)
         assert float(rep["gt_a3"]) == pytest.approx(0.05, rel=1e-2)
         assert float(rep["sup_disagreement"]) <= 1e-9
+        assert rep["status"] == "PASS"
+
+    def test_disagreement_above_bound_fails(self, capsys, monkeypatch):
+        # with both parts of the bound at zero any nonzero disagreement fails
+        monkeypatch.setattr(cli, "COMPARE_FLOOR", 0.0)
+        monkeypatch.setattr(cli, "COMPARE_CUBIC", 0.0)
+        code, out, _ = run_cli(
+            capsys, "compare", "--map", "builtin:PERT(lambda=1,mu=0,c=0.1)", *FAST
+        )
+        assert code == EXIT_VERIFY_FAILED
+        rep = parse_report(out)
+        assert rep["status"] == "FAIL"
+        assert float(rep["sup_disagreement"]) > 0.0
 
     def test_canonical_map_agrees_exactly(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--map", "builtin:CANON", *FAST)

@@ -13,8 +13,9 @@ from invcurve import (
     solve_conjugacy,
     square_map,
 )
+from invcurve import PlanarSeriesMap, Series2, parameterization
 from invcurve.graphtransform import Curve, graded_grid
-from oracles import manifold_jet, pert_jet_closed_form, random_form2_map
+from oracles import acceptance_battery, manifold_jet, pert_jet_closed_form, random_form2_map
 
 
 class TestSquareMap:
@@ -105,6 +106,65 @@ class TestSolveConjugacy:
         psi = build_psi(canon(), 6)
         with pytest.raises(ValueError, match="order"):
             solve_conjugacy(psi, 8)
+
+
+def _finite_difference_stage_matrix(psi, a, b, d, n):
+    """Columns: the change of the order-n residual per unit step of each unknown."""
+    ext = psi.truncate(n).astype(np.longdouble)
+
+    def order_n(a_, b_, d_):
+        r1, r2 = parameterization._conjugacy_residual(ext, a_, b_, d_)
+        return np.array([r1[n], r2[n]])
+
+    base = order_n(a, b, d)
+    if n == 3:
+        return (order_n(a, b, d + 1.0) - base).astype(float)[:, None]
+    steps = []
+    for coeffs in (a, b):
+        bumped = list(coeffs)
+        bumped[n - 1] += 1.0
+        steps.append(order_n(bumped, b, d) if coeffs is a else order_n(a, bumped, d))
+    return np.column_stack([(s - base).astype(float) for s in steps])
+
+
+class TestStageSystems:
+    @pytest.mark.parametrize("order", [10, 12])
+    def test_closed_form_matrix_equals_finite_differences(self, order):
+        for m in acceptance_battery():
+            psi = build_psi(m, order)
+            conj = solve_conjugacy(psi, order)
+            a, b = list(conj.K1.coeffs), list(conj.K2.coeffs)
+            for n in range(3, order + 1):
+                closed = parameterization._stage_matrix(psi, n)
+                fd = _finite_difference_stage_matrix(psi, a, b, conj.d, n)
+                assert np.max(np.abs(closed - fd)) <= 1e-12 * np.max(np.abs(fd))
+
+    def test_closed_form_keeps_the_x2_term_of_psi2(self):
+        # the battery's Psi2 has no x^2 term; give it one so its column entry counts
+        psi = build_psi(pert(1.3, 0.4, 0.25), 8)
+        psi = PlanarSeriesMap(psi.fx, psi.fy + Series2({(2, 0): 0.7}, 8), 8)
+        a = [0.0, 1.0, 0.1, 0.3, -0.2, 0.5, 0.0, 0.0, 0.0]
+        b = [0.0, 0.0, 0.0, 0.2, 0.1, -0.4, 0.0, 0.0, 0.0]
+        for n in range(4, 9):
+            closed = parameterization._stage_matrix(psi, n)
+            fd = _finite_difference_stage_matrix(psi, a, b, 6.0, n)
+            assert closed[1, 0] == pytest.approx(1.4)
+            assert np.max(np.abs(closed - fd)) <= 1e-12 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("order", [6, 10])
+    def test_one_residual_per_stage_sweep(self, order, monkeypatch):
+        calls = []
+        residual = parameterization._conjugacy_residual
+
+        def counted(*args):
+            calls.append(args[0].order)
+            return residual(*args)
+
+        monkeypatch.setattr(parameterization, "_conjugacy_residual", counted)
+        solve_conjugacy(build_psi(pert(c=0.1), order), order)
+        # two sweeps for each order 3..order, then the final full-order residual
+        expected = [n for n in range(3, order + 1) for _ in range(2)] + [order]
+        assert calls == expected
 
 
 class TestGraphInvariance:

@@ -1,18 +1,30 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invcurve
 from invcurve import (
+    InvcurveError,
     PlanarSeriesMap,
     Series1,
     Series2,
+    SeriesError,
     canon,
     compose_maps,
     invert_map_series,
     reverse_series,
     to_planar_series,
 )
+from invcurve.series import eval_terms
+from oracles import acceptance_battery, dict_invert, dict_mul, dict_subst, flatten_map
 
 CANON_SERIES = to_planar_series(canon(1.0, 0.0), 8)
 
@@ -48,6 +60,11 @@ class TestSeries2Arithmetic:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             Series2({(5, 5): 1.0}, 8)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for s in (series2({(2, 1): 0.5, (0, 3): -2.0}), Series2.x(6).astype(np.longdouble)):
+            for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+                assert back == s and back.dtype == s.dtype
 
 
 class TestComposeMaps:
@@ -192,3 +209,190 @@ def test_reversion_involution(tail):
     s = Series1.from_coeffs(coeffs, len(coeffs) - 1)
     twice = reverse_series(reverse_series(s))
     assert max(abs(a - b) for a, b in zip(twice.coeffs, s.coeffs)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the dense core against the dict reference, at binary64 and extended precision
+# ---------------------------------------------------------------------------
+
+DTYPES = [np.float64, np.longdouble]
+REF_ORDER = 6
+unit_coeffs = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+ref_keys = st.tuples(st.integers(0, REF_ORDER), st.integers(0, REF_ORDER)).filter(
+    lambda ij: ij[0] + ij[1] <= REF_ORDER
+)
+ref_tables = st.dictionaries(ref_keys, unit_coeffs, max_size=8)
+ref_substitutes = st.dictionaries(
+    ref_keys.filter(lambda ij: ij != (0, 0)), unit_coeffs, max_size=6
+)
+
+
+def _typed(table: dict, dtype) -> dict:
+    return {k: dtype(v) for k, v in table.items()}
+
+
+def _absolute(table: dict, dtype) -> dict:
+    return {k: abs(dtype(v)) for k, v in table.items()}
+
+
+def _assert_close(got: dict, want: dict, bound: dict, dtype) -> None:
+    # rounding error of any summation order is at most a small multiple of
+    # eps times the sum of the absolute contributions to a coefficient, plus
+    # an underflow floor
+    eps, tiny = np.finfo(dtype).eps, np.finfo(dtype).tiny
+    for key in set(got) | set(want):
+        err = abs(got.get(key, 0) - want.get(key, 0))
+        assert err <= 200 * eps * bound.get(key, 0) + tiny, (key, err)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=40, deadline=None)
+@given(ref_tables, ref_tables)
+def test_dense_product_matches_dict_reference(dtype, a, b):
+    got = Series2(a, REF_ORDER, dtype) * Series2(b, REF_ORDER, dtype)
+    assert got.dtype == dtype
+    want = dict_mul(_typed(a, dtype), _typed(b, dtype), REF_ORDER)
+    bound = dict_mul(_absolute(a, dtype), _absolute(b, dtype), REF_ORDER)
+    _assert_close(got.coeffs, want, bound, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=30, deadline=None)
+@given(ref_tables, ref_substitutes, ref_substitutes)
+def test_horner_substitution_matches_dict_reference(dtype, f, sx, sy):
+    got = Series2(f, REF_ORDER, dtype).subst(
+        Series2(sx, REF_ORDER, dtype), Series2(sy, REF_ORDER, dtype)
+    )
+    assert got.dtype == dtype
+    want = dict_subst(_typed(f, dtype), _typed(sx, dtype), _typed(sy, dtype), REF_ORDER)
+    bound = dict_subst(
+        _absolute(f, dtype), _absolute(sx, dtype), _absolute(sy, dtype), REF_ORDER
+    )
+    _assert_close(got.coeffs, want, bound, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=30, deadline=None)
+@given(
+    ref_tables,
+    st.lists(unit_coeffs, min_size=REF_ORDER, max_size=REF_ORDER),
+    st.lists(unit_coeffs, min_size=REF_ORDER, max_size=REF_ORDER),
+)
+def test_series_evaluation_matches_dict_reference(dtype, f, sx, sy):
+    got = Series2(f, REF_ORDER, dtype).eval_series(
+        Series1((0.0, *sx)), Series1((0.0, *sy))
+    )
+    as_x = lambda cs: {(k, 0): c for k, c in enumerate(cs, start=1)}  # noqa: E731
+    want = dict_subst(
+        _typed(f, dtype), _typed(as_x(sx), dtype), _typed(as_x(sy), dtype), REF_ORDER
+    )
+    bound = dict_subst(
+        _absolute(f, dtype), _absolute(as_x(sx), dtype), _absolute(as_x(sy), dtype), REF_ORDER
+    )
+    got_table = {(k, 0): c for k, c in enumerate(got.coeffs)}
+    # the result is binary64 whatever the working precision
+    _assert_close(got_table, want, bound, np.float64)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=15, deadline=None)
+@given(
+    st.floats(-0.3, 0.3),
+    st.floats(-0.3, 0.3),
+    st.dictionaries(
+        ref_keys.filter(lambda ij: 2 <= ij[0] + ij[1] <= 5),
+        unit_coeffs.map(lambda v: v / 2),
+        max_size=6,
+    ),
+)
+def test_inversion_matches_dict_reference(dtype, b, c, higher):
+    order = 5
+    fx = {(1, 0): 1.0, (0, 1): b, **higher}
+    fy = {(1, 0): c, (0, 1): -1.0}
+    m = PlanarSeriesMap(Series2(fx, order, dtype), Series2(fy, order, dtype), order)
+    inv = invert_map_series(m)
+    assert inv.fx.dtype == dtype
+    want_x, want_y = dict_invert(_typed(fx, dtype), _typed(fy, dtype), order)
+    eps = np.finfo(dtype).eps
+    scale = 1.0 + max(abs(v) for v in (*want_x.values(), *want_y.values()))
+    for got, want in ((inv.fx.coeffs, want_x), (inv.fy.coeffs, want_y)):
+        for key in set(got) | set(want):
+            assert abs(got.get(key, 0) - want.get(key, 0)) <= 1e4 * eps * scale
+
+
+def test_tables_are_built_lazily_per_order():
+    probe = (
+        "from invcurve import series\n"
+        "before = series._tables.cache_info().currsize\n"
+        "series.Series2.x(7) * series.Series2.y(7)\n"
+        "print(before, series._tables.cache_info().currsize)\n"
+    )
+    src = str(Path(invcurve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.split() == ["0", "1"]
+
+
+# ---------------------------------------------------------------------------
+# scalar and array evaluation agree bit for bit
+# ---------------------------------------------------------------------------
+
+
+def test_scalar_evaluation_equals_array_path_bit_for_bit():
+    # points well outside the working window, so that every power, not just
+    # the leading ones, reaches the last bit of the sum
+    rng = np.random.default_rng(5)
+    for m in acceptance_battery():
+        fm = flatten_map(m, 8)
+        xs = rng.uniform(-1.2, 1.2, 200)
+        ys = rng.uniform(-1.2, 1.2, 200)
+        for terms in fm.sorted_terms():
+            array = eval_terms(terms, xs, ys)
+            scalar = [eval_terms(terms, float(x), float(y)) for x, y in zip(xs, ys)]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(array, np.array(scalar))
+
+
+# ---------------------------------------------------------------------------
+# typed errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, quantity",
+    [
+        (
+            lambda: Series2({(5, 5): 1.0}, 8),
+            r"key \(5, 5\) is negative or exceeds truncation order 8",
+        ),
+        (lambda: Series2({(-1, 2): 1.0}, 8), r"key \(-1, 2\) is negative"),
+        (
+            lambda: PlanarSeriesMap(Series2.x(4), Series2.from_terms({(2, 0): 1.0}, 4), 4),
+            r"singular \(determinant 0",
+        ),
+        (
+            lambda: Series2.x(4).subst(Series2.x(4) + Series2.constant(0.5, 4), Series2.y(4)),
+            r"zero constant terms, got x -> 0.5",
+        ),
+        (lambda: reverse_series(Series1.from_coeffs([0.25, 1.0], 4)), r"s\(0\) = 0.25"),
+        (
+            lambda: reverse_series(Series1.from_coeffs([0.0, 0.0, 1.0], 4)),
+            r"linear coefficient",
+        ),
+        (
+            lambda: compose_maps(CANON_SERIES, PlanarSeriesMap.identity(6)),
+            r"order mismatch: 8 vs 6",
+        ),
+    ],
+)
+def test_series_errors_are_typed_and_name_the_quantity(build, quantity):
+    with pytest.raises(InvcurveError, match=quantity) as info:
+        build()
+    assert isinstance(info.value, SeriesError) and isinstance(info.value, ValueError)
