@@ -14,6 +14,7 @@ and the report moves to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import warnings
@@ -88,18 +89,21 @@ def resolve_map(source: str) -> MapSpec:
     return parse_map_spec(Path(source).read_text(encoding="utf-8"))
 
 
+# command-line flag -> SolverConfig field; an absent flag keeps the field's default
+_SOLVER_FLAGS = {
+    "order": "norm_order",
+    "delta": "delta",
+    "rho0": "rho0",
+    "rho_factor": "rho_factor",
+    "grid": "grid_size",
+    "mmax": "m_max",
+    "tol": "tol_converge",
+}
+
+
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    delta = args.delta if args.delta is not None else 0.05
-    rho0 = args.rho0 if args.rho0 is not None else delta / 50.0
-    return SolverConfig(
-        norm_order=args.order if args.order is not None else 8,
-        delta=delta,
-        rho0=rho0,
-        rho_factor=args.rho_factor if args.rho_factor is not None else 0.5,
-        grid_size=args.grid if args.grid is not None else 512,
-        m_max=args.mmax if args.mmax is not None else 2,
-        tol_converge=args.tol if args.tol is not None else 1e-9,
-    )
+    given = {field: getattr(args, flag) for flag, field in _SOLVER_FLAGS.items()}
+    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _emit(csv_text: str | None, report_text: str, out: str | None) -> None:
@@ -412,10 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -356,11 +356,23 @@ def push_curve(
 # ---------------------------------------------------------------------------
 
 
+# Default seed length: the flat seed is off the curve by about
+# C rho^(N+1) in flattened coordinates (N the flattening order), so the
+# default rho0 puts that error at SEED_SAFETY * tol_converge, capped at
+# SEED_CAP * delta.  The first refinement gap over rho^(N+1), measured on
+# battery maps 1, 2, 5 and 8 (seed 1729) for N = 3, 4, 5, 6, 8 at
+# rho = delta/2 .. delta/16, gave C <= 0.7 wherever the gap was above 1e-15;
+# smaller gaps reach the map's round-off floor (1e-20 to about 5e-16) and
+# stop shrinking.  The cap is the binding term at N = 8.
+SEED_SAFETY = 1e-3
+SEED_CAP = 0.25
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     norm_order: int = 8  # flattening order N
     delta: float = 0.05
-    rho0: float = 0.001
+    rho0: float | None = None  # None: derived from the error model, see initial_rho
     rho_factor: float = 0.5
     grid_size: int = 512
     m_max: int = 2
@@ -370,17 +382,31 @@ class SolverConfig:
     bound_cap: float = 100.0
     series_order: int | None = None
 
+    def initial_rho(self) -> float:
+        """The first seed length: rho0 when given, else derived from the error model.
+
+        The derived value is min(SEED_CAP * delta, (SEED_SAFETY *
+        tol_converge)^(1/(N+1))) with N = norm_order.  It is computed from
+        the current fields on every call, so a config made with
+        `dataclasses.replace` never carries a stale value.
+        """
+        if self.rho0 is not None:
+            return self.rho0
+        model = (SEED_SAFETY * self.tol_converge) ** (1.0 / (self.norm_order + 1))
+        return min(SEED_CAP * self.delta, model)
+
     def validate(self) -> None:
-        if not (0.0 < self.rho0 < self.delta):
+        # tolerance and order first: the derived rho0 is computed from them
+        if self.tol_converge <= 0.0 or self.tol_invariance <= 0.0:
+            raise ValueError("tolerances must be positive")
+        if self.norm_order < 3:
+            raise ValueError("norm_order must be at least 3")
+        if not (0.0 < self.initial_rho() < self.delta):
             raise ValueError("need 0 < rho0 < delta")
         if self.grid_size < 64:
             raise ValueError("grid_size must be at least 64")
-        if self.tol_converge <= 0.0 or self.tol_invariance <= 0.0:
-            raise ValueError("tolerances must be positive")
         if not 0 <= self.m_max <= 3:
             raise ValueError("m_max must be between 0 and 3")
-        if self.norm_order < 3:
-            raise ValueError("norm_order must be at least 3")
         if not (0.0 < self.rho_factor < 1.0):
             raise ValueError("rho_factor must lie in (0, 1)")
         if self.max_levels < 2:
@@ -458,11 +484,12 @@ def _refine(
 ) -> Iterator[tuple[LevelResult, float | None]]:
     """Run the levels rho0 * rho_factor^k, k = 0..levels-1, one at a time.
 
+    rho0 is `cfg.initial_rho()`, resolved here when the solve starts.
     Yields each level with the sup-norm gap between its final curve and the
     previous level's on [0, delta/2] (None for the first level).
     """
     grid = _comparison_grid(cfg.delta)
-    rho = cfg.rho0
+    rho = cfg.initial_rho()
     prev_vals = None
     for _ in range(levels):
         lv = _run_level(kernel, rho, cfg)

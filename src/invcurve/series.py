@@ -44,7 +44,7 @@ class Series1:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([float(c) for c in self.coeffs]))
         if len(self.coeffs) == 0:
             raise SeriesError("Series1 needs at least the constant coefficient")
 
@@ -76,17 +76,17 @@ class Series1:
 
     def __add__(self, other: Series1) -> Series1:
         n = min(self.order, other.order)
-        return Series1(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
+        return Series1([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
 
     def __sub__(self, other: Series1) -> Series1:
         n = min(self.order, other.order)
-        return Series1(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
+        return Series1([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
     def __neg__(self) -> Series1:
-        return Series1(tuple(-c for c in self.coeffs))
+        return Series1([-c for c in self.coeffs])
 
     def scale(self, factor: float) -> Series1:
-        return Series1(tuple(factor * c for c in self.coeffs))
+        return Series1([factor * c for c in self.coeffs])
 
     def __mul__(self, other: Series1) -> Series1:
         n = min(self.order, other.order)
@@ -116,11 +116,12 @@ def reverse_series(s: Series1) -> Series1:
     if a1 == 0.0:
         raise SeriesError("series reversion needs a nonzero linear coefficient s'(0), got 0")
     n = s.order
-    g = Series1.identity(n).scale(1.0 / a1)
-    # each sweep fixes one more order; h = s - a1 t starts at degree 2
-    for _ in range(max(n - 1, 0)):
-        comp = s.compose(g)
-        err = comp - Series1.identity(n)
+    g = Series1.from_coeffs([0.0, 1.0 / a1], 1)
+    # h = s - a1 t starts at degree 2, so the order-k terms of s(g) need g
+    # only through order k - 1: the sweep that extends g to order k runs at k
+    for k in range(2, n + 1):
+        g = g.truncate(k)
+        err = s.compose(g) - Series1.identity(k)
         g = g - err.scale(1.0 / a1)
     return g
 

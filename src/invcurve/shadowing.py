@@ -61,33 +61,44 @@ def _metric(x: float, dx: float, dy: float) -> float:
     return (abs(dx) + abs(dy) / x**METRIC_Y_POWER) / x**METRIC_X_POWER
 
 
-def _power_diff(a: float, da: float, i: int) -> float:
-    """(a + da)^i - a^i as an exact multiple of da."""
-    if i == 0:
-        return 0.0
+def _power_tables(a: float, da: float, n: int) -> tuple[list, list, list]:
+    """a^i, (a + da)^i and the divided sums D_i, i = 0..n.
+
+    D_i = sum_k (a + da)^k a^(i-1-k), built as D_0 = 0, D_i = a D_(i-1) +
+    (a + da)^(i-1), so (a + da)^i - a^i = da D_i is an exact multiple of da.
+    """
     b = a + da
-    acc = 0.0
-    for k in range(i):
-        acc += b**k * a ** (i - 1 - k)
-    return da * acc
+    pa, pb, dd = [1.0], [1.0], [0.0]
+    for _ in range(n):
+        dd.append(a * dd[-1] + pb[-1])
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    return pa, pb, dd
 
 
-def _offset_image(terms, x: float, y: float, dx: float, dy: float) -> float:
-    """Image offset sum c [((x+dx)^i - x^i)(y+dy)^j + x^i ((y+dy)^j - y^j)]."""
+def _offset_image(terms, xtab, ytab, dx: float, dy: float) -> float:
+    """Image offset sum c [((x+dx)^i - x^i)(y+dy)^j + x^i ((y+dy)^j - y^j)].
+
+    xtab and ytab are the `_power_tables` of (x, dx) and (y, dy).
+    """
+    px, _, dpx = xtab
+    _, pyh, dpy = ytab
     acc = 0.0
-    xh, yh = x + dx, y + dy
     for (i, j), c in terms:
-        acc += c * (_power_diff(x, dx, i) * yh**j + x**i * _power_diff(y, dy, j))
+        acc += c * (dx * dpx[i] * pyh[j] + px[i] * (dy * dpy[j]))
     return acc
 
 
 def _step(m: MapLike, x, y, dx, dy):
     xt, yt = m.sorted_terms()
+    keys = [k for k, _ in xt] + [k for k, _ in yt]
+    xtab = _power_tables(x, dx, max(i for i, _ in keys))
+    ytab = _power_tables(y, dy, max(j for _, j in keys))
     return (
         eval_terms(xt, x, y),
         eval_terms(yt, x, y),
-        _offset_image(xt, x, y, dx, dy),
-        _offset_image(yt, x, y, dx, dy),
+        _offset_image(xt, xtab, ytab, dx, dy),
+        _offset_image(yt, xtab, ytab, dx, dy),
     )
 
 

@@ -168,3 +168,42 @@ def dict_invert(fx: dict, fy: dict, order: int) -> tuple[dict, dict]:
         gx = {k: ia * rx.get(k, 0) + ib * ry.get(k, 0) for k in keys}
         gy = {k: ic * rx.get(k, 0) + id_ * ry.get(k, 0) for k in keys}
     return gx, gy
+
+
+# ---------------------------------------------------------------------------
+# earlier loop forms: references for their faster replacements
+# ---------------------------------------------------------------------------
+
+
+def reverse_series_full(s):
+    """Series reversion with every fixed-point sweep at the full order."""
+    from invcurve import Series1
+
+    a1 = s.coeff(1)
+    n = s.order
+    g = Series1.identity(n).scale(1.0 / a1)
+    for _ in range(max(n - 1, 0)):
+        err = s.compose(g) - Series1.identity(n)
+        g = g - err.scale(1.0 / a1)
+    return g
+
+
+def _power_diff_termwise(a: float, da: float, i: int) -> float:
+    if i == 0:
+        return 0.0
+    b = a + da
+    acc = 0.0
+    for k in range(i):
+        acc += b**k * a ** (i - 1 - k)
+    return da * acc
+
+
+def offset_image_termwise(terms, x: float, y: float, dx: float, dy: float) -> float:
+    """Exact image offset with each power difference summed term by term."""
+    acc = 0.0
+    yh = y + dy
+    for (i, j), c in terms:
+        acc += c * (
+            _power_diff_termwise(x, dx, i) * yh**j + x**i * _power_diff_termwise(y, dy, j)
+        )
+    return acc

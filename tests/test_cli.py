@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invcurve import cli
+from invcurve import SolverConfig, cli
 from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
 
 FAST = ["--rho0", "0.00625", "--grid", "128"]
@@ -91,6 +91,15 @@ class TestManifoldGt:
         code, _, _ = run_cli(capsys, *args)
         assert code == 0
         assert target.read_bytes() == first
+
+    def test_seed_length_matches_the_library_default(self, capsys):
+        args = ["manifold-gt", "--map", "builtin:PERT", "--grid", "128"]
+        code, _, err = run_cli(capsys, *args)
+        assert code == 0
+        assert float(parse_report(err)["rho_0"]) == SolverConfig().initial_rho()
+        code, _, err = run_cli(capsys, *args, "--rho0", "0.00625")
+        assert code == 0
+        assert float(parse_report(err)["rho_0"]) == 0.00625
 
 
 class TestManifoldParam:
@@ -211,3 +220,22 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--map", "builtin:CANON", *FAST)
         assert code == 0
         assert float(parse_report(out)["sup_disagreement"]) <= 1e-12
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    compare = ["compare", "--map", "builtin:PERT(lambda=1,mu=0,c=0.1)", *FAST]
+    gt = ["manifold-gt", "--map", "builtin:PERT(lambda=1,mu=0,c=0.1)", *FAST]
+
+    def run(argv, name):
+        target = tmp_path / name
+        assert main([*argv, "--out", str(target)]) == 0
+        capsys.readouterr()
+        return target.read_bytes()
+
+    together = (run(compare, "c1"), run(gt, "g1"))
+    cli._parser.cache_clear()
+    gt_alone = run(gt, "g2")
+    cli._parser.cache_clear()
+    compare_alone = run(compare, "c2")
+    assert together == (compare_alone, gt_alone)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from invcurve import (
     solve_manifold,
     tangency_fit,
 )
-from oracles import flatten_map
+from invcurve.graphtransform import _comparison_grid
+from oracles import acceptance_battery, flatten_map
 
 
 class TestGrid:
@@ -210,3 +213,42 @@ def test_random_map_solve_is_well_behaved():
     assert cert.min_dxdx >= 1.0 - 1e-12
     max_res, _ = invariance_residual(m, curve, samples=60)
     assert max_res <= 1e-8
+
+
+class TestSeedRule:
+    def test_default_is_the_cap(self):
+        assert SolverConfig().initial_rho() == 0.05 / 4.0
+
+    def test_low_flattening_order_follows_the_error_model(self):
+        rho = SolverConfig(norm_order=3).initial_rho()
+        assert rho == pytest.approx((1e-12) ** 0.25, rel=1e-14)
+
+    def test_replace_rederives(self):
+        cfg = SolverConfig()
+        assert replace(cfg, norm_order=3).initial_rho() == SolverConfig(norm_order=3).initial_rho()
+        assert replace(cfg, delta=0.02).initial_rho() == 0.02 / 4.0
+        tight = replace(cfg, tol_converge=1e-30).initial_rho()
+        assert tight == pytest.approx((1e-33) ** (1.0 / 9.0), rel=1e-14)
+
+    def test_explicit_rho0_wins(self):
+        cfg = SolverConfig(rho0=0.002)
+        assert cfg.initial_rho() == replace(cfg, norm_order=3).initial_rho() == 0.002
+
+    def test_levels_record_the_rho_used(self):
+        derived, _ = rho_refinement(pert(c=0.1), SolverConfig(grid_size=128), 2)
+        assert [lv.rho for lv in derived] == [0.0125, 0.00625]
+        explicit, _ = rho_refinement(pert(c=0.1), SolverConfig(rho0=0.025, grid_size=128), 1)
+        assert explicit[0].rho == 0.025
+
+    def test_validate_accepts_the_derived_seed(self):
+        SolverConfig().validate()
+        with pytest.raises(ValueError, match="rho0"):
+            SolverConfig(delta=-0.05).validate()
+
+    @pytest.mark.parametrize("idx", [2, 6, 8])
+    def test_derived_seed_matches_the_short_seed(self, idx):
+        m = acceptance_battery(1729)[idx]
+        grid = _comparison_grid(0.05)
+        derived, _, _ = solve_manifold(m, SolverConfig())
+        short, _, _ = solve_manifold(m, SolverConfig(rho0=0.05 / 50.0))
+        assert np.max(np.abs(derived.eval(grid) - short.eval(grid))) <= 1e-13

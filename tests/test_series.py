@@ -1,4 +1,5 @@
 import copy
+import functools
 import os
 import pickle
 import subprocess
@@ -17,14 +18,23 @@ from invcurve import (
     Series1,
     Series2,
     SeriesError,
+    build_psi,
     canon,
     compose_maps,
     invert_map_series,
     reverse_series,
+    solve_conjugacy,
     to_planar_series,
 )
 from invcurve.series import eval_terms
-from oracles import acceptance_battery, dict_invert, dict_mul, dict_subst, flatten_map
+from oracles import (
+    acceptance_battery,
+    dict_invert,
+    dict_mul,
+    dict_subst,
+    flatten_map,
+    reverse_series_full,
+)
 
 CANON_SERIES = to_planar_series(canon(1.0, 0.0), 8)
 
@@ -139,9 +149,40 @@ class TestReverseSeries:
         with pytest.raises(ValueError):
             reverse_series(Series1.from_coeffs([1, 1], 4))
 
+    def test_battery_back_composition_at_rounding_level(self):
+        # coefficient k of s(g) - t against coefficient k of |s|(|g|), the
+        # sum of the magnitudes the rounding acts on
+        eps = np.finfo(float).eps
+        for s in _battery_k1():
+            g = reverse_series(s)
+            resid = s.compose(g) - Series1.identity(s.order)
+            scale = _abs_series(s).compose(_abs_series(g))
+            for k, (r, b) in enumerate(zip(resid.coeffs, scale.coeffs)):
+                assert abs(r) <= 4.0 * eps * b, f"order {s.order}, t^{k}: {r} vs {b}"
+
+    def test_battery_matches_full_order_sweeps(self):
+        for s in _battery_k1():
+            np.testing.assert_allclose(
+                reverse_series(s).coeffs, reverse_series_full(s).coeffs, rtol=1e-13, atol=0.0
+            )
+
     def test_rejects_zero_linear_coefficient(self):
         with pytest.raises(ValueError):
             reverse_series(Series1.from_coeffs([0, 0, 1], 4))
+
+
+@functools.lru_cache(maxsize=None)
+def _battery_k1() -> tuple[Series1, ...]:
+    """K1 of the conjugacy solve at orders 10 and 12 on the 12 battery maps."""
+    return tuple(
+        solve_conjugacy(build_psi(m, n), n).K1
+        for m in acceptance_battery(1729)
+        for n in (10, 12)
+    )
+
+
+def _abs_series(s: Series1) -> Series1:
+    return Series1([abs(c) for c in s.coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from invcurve import (
     shadow_metric,
     shadow_step_check,
 )
-from oracles import flatten_map, sample_shadow_pair
+from invcurve.shadowing import _step
+from oracles import acceptance_battery, flatten_map, offset_image_termwise, sample_shadow_pair
 
 
 class TestMetric:
@@ -72,6 +73,19 @@ class TestStepCheck:
                 pair = sample_shadow_pair(rng, 0.05, 8)
                 before, after, ok = shadow_step_check(fm, pair, 8)
                 assert ok, f"expanded: {before} -> {after} at {pair}"
+
+    def test_offsets_match_termwise_power_differences(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(1730)
+        for m in acceptance_battery(1729):
+            fm = flatten_map(m, 8)
+            for _ in range(50):
+                pair = sample_shadow_pair(rng, 0.05, 8)
+                (x, y), (dx, dy) = (pair.p.x, pair.p.y), pair.offset
+                offsets = _step(fm, x, y, dx, dy)[2:]
+                for terms, got in zip(fm.sorted_terms(), offsets):
+                    want = offset_image_termwise(terms, x, y, dx, dy)
+                    assert abs(got - want) <= 8.0 * eps * abs(want), (pair, got, want)
 
 
 class TestOrbitExperiment:
