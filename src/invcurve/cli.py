@@ -32,16 +32,14 @@ from .graphtransform import (
     tangency_fit,
 )
 from .mapdef import MapSpec, Point, canon, parse_map_spec, pert
-from .normalform import normalize_to_order
+from .normalform import normalize_map
 from .parameterization import (
     DEFAULT_CONJUGACY_ORDER,
     ConjugacyResult,
     parameterize_manifold,
     repulsion_check,
 )
-from .series import DEFAULT_ORDER
 from .shadowing import ShadowPair, orbit_shadow_experiment, shadow_step_check
-from .mapdef import to_planar_series
 
 
 # exit status of a verification that ran and found its property violated
@@ -199,9 +197,8 @@ def compare_methods(
 def _cmd_normalize(args) -> int:
     m = resolve_map(args.map)
     order = args.order if args.order is not None else 8
-    series_order = max(order + 2, m.degree, DEFAULT_ORDER)
-    nf = normalize_to_order(to_planar_series(m, series_order), order)
-    pairs = [("order", order), ("series_order", series_order)]
+    nf = normalize_map(m, order)
+    pairs = [("order", order), ("series_order", nf.normalized.order)]
     pairs.extend((f"gamma_{n}", g) for n, g in zip(range(3, order + 1), nf.gammas))
     table = ["normalized coefficients (component exp_x exp_y value):"]
     for comp, terms in zip("XY", nf.normalized.sorted_terms()):
@@ -378,41 +375,42 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# every optional flag but these reads a float; an absent flag reads as None
+_INT_FLAGS = ("--order", "--grid", "--mmax", "--steps")
+_SOLVER = ("--delta", "--rho0", "--rho-factor", "--grid", "--mmax", "--tol")
+_SHADOW = ("--delta", "--x", "--y", "--xhat", "--yhat", "--x0", "--offset", "--steps")
+
+# subcommand -> (handler, the flags besides --map, --order and --out that the
+# handler reads, help); any other flag is a usage error
+_COMMANDS = {
+    "normalize": (_cmd_normalize, (), "flatten the Y component and print the shears"),
+    "manifold-gt": (_cmd_manifold_gt, _SOLVER, "graph-transform solve; curve CSV"),
+    "manifold-param": (_cmd_manifold_param, (), "conjugacy solve; phi CSV"),
+    "verify-invariance": (
+        _cmd_verify_invariance, (*_SOLVER, "--steps"), "measure the invariance defect"
+    ),
+    "verify-shadow": (_cmd_verify_shadow, _SHADOW, "separation metric: pair check or orbit trace"),
+    "repulsion": (
+        _cmd_repulsion, ("--delta", "--x0", "--offset", "--steps"), "backward-iteration repulsion"
+    ),
+    "compare": (_cmd_compare, _SOLVER, "run both solvers and report their disagreement"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invcurve",
         description="Invariant curves of degenerate planar maps: solve, verify, compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+    for name, (func, flags, help_) in _COMMANDS.items():
+        # no prefix matching: `repulsion --x` must not be read as --x0
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--map", required=True, help="map spec file or builtin:NAME(...)")
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--rho0", type=float, default=None)
-        p.add_argument("--rho-factor", dest="rho_factor", type=float, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--mmax", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        for flag in ("--order", *flags):
+            p.add_argument(flag, type=int if flag in _INT_FLAGS else float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--y", type=float, default=None)
-        p.add_argument("--xhat", type=float, default=None)
-        p.add_argument("--yhat", type=float, default=None)
-        p.add_argument("--x0", type=float, default=None)
-        p.add_argument("--offset", type=float, default=None)
         p.set_defaults(func=func)
-        return p
-
-    add("normalize", _cmd_normalize, "flatten the Y component and print the shears")
-    add("manifold-gt", _cmd_manifold_gt, "graph-transform solve; curve CSV")
-    add("manifold-param", _cmd_manifold_param, "conjugacy solve; phi CSV")
-    add("verify-invariance", _cmd_verify_invariance, "measure the invariance defect")
-    add("verify-shadow", _cmd_verify_shadow, "separation metric: pair check or orbit trace")
-    add("repulsion", _cmd_repulsion, "backward-iteration repulsion experiment")
-    add("compare", _cmd_compare, "run both solvers and report their disagreement")
     return parser
 
 

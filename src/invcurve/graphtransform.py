@@ -26,9 +26,9 @@ arrays; its largest temporaries are the power tables of x and y and their
 product with the coefficients, a few dozen rows of grid size, so the
 allocator reuses heap memory instead of mapping fresh pages every push:
 
-* the map is evaluated from dense coefficient matrices, one matrix product
-  of the stacked components with the power table of x, weighted by the power
-  table of y (`_MapEvaluator`);
+* the map is evaluated by its cached dense-matrix evaluator
+  (`series.MapEvaluator`, `m.evaluator`): one matrix product of the stacked
+  components with the power table of x, weighted by the power table of y;
 * the re-graph is a private Fritsch-Carlson PCHIP (Fritsch & Carlson, SIAM
   J. Numer. Anal. 17, 1980) that builds and evaluates in one pass, with the
   same slopes, coefficients and evaluation order as SciPy's
@@ -56,9 +56,9 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GuardError
-from .mapdef import MapSpec, to_planar_series
-from .normalform import NormalFormResult, normalize_to_order, pullback_curve
-from .series import DEFAULT_ORDER, PlanarSeriesMap, eval_terms
+from .mapdef import MapSpec
+from .normalform import NormalFormResult, normalize_map, pullback_curve
+from .series import PlanarSeriesMap
 
 GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
 TANGENCY_POWER = 3
@@ -153,45 +153,6 @@ def seed_curve(rho: float, grid_size: int) -> Curve:
 # ---------------------------------------------------------------------------
 
 
-class _MapEvaluator:
-    """Vectorized evaluation of both polynomial components.
-
-    Component k is a dense matrix C_k[i, j], the coefficient of x^i y^j.  On
-    points (x, y) its value is sum_j y^j (sum_i C_k[i, j] x^i): both
-    components stacked into one matrix, multiplied with the power table of
-    x, weighted by the power table of y and summed over j.
-    """
-
-    def __init__(self, m: MapSpec | PlanarSeriesMap):
-        parts = m.sorted_terms()
-        keys = [k for terms in parts for k, _ in terms]
-        self._dmax_x = max((i for i, _ in keys), default=0)
-        self._dmax_y = max((j for _, j in keys), default=0)
-        coef = np.zeros((2, self._dmax_y + 1, self._dmax_x + 1))
-        for comp, terms in zip(coef, parts):
-            for (i, j), c in terms:
-                comp[j, i] = c
-        # row k * (dmax_y + 1) + j holds C_k[:, j]
-        self._coef = coef.reshape(-1, self._dmax_x + 1)
-
-    @staticmethod
-    def _power_table(v: np.ndarray, dmax: int) -> np.ndarray:
-        """Rows v^0 .. v^dmax, each power one multiplication from the last."""
-        table = np.empty((dmax + 1, v.size))
-        table[0] = 1.0
-        for d in range(1, dmax + 1):
-            np.multiply(table[d - 1], v, out=table[d])
-        return table
-
-    def eval(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        acc = self._coef @ self._power_table(x, self._dmax_x)
-        acc = acc.reshape(2, self._dmax_y + 1, x.size)
-        acc *= self._power_table(np.asarray(y, dtype=float), self._dmax_y)
-        big_x, big_y = acc.sum(axis=1)
-        return big_x, big_y
-
-
 def _sign(v: float) -> int:
     return (v > 0.0) - (v < 0.0)
 
@@ -244,14 +205,14 @@ class _PushKernel:
     """One push of a sampled graph through a map, re-graphed onto the graded grid."""
 
     def __init__(self, m: MapSpec | PlanarSeriesMap, grid_size: int):
-        self._ev = _MapEvaluator(m)
+        self._ev = m.evaluator
         self.unit = graded_grid(1.0, grid_size)
 
     def push(
         self, xs: np.ndarray, fs: np.ndarray, bound_cap: float | None
     ) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Image (xs, fs) on the new grid, smallest secant dX/dx, drift constant."""
-        big_x, big_y = self._ev.eval(xs, fs)
+        big_x, big_y = self._ev.values(xs, fs)
         if big_x[0] != 0.0 or big_y[0] != 0.0:
             raise GuardError("image of the origin moved off the origin")
         dx = big_x[1:] - big_x[:-1]
@@ -380,7 +341,6 @@ class SolverConfig:
     tol_invariance: float = 1e-8
     max_levels: int = 8
     bound_cap: float = 100.0
-    series_order: int | None = None
 
     def initial_rho(self) -> float:
         """The first seed length: rho0 when given, else derived from the error model.
@@ -434,8 +394,7 @@ class SolveDiagnostics:
 
 
 def _prepare(m: MapSpec, cfg: SolverConfig) -> tuple[NormalFormResult, _PushKernel]:
-    order = cfg.series_order or max(cfg.norm_order + 2, m.degree, DEFAULT_ORDER)
-    nf = normalize_to_order(to_planar_series(m, order), cfg.norm_order)
+    nf = normalize_map(m, cfg.norm_order)
     return nf, _PushKernel(nf.normalized, cfg.grid_size)
 
 
@@ -592,10 +551,10 @@ def invariance_residual(
     if nodes.size > samples:
         idx = np.unique(np.linspace(0, nodes.size - 1, samples).astype(int))
         nodes = nodes[idx]
-    xt, yt = m.sorted_terms()
+    ev = m.evaluator
 
     def image_x(t: float, xbar: float) -> float:
-        return eval_terms(xt, t, c.eval(t)) - xbar
+        return ev.values(t, c.eval(t))[0] - xbar
 
     xs_ok: list[float] = []
     res: list[float] = []
@@ -610,7 +569,7 @@ def invariance_residual(
         except ValueError:
             failures.append(float(xbar))
             continue
-        y_img = eval_terms(yt, xhat, c.eval(xhat))
+        y_img = ev.values(xhat, c.eval(xhat))[1]
         xs_ok.append(float(xbar))
         res.append(abs(c.eval(xbar) - y_img))
     if failures:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ConvergenceError, MapFormatError, MapValidationError
-from .series import DEFAULT_ORDER, PlanarSeriesMap, Series2, eval_terms
+from .series import DEFAULT_ORDER, MapEvaluator, PlanarSeriesMap, Series2
 
 # fixed entries of the quadratic skeleton; (1, 1) entries stay free
 _X_FIXED = {(0, 0): 0.0, (1, 0): 1.0, (0, 1): 0.0, (2, 0): 1.0, (0, 2): 0.0}
@@ -70,6 +71,11 @@ class MapSpec:
 
     def sorted_terms(self) -> tuple[list, list]:
         return sorted(self.x_terms.items()), sorted(self.y_terms.items())
+
+    @cached_property
+    def evaluator(self) -> MapEvaluator:
+        """The map's evaluator, built on first use."""
+        return MapEvaluator(self.sorted_terms())
 
 
 def _clean_table(table: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -174,19 +180,10 @@ def format_map_spec(m: MapSpec) -> str:
 
 def eval_map(m: MapSpec, p: Point, with_jacobian: bool = False):
     """Evaluate the map at a point; optionally return the exact Jacobian."""
-    xt, yt = m.sorted_terms()
-    image = Point(eval_terms(xt, p.x, p.y), eval_terms(yt, p.x, p.y))
+    image = Point(*m.evaluator.values(p.x, p.y))
     if not with_jacobian:
         return image
-    jac = np.array([[eval_terms(d, p.x, p.y) for d in _gradient_terms(t)] for t in (xt, yt)])
-    return image, jac
-
-
-def _gradient_terms(terms) -> tuple[list, list]:
-    """The term lists of d/dx and d/dy."""
-    ddx = [((i - 1, j), i * c) for (i, j), c in terms if i > 0]
-    ddy = [((i, j - 1), j * c) for (i, j), c in terms if j > 0]
-    return ddx, ddy
+    return image, m.evaluator.jacobian(p.x, p.y)
 
 
 def invert_point(

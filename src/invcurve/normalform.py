@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import PlanarSeriesMap, Series1, Series2, compose_maps
+from .mapdef import MapSpec, to_planar_series
+from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, compose_maps
 
 # conjugation is exact through order n only when the shear's quadratic
 # interactions stay representable; callers must leave two orders of headroom
@@ -95,6 +96,14 @@ def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
         shift_coeffs[n] = g
     shift = Series1(tuple(shift_coeffs))
     return NormalFormResult(current, tuple(gammas), shift, order)
+
+
+def normalize_map(m: MapSpec, order: int) -> NormalFormResult:
+    """Flatten a polynomial map through `order` at the series order
+    max(order + 2, degree, DEFAULT_ORDER): the headroom `normalize_to_order`
+    needs, and never below the degree, so the map's own terms are exact."""
+    series_order = max(order + 2, m.degree, DEFAULT_ORDER)
+    return normalize_to_order(to_planar_series(m, series_order), order)
 
 
 def pullback_curve(f_norm, shift: Series1):

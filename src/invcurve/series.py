@@ -16,13 +16,20 @@ The module supplies the three nontrivial primitives the rest of the package
 is built on: composition of planar maps, local inversion of a planar map near
 the origin (order-by-order fixed-point correction around the inverted linear
 part), and reversion of a univariate series.
+
+It also holds the one evaluator of planar polynomial maps, `MapEvaluator`,
+built once per map (`MapSpec.evaluator`, `PlanarSeriesMap.evaluator`): the
+values, the Jacobian and exact image offsets, each one contraction of a dense
+coefficient matrix with power tables of x and y.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -295,10 +302,6 @@ class Series2:
         out = self.subst(Series2.in_x(sx.coeffs, n), Series2.in_x(sy.coeffs, n))
         return Series1(tuple(out.x_coeffs()))
 
-    def eval(self, x, y):
-        """Evaluate the polynomial at a point (or arrays of points)."""
-        return eval_terms(self.terms(), x, y)
-
 
 def substitute(parts: Sequence[Series2], sx: Series2, sy: Series2) -> list[Series2]:
     """Each series of `parts` with x -> sx, y -> sy (zero constant terms).
@@ -328,33 +331,91 @@ def substitute(parts: Sequence[Series2], sx: Series2, sy: Series2) -> list[Serie
     return out
 
 
-def eval_terms(terms, x, y):
-    """Sum c * x^i * y^j over a sorted term list.
+# ---------------------------------------------------------------------------
+# pointwise evaluation of planar polynomial maps
+# ---------------------------------------------------------------------------
 
-    Shared by polynomial map evaluation and series evaluation.  Powers come
-    from tables built by repeated multiplication and terms are added in list
-    order, so two scalars, summed in plain floats, give the same bits as the
-    array path.
+
+def _powers(v, n: int):
+    """v^0 .. v^n, each power one multiplication from the last.
+
+    A number gives a list of floats (a NumPy call per power would cost more
+    than the power); a 1-d array gives the rows of one preallocated table.
     """
-    scalar = np.isscalar(x) and np.isscalar(y)
-    if scalar:
-        x, y = float(x), float(y)
-    else:
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    px = _power_table(x, max((i for (i, _), _ in terms), default=0))
-    py = _power_table(y, max((j for (_, j), _ in terms), default=0))
-    acc = 0.0 if scalar else np.zeros_like(x * y)
-    for (i, j), c in terms:
-        acc = acc + c * px[i] * py[j]
-    return acc
+    if not isinstance(v, np.ndarray):
+        return list(accumulate(repeat(float(v), n), mul, initial=1.0))
+    table = np.empty((n + 1, v.size))
+    table[0] = 1.0
+    for d in range(1, n + 1):
+        np.multiply(table[d - 1], v, out=table[d])
+    return table
 
 
-def _power_table(v, upto: int) -> list:
-    """v^0 .. v^upto, each power one multiplication from the last."""
-    out = [1.0 if isinstance(v, float) else np.ones_like(v)]
-    for _ in range(upto):
-        out.append(out[-1] * v)
+def _slopes(p: list) -> list:
+    """The derivative powers i v^(i-1) from the powers p of v."""
+    return [0.0] + [i * p[i - 1] for i in range(1, len(p))]
+
+
+def _divided(a: float, pb: list) -> list:
+    """The divided sums D_0 = 0, D_i = a D_(i-1) + b^(i-1) from the powers pb
+    of b, so that b^i - a^i = (b - a) D_i is an exact multiple of b - a."""
+    out = [0.0]
+    for p in pb[:-1]:
+        out.append(a * out[-1] + p)
     return out
+
+
+class MapEvaluator:
+    """Values, Jacobian and exact image offsets of a planar polynomial map.
+
+    Built once per map from its two term lists.  Component k is a dense
+    coefficient matrix C_k[j, i] of x^i y^j, trimmed to the highest powers
+    present; both are stacked so row k * (ny + 1) + j holds the
+    x-coefficients of y^j in component k.  Every operation is the one
+    contraction sum_ij C_k[j, i] u_i v_j over power tables u of x and v of
+    y: 1-d tables at a point, 2-d tables (one column per point) on arrays.
+    """
+
+    def __init__(self, parts):
+        keys = [k for terms in parts for k, _ in terms]
+        self._nx = max((i for i, _ in keys), default=0)
+        self._ny = max((j for _, j in keys), default=0)
+        coef = np.zeros((2, self._ny + 1, self._nx + 1))
+        for comp, terms in zip(coef, parts):
+            for (i, j), c in terms:
+                comp[j, i] = c
+        self._coef = coef.reshape(-1, self._nx + 1)
+
+    def _contract(self, u, v) -> np.ndarray:
+        acc = self._coef @ u
+        if acc.ndim == 1:  # a point: one more matrix-vector product
+            return acc.reshape(2, self._ny + 1) @ v
+        acc = acc.reshape(2, self._ny + 1, -1)
+        acc *= v
+        return acc.sum(axis=1)
+
+    def values(self, x, y):
+        """(X, Y) at a point (floats) or at 1-d arrays of points (arrays)."""
+        px, py = _powers(x, self._nx), _powers(y, self._ny)
+        out = self._contract(px, py)
+        return tuple(out.tolist()) if isinstance(px, list) else (out[0], out[1])
+
+    def jacobian(self, x: float, y: float) -> np.ndarray:
+        """The exact Jacobian [[dX/dx, dX/dy], [dY/dx, dY/dy]] at a point."""
+        px, py = _powers(x, self._nx), _powers(y, self._ny)
+        return np.stack([self._contract(_slopes(px), py), self._contract(px, _slopes(py))], axis=1)
+
+    def offset(self, x: float, y: float, dx: float, dy: float) -> tuple[float, float]:
+        """The image of (x + dx, y + dy) minus the image of (x, y), at a point.
+
+        Each monomial difference is dx D_i(x) (y + dy)^j + x^i dy D_j(y), so
+        the images are never subtracted and a separation far below the
+        spacing of doubles around the point keeps every digit.
+        """
+        px, pxh = _powers(x, self._nx), _powers(x + dx, self._nx)
+        py, pyh = _powers(y, self._ny), _powers(y + dy, self._ny)
+        out = dx * self._contract(_divided(x, pxh), pyh) + dy * self._contract(px, _divided(y, pyh))
+        return tuple(out.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +463,14 @@ class PlanarSeriesMap:
     def astype(self, dtype) -> PlanarSeriesMap:
         return PlanarSeriesMap(self.fx.astype(dtype), self.fy.astype(dtype), self.order)
 
+    @cached_property
+    def evaluator(self) -> MapEvaluator:
+        """The map's evaluator, built on first use."""
+        return MapEvaluator(self.sorted_terms())
+
     def eval(self, x, y):
-        return self.fx.eval(x, y), self.fy.eval(x, y)
+        """(X, Y) at a point or at 1-d arrays of points."""
+        return self.evaluator.values(x, y)
 
     def sorted_terms(self) -> tuple[list, list]:
         """The term lists of both components, as `MapSpec.sorted_terms` gives them."""

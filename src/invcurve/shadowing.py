@@ -10,7 +10,9 @@ around the base orbit, so images of the two points are never subtracted
 directly.  Instead the pair is carried as (base point, offset) and the offset
 is propagated with exact divided differences of the polynomial components:
 the difference of a monomial at the two points splits into terms carrying
-factors da and db, which keeps every digit of a separation of, say, 1e-40.
+the factors dx and dy, which keeps every digit of a separation of, say,
+1e-40.  Both the image and its offset come from the map's cached evaluator
+(`series.MapEvaluator.values` and `.offset`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mapdef import MapSpec, Point
-from .series import PlanarSeriesMap, eval_terms
+from .series import PlanarSeriesMap
 
 METRIC_Y_POWER = 3
 METRIC_X_POWER = 8
@@ -61,45 +63,9 @@ def _metric(x: float, dx: float, dy: float) -> float:
     return (abs(dx) + abs(dy) / x**METRIC_Y_POWER) / x**METRIC_X_POWER
 
 
-def _power_tables(a: float, da: float, n: int) -> tuple[list, list, list]:
-    """a^i, (a + da)^i and the divided sums D_i, i = 0..n.
-
-    D_i = sum_k (a + da)^k a^(i-1-k), built as D_0 = 0, D_i = a D_(i-1) +
-    (a + da)^(i-1), so (a + da)^i - a^i = da D_i is an exact multiple of da.
-    """
-    b = a + da
-    pa, pb, dd = [1.0], [1.0], [0.0]
-    for _ in range(n):
-        dd.append(a * dd[-1] + pb[-1])
-        pa.append(pa[-1] * a)
-        pb.append(pb[-1] * b)
-    return pa, pb, dd
-
-
-def _offset_image(terms, xtab, ytab, dx: float, dy: float) -> float:
-    """Image offset sum c [((x+dx)^i - x^i)(y+dy)^j + x^i ((y+dy)^j - y^j)].
-
-    xtab and ytab are the `_power_tables` of (x, dx) and (y, dy).
-    """
-    px, _, dpx = xtab
-    _, pyh, dpy = ytab
-    acc = 0.0
-    for (i, j), c in terms:
-        acc += c * (dx * dpx[i] * pyh[j] + px[i] * (dy * dpy[j]))
-    return acc
-
-
 def _step(m: MapLike, x, y, dx, dy):
-    xt, yt = m.sorted_terms()
-    keys = [k for k, _ in xt] + [k for k, _ in yt]
-    xtab = _power_tables(x, dx, max(i for i, _ in keys))
-    ytab = _power_tables(y, dy, max(j for _, j in keys))
-    return (
-        eval_terms(xt, x, y),
-        eval_terms(yt, x, y),
-        _offset_image(xt, xtab, ytab, dx, dy),
-        _offset_image(yt, xtab, ytab, dx, dy),
-    )
+    ev = m.evaluator
+    return (*ev.values(x, y), *ev.offset(x, y, dx, dy))
 
 
 def shadow_step_check(

@@ -14,14 +14,14 @@ canonical map were derived by hand from the same identity:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import sympy as sp
 
 from invcurve import MapSpec
-from invcurve.mapdef import to_planar_series
-from invcurve.normalform import normalize_to_order
+from invcurve.normalform import normalize_map
 
 
 def pert_jet_closed_form(lam: float, c: float) -> tuple[float, float, float]:
@@ -93,8 +93,7 @@ def acceptance_battery(seed: int = 1729) -> list[MapSpec]:
 
 def flatten_map(m: MapSpec, n_power: int = 8):
     """The map in flattened coordinates (no pure-x terms in Y through n_power)."""
-    order = max(n_power + 2, m.degree, 12)
-    return normalize_to_order(to_planar_series(m, order), n_power).normalized
+    return normalize_map(m, n_power).normalized
 
 
 def sample_shadow_pair(rng: np.random.Generator, delta: float, n_power: int):
@@ -186,6 +185,13 @@ def reverse_series_full(s):
         err = s.compose(g) - Series1.identity(n)
         g = g - err.scale(1.0 / a1)
     return g
+
+
+def eval_fsum(terms, x: float, y: float) -> tuple[float, float]:
+    """sum c x^i y^j, each term rounded on its own and the terms summed
+    exactly, together with sum |c x^i y^j|, the scale of its rounding."""
+    vals = [c * x**i * y**j for (i, j), c in terms]
+    return math.fsum(vals), math.fsum(abs(v) for v in vals)
 
 
 def _power_diff_termwise(a: float, da: float, i: int) -> float:

@@ -69,6 +69,18 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["manifold-param", "--map", "builtin:CANON", "--delta", "0.1"],
+            # not a prefix of --x0 either
+            ["repulsion", "--map", "builtin:PERT", "--x", "0.02", "--offset", "1e-9"],
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestManifoldGt:
     def test_canonical_curve_csv(self, capsys):

@@ -1,8 +1,9 @@
 """The graph-transform push kernel against its references.
 
-The kernel evaluates the map from dense coefficient matrices and re-graphs
-with a private PCHIP; these tests hold both to the term-by-term evaluator
-and to SciPy, and check that every push path gives the same curves.
+The kernel evaluates the map with the map's dense-matrix evaluator and
+re-graphs with a private PCHIP; these tests hold the evaluator to the
+exactly summed terms and the PCHIP to SciPy, and check that every push path
+gives the same curves.
 """
 
 import os
@@ -19,38 +20,37 @@ from invcurve import (
     SolverConfig,
     format_map_spec,
     graded_grid,
-    normalize_to_order,
     pert,
     push_curve,
     rho_refinement,
     seed_curve,
     solve_manifold,
-    to_planar_series,
 )
-from invcurve.graphtransform import _end_slope, _MapEvaluator, _pchip_regraph
-from invcurve.series import eval_terms
+from invcurve.graphtransform import _end_slope, _pchip_regraph
+from oracles import eval_fsum, flatten_map
 from test_acceptance import BATTERY
 from test_graphtransform import _fast_cfg
 
 SRC = Path(invcurve.__file__).resolve().parents[1]
 
 
-def _flat(m, norm_order=8, series_order=12):
-    return normalize_to_order(to_planar_series(m, series_order), norm_order).normalized
-
-
 @pytest.mark.parametrize("idx", range(len(BATTERY)))
 def test_matrix_evaluator_matches_term_by_term(idx):
-    fm = _flat(BATTERY[idx])
-    ev = _MapEvaluator(fm)
+    # points well outside the working window, so that every power, not just
+    # the leading ones, reaches the last bits of the sum; a point and an
+    # array of points take different products and need not agree bit for bit
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(idx)
-    xs = graded_grid(0.05, 512)
-    curve_pts = (xs, rng.uniform(-1.0, 1.0, xs.size) * xs**3)
-    box_pts = (rng.uniform(-0.1, 0.1, 512), rng.uniform(-0.1, 0.1, 512))
-    for x, y in (curve_pts, box_pts):
-        big_x, big_y = ev.eval(x, y)
-        np.testing.assert_allclose(big_x, eval_terms(fm.fx.terms(), x, y), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(big_y, eval_terms(fm.fy.terms(), x, y), rtol=1e-14, atol=0)
+    for m in (BATTERY[idx], flatten_map(BATTERY[idx], 8)):
+        xs, ys = rng.uniform(-1.2, 1.2, (2, 200))
+        array = m.evaluator.values(xs, ys)
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            point = m.evaluator.values(x, y)
+            assert all(type(v) is float for v in point)
+            for terms, at_point, in_array in zip(m.sorted_terms(), point, array):
+                want, scale = eval_fsum(terms, float(x), float(y))
+                assert abs(at_point - want) <= 32.0 * eps * scale
+                assert abs(in_array[k] - want) <= 32.0 * eps * scale
 
 
 def test_end_slope_clamps():
@@ -115,10 +115,10 @@ def test_private_pchip_rejects_points_outside_the_data():
 def test_push_curve_is_the_first_level_step(m):
     rho, size = 0.01, 256
     # delta just above rho: the level ends after one push
-    cfg = SolverConfig(delta=rho + 0.5 * rho * rho, rho0=rho, grid_size=size, series_order=12)
+    cfg = SolverConfig(delta=rho + 0.5 * rho * rho, rho0=rho, grid_size=size)
     levels, _ = rho_refinement(m, cfg, 1)
     assert levels[0].nu_bar == 1
-    out, cert = push_curve(_flat(m), seed_curve(rho, size), n_power=8, m_max=2)
+    out, cert = push_curve(flatten_map(m, 8), seed_curve(rho, size), n_power=8, m_max=2)
     assert np.array_equal(levels[0].curve.xs, out.xs)
     assert np.array_equal(levels[0].curve.fs, out.fs)
     assert levels[0].min_dxdx == cert.min_dxdx

@@ -26,13 +26,11 @@ from invcurve import (
     solve_conjugacy,
     to_planar_series,
 )
-from invcurve.series import eval_terms
 from oracles import (
     acceptance_battery,
     dict_invert,
     dict_mul,
     dict_subst,
-    flatten_map,
     reverse_series_full,
 )
 
@@ -379,26 +377,6 @@ def test_tables_are_built_lazily_per_order():
         check=True,
     )
     assert done.stdout.split() == ["0", "1"]
-
-
-# ---------------------------------------------------------------------------
-# scalar and array evaluation agree bit for bit
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_evaluation_equals_array_path_bit_for_bit():
-    # points well outside the working window, so that every power, not just
-    # the leading ones, reaches the last bit of the sum
-    rng = np.random.default_rng(5)
-    for m in acceptance_battery():
-        fm = flatten_map(m, 8)
-        xs = rng.uniform(-1.2, 1.2, 200)
-        ys = rng.uniform(-1.2, 1.2, 200)
-        for terms in fm.sorted_terms():
-            array = eval_terms(terms, xs, ys)
-            scalar = [eval_terms(terms, float(x), float(y)) for x, y in zip(xs, ys)]
-            assert all(type(v) is float for v in scalar)
-            assert np.array_equal(array, np.array(scalar))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from invcurve import (
+    PlanarSeriesMap,
     Point,
     ShadowPair,
     canon,
@@ -10,7 +11,6 @@ from invcurve import (
     shadow_metric,
     shadow_step_check,
 )
-from invcurve.shadowing import _step
 from oracles import acceptance_battery, flatten_map, offset_image_termwise, sample_shadow_pair
 
 
@@ -82,10 +82,25 @@ class TestStepCheck:
             for _ in range(50):
                 pair = sample_shadow_pair(rng, 0.05, 8)
                 (x, y), (dx, dy) = (pair.p.x, pair.p.y), pair.offset
-                offsets = _step(fm, x, y, dx, dy)[2:]
+                offsets = fm.evaluator.offset(x, y, dx, dy)
                 for terms, got in zip(fm.sorted_terms(), offsets):
                     want = offset_image_termwise(terms, x, y, dx, dy)
                     assert abs(got - want) <= 8.0 * eps * abs(want), (pair, got, want)
+
+    def test_map_terms_are_read_once_per_map(self, monkeypatch):
+        fm = flatten_map(pert(c=0.1), 8)
+        calls = []
+        sorted_terms = PlanarSeriesMap.sorted_terms
+
+        def counted(self):
+            calls.append(1)
+            return sorted_terms(self)
+
+        monkeypatch.setattr(PlanarSeriesMap, "sorted_terms", counted)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            shadow_step_check(fm, sample_shadow_pair(rng, 0.05, 8), 8)
+        assert len(calls) <= 1
 
 
 class TestOrbitExperiment:
