@@ -226,6 +226,7 @@ def _cmd_manifold_gt(args) -> int:
     for i, lv in enumerate(diag.levels):
         pairs.append((f"rho_{i}", lv.rho))
         pairs.append((f"nu_bar_{i}", lv.nu_bar))
+        pairs.append((f"regraphs_{i}", lv.regraphs))
         pairs.append((f"x_max_final_{i}", float(lv.x_max_trace[-1])))
         pairs.append((f"growth_margin_min_{i}", lv.growth_margin_min))
         trace = ",".join(_fmt(v) for v in lv.x_max_trace)

@@ -1,10 +1,15 @@
-"""Constructive invariant-curve solver: push a seed segment, re-graph, repeat.
+"""Constructive invariant-curve solver: push a seed segment, carry it forward, re-graph.
 
 The engine starts from the horizontal seed [0, rho] x {0}, pushes it forward
-through the flattened map, re-graphs the image over the abscissa after every
-step, and stops once the curve covers [0, delta].  Shrinking rho and repeating
-gives a Cauchy sequence of curves whose limit is the invariant curve; the
-solver stops when two successive final curves agree to tol_converge.
+through the flattened map and stops once the curve covers [0, delta].  The
+image of a sampled graph that passes the push guards is again a sampled
+graph, so each push carries the image points forward as the next curve;
+the level re-graphs them onto the graded grid only when the widest
+log-spacing of neighbouring abscissas has doubled against the unit grid
+(REGRAPH_SPREAD), and once when it ends, so every level curve lies on the
+graded grid.  Shrinking rho and repeating gives a Cauchy sequence of curves
+whose limit is the invariant curve; the solver stops when two successive
+final curves agree to tol_converge.
 
 Numerics that matter here:
 
@@ -21,10 +26,15 @@ Numerics that matter here:
   condition for the image to be a graph again.
 
 The push kernel (`_PushKernel`) is the one push path, shared by `push_curve`
-and the level loop.  Each push costs a few dozen NumPy calls on grid-sized
-arrays; its largest temporaries are the power tables of x and y and their
-product with the coefficients, a few dozen rows of grid size, so the
-allocator reuses heap memory instead of mapping fresh pages every push:
+(one push, re-graphed) and the level loop.  Its `image` step maps the points
+and runs every per-push guard on the image: monotonicity, the smallest
+dX/dx, the drift constant and the cap on |Y|/X^3 (the growth margin is
+checked by the loop); its `regraph` step fits them back onto the grid.
+Re-graphing is kept rare because each one adds interpolation error and
+removes none.  Each push costs a few dozen NumPy calls on grid-sized arrays;
+its largest temporaries are the power tables of x and y and their product
+with the coefficients, a few dozen rows of grid size, so the allocator
+reuses heap memory instead of mapping fresh pages every push:
 
 * the map is evaluated by its cached dense-matrix evaluator
   (`series.MapEvaluator`, `m.evaluator`): one matrix product of the stacked
@@ -33,8 +43,9 @@ allocator reuses heap memory instead of mapping fresh pages every push:
   J. Numer. Anal. 17, 1980) that builds and evaluates in one pass, with the
   same slopes, coefficients and evaluation order as SciPy's
   `PchipInterpolator` (`_pchip_regraph`);
-* the new grid is x_max times the unit grid computed once per solve, and a
-  level carries raw (xs, fs) arrays, building one `Curve` when it ends.
+* a re-graph's grid is x_max times the unit grid computed once per solve,
+  and a level carries raw (xs, fs) arrays, building one `Curve` when it
+  ends.
 
 `Curve.eval`, the certify and query path, keeps SciPy's interpolator.
 
@@ -62,6 +73,9 @@ from .series import PlanarSeriesMap
 
 GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
 TANGENCY_POWER = 3
+# a level re-graphs once the widest log-spacing of its carried abscissas
+# exceeds this many log-steps of the unit grid
+REGRAPH_SPREAD = 2.0
 
 
 def graded_grid(x_max: float, size: int) -> np.ndarray:
@@ -202,16 +216,18 @@ def _pchip_regraph(xk: np.ndarray, yk: np.ndarray, q: np.ndarray) -> np.ndarray 
 
 
 class _PushKernel:
-    """One push of a sampled graph through a map, re-graphed onto the graded grid."""
+    """One push of a sampled graph through a map, with its guards (`image`), and
+    the re-graph of the image onto the graded grid (`regraph`)."""
 
     def __init__(self, m: MapSpec | PlanarSeriesMap, grid_size: int):
         self._ev = m.evaluator
         self.unit = graded_grid(1.0, grid_size)
+        self._max_ratio = float(self.unit[-1] / self.unit[-2]) ** REGRAPH_SPREAD
 
-    def push(
+    def image(
         self, xs: np.ndarray, fs: np.ndarray, bound_cap: float | None
     ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Image (xs, fs) on the new grid, smallest secant dX/dx, drift constant."""
+        """Image points (X, Y), smallest secant dX/dx, drift constant."""
         big_x, big_y = self._ev.values(xs, fs)
         if big_x[0] != 0.0 or big_y[0] != 0.0:
             raise GuardError("image of the origin moved off the origin")
@@ -225,23 +241,33 @@ class _PushKernel:
         min_slope = float(np.min(dx / (xs[1:] - xs[:-1])))
         xm = float(xs[-1])
         drift_c = float(abs(big_x[-1] - (xm + xm * xm)) / xm**3)
+        if bound_cap is not None:
+            # the PCHIP re-graph is monotone between nodes, so the cap on the
+            # image nodes also holds for any re-graph of them
+            worst = float(np.max(np.abs(big_y[1:] / big_x[1:] ** TANGENCY_POWER)))
+            if not worst <= bound_cap:
+                raise GuardError(
+                    f"|F|/x^3 reached {worst:.3e} after the push, above the cap {bound_cap:.3e}"
+                )
+        return big_x, big_y, min_slope, drift_c
 
+    def spread_doubled(self, xs: np.ndarray) -> bool:
+        """Whether some neighbouring abscissas are further apart, in log, than
+        REGRAPH_SPREAD unit-grid steps."""
+        return bool(np.max(xs[2:] / xs[1:-1]) > self._max_ratio)
+
+    def regraph(self, big_x: np.ndarray, big_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled graph through (X, Y) on X_max times the unit grid."""
         new_xs = float(big_x[-1]) * self.unit
         pos = big_x[1:]
         scaled = big_y[1:] / pos**TANGENCY_POWER
         new_scaled = _pchip_regraph(pos, scaled, new_xs[1:])
         if new_scaled is None or not np.all(np.isfinite(new_scaled)):
             raise GuardError("re-graph interpolation left the image range")
-        if bound_cap is not None:
-            worst = float(np.max(np.abs(new_scaled)))
-            if worst > bound_cap:
-                raise GuardError(
-                    f"|F|/x^3 reached {worst:.3e} after the push, above the cap {bound_cap:.3e}"
-                )
         new_fs = np.empty_like(new_xs)
         new_fs[0] = 0.0
         np.multiply(new_scaled, new_xs[1:] ** TANGENCY_POWER, out=new_fs[1:])
-        return new_xs, new_fs, min_slope, drift_c
+        return new_xs, new_fs
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +332,8 @@ def push_curve(
     if max_x is not None and c.x_max > max_x:
         raise GuardError(f"curve reaches {c.x_max:.6g}, past the working bound {max_x:.6g}")
     kernel = _PushKernel(m, grid_size or c.xs.size)
-    xs, fs, min_slope, drift_c = kernel.push(c.xs, c.fs, bound_cap)
-    out = Curve(xs, fs)
+    big_x, big_y, min_slope, drift_c = kernel.image(c.xs, c.fs, bound_cap)
+    out = Curve(*kernel.regraph(big_x, big_y))
     cert = bound_certificate(out, n_power, m_max)
     return out, replace(cert, min_dxdx=min_slope, xmax_drift_c=drift_c)
 
@@ -382,6 +408,7 @@ class LevelResult:
     min_dxdx: float
     max_drift_c: float
     growth_margin_min: float
+    regraphs: int
 
 
 @dataclass(frozen=True)
@@ -406,6 +433,7 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
     min_slope = math.inf
     max_drift = 0.0
     margin = math.inf
+    regraphs = 0
     # the quadratic drift guarantees termination; the cap only catches stalls
     cap = int(2.0 / rho) * (int(math.log(cfg.delta / rho)) + 2) + 64
     while x_max <= cfg.delta:
@@ -415,10 +443,15 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
                 history=trace,
             )
         prev = x_max
-        xs, fs, slope, drift = kernel.push(xs, fs, cfg.bound_cap)
+        xs, fs, slope, drift = kernel.image(xs, fs, cfg.bound_cap)
         x_max = float(xs[-1])
         if x_max <= prev:
             raise GuardError("x_max failed to increase during a push")
+        # the image is carried as the next curve; the level's last one is
+        # always re-graphed, so every level curve lies on the graded grid
+        if x_max > cfg.delta or kernel.spread_doubled(xs):
+            xs, fs = kernel.regraph(xs, fs)
+            regraphs += 1
         trace.append(x_max)
         min_slope = min(min_slope, slope)
         max_drift = max(max_drift, drift)
@@ -431,6 +464,7 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
         min_dxdx=min_slope,
         max_drift_c=max_drift,
         growth_margin_min=margin,
+        regraphs=regraphs,
     )
 
 

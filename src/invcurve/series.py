@@ -444,10 +444,6 @@ class PlanarSeriesMap:
         if self.linear_determinant() == 0.0:
             raise SeriesError("linear part is singular (determinant 0)")
 
-    def linear_part(self) -> np.ndarray:
-        f, g = self.fx, self.fy
-        return np.array([[f.coeff(1, 0), f.coeff(0, 1)], [g.coeff(1, 0), g.coeff(0, 1)]])
-
     def linear_determinant(self) -> float:
         a, b = self.fx.coeff(1, 0), self.fx.coeff(0, 1)
         c, d = self.fy.coeff(1, 0), self.fy.coeff(0, 1)

@@ -187,6 +187,26 @@ def reverse_series_full(s):
     return g
 
 
+def run_level_regraph_every_push(kernel, rho: float, cfg):
+    """The graph-transform level loop that re-graphs after every push.
+
+    It pushes with the same kernel and stops by the same rule as
+    `graphtransform._run_level`, which carries the image points instead and
+    re-graphs only when their spacing has thinned out.  Returns (nu_bar,
+    final curve).
+    """
+    from invcurve import Curve
+
+    xs = rho * kernel.unit
+    fs = np.zeros_like(xs)
+    pushes = 0
+    while float(xs[-1]) <= cfg.delta:
+        big_x, big_y, _, _ = kernel.image(xs, fs, cfg.bound_cap)
+        xs, fs = kernel.regraph(big_x, big_y)
+        pushes += 1
+    return pushes, Curve(xs, fs)
+
+
 def eval_fsum(terms, x: float, y: float) -> tuple[float, float]:
     """sum c x^i y^j, each term rounded on its own and the terms summed
     exactly, together with sum |c x^i y^j|, the scale of its rounding."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invcurve import SolverConfig, cli
+from invcurve import SolverConfig, cli, solve_manifold
 from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
 
 FAST = ["--rho0", "0.00625", "--grid", "128"]
@@ -103,6 +103,17 @@ class TestManifoldGt:
         code, _, _ = run_cli(capsys, *args)
         assert code == 0
         assert target.read_bytes() == first
+
+    def test_report_counts_regraphs_per_level(self, capsys):
+        spec = "builtin:PERT(lambda=1,mu=0,c=0.1)"
+        code, _, err = run_cli(capsys, "manifold-gt", "--map", spec, *FAST)
+        assert code == 0
+        report = parse_report(err)
+        _, _, diag = solve_manifold(resolve_map(spec), SolverConfig(rho0=0.00625, grid_size=128))
+        assert int(report["levels"]) == len(diag.levels)
+        for i, lv in enumerate(diag.levels):
+            assert int(report[f"regraphs_{i}"]) == lv.regraphs
+            assert 1 <= lv.regraphs < lv.nu_bar
 
     def test_seed_length_matches_the_library_default(self, capsys):
         args = ["manifold-gt", "--map", "builtin:PERT", "--grid", "128"]

@@ -2,8 +2,9 @@
 
 The kernel evaluates the map with the map's dense-matrix evaluator and
 re-graphs with a private PCHIP; these tests hold the evaluator to the
-exactly summed terms and the PCHIP to SciPy, and check that every push path
-gives the same curves.
+exactly summed terms and the PCHIP to SciPy, check that every push path
+gives the same curves, and hold the level loop, which carries pushed points
+forward, to the loop that re-graphs after every push.
 """
 
 import os
@@ -17,6 +18,8 @@ from scipy.interpolate import PchipInterpolator
 
 import invcurve
 from invcurve import (
+    GuardError,
+    MapSpec,
     SolverConfig,
     format_map_spec,
     graded_grid,
@@ -26,9 +29,16 @@ from invcurve import (
     seed_curve,
     solve_manifold,
 )
-from invcurve.graphtransform import _end_slope, _pchip_regraph
-from oracles import eval_fsum, flatten_map
-from test_acceptance import BATTERY
+from invcurve.graphtransform import (
+    _comparison_grid,
+    _end_slope,
+    _pchip_regraph,
+    _prepare,
+    _PushKernel,
+    _run_level,
+)
+from oracles import eval_fsum, flatten_map, run_level_regraph_every_push
+from test_acceptance import BASE_CFG, BATTERY, _gt_solution
 from test_graphtransform import _fast_cfg
 
 SRC = Path(invcurve.__file__).resolve().parents[1]
@@ -123,6 +133,58 @@ def test_push_curve_is_the_first_level_step(m):
     assert np.array_equal(levels[0].curve.fs, out.fs)
     assert levels[0].min_dxdx == cert.min_dxdx
     assert levels[0].max_drift_c == cert.xmax_drift_c
+
+
+@pytest.mark.parametrize("idx", range(len(BATTERY)))
+def test_carried_points_match_regraph_every_push(idx):
+    _, kernel = _prepare(BATTERY[idx], BASE_CFG)
+    _, _, diag = _gt_solution(idx)
+    grid = _comparison_grid(BASE_CFG.delta)
+    for lv in diag.levels:
+        pushes, curve = run_level_regraph_every_push(kernel, lv.rho, BASE_CFG)
+        assert lv.nu_bar == pushes
+        assert np.max(np.abs(lv.curve.eval(grid) - curve.eval(grid))) <= 1e-16
+        assert 1 <= lv.regraphs <= 12
+
+
+def _carried_images(m, rho, size, pushes):
+    """Images of the flat seed under 1..pushes pushes, none re-graphed."""
+    xs = rho * graded_grid(1.0, size)
+    fs = np.zeros_like(xs)
+    out = []
+    for _ in range(pushes):
+        xs, fs = m.evaluator.values(xs, fs)
+        out.append((xs, fs))
+    return out
+
+
+def test_monotonicity_guard_on_a_carried_push():
+    # F ~ c x^3 after one push; the mu x y term then folds the abscissas
+    m, rho, size = pert(1.0, -1.0, 1e6), 0.0125, 512
+    (x1, y1), (x2, _) = _carried_images(m, rho, size, 2)
+    kernel = _PushKernel(m, size)
+    assert not kernel.spread_doubled(x1)
+    bad = int(np.argmin(np.diff(x2) > 0.0))
+    want = f"graph monotonicity guard failed: image abscissas stall at x = {x1[bad]:.6g}"
+    with pytest.raises(GuardError) as err:
+        _run_level(kernel, rho, SolverConfig(rho0=rho, bound_cap=1e12))
+    assert str(err.value) == want
+
+
+def test_bound_cap_on_a_carried_push():
+    # the x^2 y term of Y triples |F|/x^3 per push near x = 0.0125
+    m = MapSpec({(1, 0): 1.0, (2, 0): 1.0}, {(0, 1): -1.0, (1, 1): 1.0, (2, 1): -1e4, (3, 0): 1.0})
+    rho, size = 0.0125, 512
+    images = _carried_images(m, rho, size, 3)
+    worst = [float(np.max(np.abs(y[1:] / x[1:] ** 3))) for x, y in images]
+    assert worst[0] < worst[1] < worst[2]
+    kernel = _PushKernel(m, size)
+    assert not any(kernel.spread_doubled(x) for x, _ in images)
+    cap = 0.5 * (worst[1] + worst[2])
+    want = f"|F|/x^3 reached {worst[2]:.3e} after the push, above the cap {cap:.3e}"
+    with pytest.raises(GuardError) as err:
+        _run_level(kernel, rho, SolverConfig(rho0=rho, bound_cap=cap))
+    assert str(err.value) == want
 
 
 def test_graded_grid_is_a_scaled_unit_grid():
