@@ -27,6 +27,7 @@ from .errors import InvcurveError
 from .graphtransform import (
     Curve,
     SolverConfig,
+    _decades,
     invariance_residual,
     solve_manifold,
     tangency_fit,
@@ -50,6 +51,9 @@ EXIT_VERIFY_FAILED = 3
 # method-agreement bound of the acceptance criteria); it does not follow --tol
 COMPARE_CUBIC = 1e-6
 COMPARE_FLOOR = 1e-9
+
+# `verify-invariance` passes when the invariance defect is at most --tol, or this
+VERIFY_TOL = 1e-8
 
 
 def _fmt(v: float) -> str:
@@ -168,14 +172,7 @@ def compare_methods(
     mask = (curve.xs > 0.0) & (curve.xs <= half)
     xs = curve.xs[mask]
     diffs = np.abs(curve.fs[mask] - conj.phi.eval(xs))
-    rows = []
-    lo = xs[0]
-    while lo < xs[-1] * (1.0 - 1e-12):
-        hi = min(lo * 10.0, xs[-1])
-        sel = (xs >= lo * (1.0 - 1e-12)) & (xs <= hi * (1.0 + 1e-12))
-        if sel.any():
-            rows.append((float(lo), float(hi), float(diffs[sel].max())))
-        lo = hi
+    rows = [(lo, hi, float(diffs[sel].max())) for lo, hi, sel in _decades(xs)]
     a3_gt, _ = tangency_fit(curve)
     return MethodComparison(
         xs=xs,
@@ -268,7 +265,7 @@ def _cmd_verify_invariance(args) -> int:
     # --tol is the verification tolerance; the solver keeps its own tol_converge
     cfg = replace(_solver_config(args), tol_converge=SolverConfig().tol_converge)
     curve, _, _ = solve_manifold(m, cfg)
-    tol = args.tol if args.tol is not None else cfg.tol_invariance
+    tol = args.tol if args.tol is not None else VERIFY_TOL
     max_res, rep = invariance_residual(m, curve, samples=args.steps or 200)
     ok = max_res <= tol
     pairs = [
@@ -376,8 +373,14 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _step_count(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 # every optional flag but these reads a float; an absent flag reads as None
-_INT_FLAGS = ("--order", "--grid", "--mmax", "--steps")
+_FLAG_TYPES = {"--order": int, "--grid": int, "--mmax": int, "--steps": _step_count}
 _SOLVER = ("--delta", "--rho0", "--rho-factor", "--grid", "--mmax", "--tol")
 _SHADOW = ("--delta", "--x", "--y", "--xhat", "--yhat", "--x0", "--offset", "--steps")
 
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--map", required=True, help="map spec file or builtin:NAME(...)")
         for flag in ("--order", *flags):
-            p.add_argument(flag, type=int if flag in _INT_FLAGS else float, default=None)
+            p.add_argument(flag, type=_FLAG_TYPES.get(flag, float), default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=func)
     return parser

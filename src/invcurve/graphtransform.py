@@ -138,20 +138,16 @@ class Curve:
         """Interpolated F(x) on [0, x_max].
 
         Below the smallest positive node the scaled ordinate is held
-        constant, which preserves the cubic tangency.
+        constant, which preserves the cubic tangency: the PCHIP is read at
+        xs[1], where Horner at s = 0 returns scaled[0] exactly.  A scalar
+        runs as a 1-element array, so it rounds as the array element does.
         """
         scalar = np.ndim(x) == 0
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(arr < 0.0) or np.any(arr > self.x_max * (1.0 + 1e-12)):
+        if np.any((arr < 0.0) | (arr > self.x_max * (1.0 + 1e-12))):
             raise ValueError("evaluation outside the curve domain")
-        arr_c = np.minimum(arr, self.x_max)
-        out = np.empty_like(arr_c)
-        low = arr_c < self.xs[1]
-        if np.any(low):
-            g0 = self.scaled[0]
-            out[low] = g0 * arr_c[low] ** TANGENCY_POWER
-        if np.any(~low):
-            out[~low] = self._interp(arr_c[~low]) * arr_c[~low] ** TANGENCY_POWER
+        arr = np.minimum(arr, self.x_max)
+        out = self._interp(np.maximum(arr, self.xs[1])) * arr**TANGENCY_POWER
         if scalar:
             return float(out[0])
         return out
@@ -319,9 +315,7 @@ def push_curve(
     *,
     n_power: int = 8,
     m_max: int = 2,
-    grid_size: int | None = None,
     bound_cap: float | None = 100.0,
-    max_x: float | None = None,
 ) -> tuple[Curve, BoundCertificate]:
     """One forward push of a curve, re-graphed onto the graded grid.
 
@@ -329,9 +323,7 @@ def push_curve(
     envelopes, smallest secant slope of the abscissa map, and the drift
     constant of x_max).
     """
-    if max_x is not None and c.x_max > max_x:
-        raise GuardError(f"curve reaches {c.x_max:.6g}, past the working bound {max_x:.6g}")
-    kernel = _PushKernel(m, grid_size or c.xs.size)
+    kernel = _PushKernel(m, c.xs.size)
     big_x, big_y, min_slope, drift_c = kernel.image(c.xs, c.fs, bound_cap)
     out = Curve(*kernel.regraph(big_x, big_y))
     cert = bound_certificate(out, n_power, m_max)
@@ -364,7 +356,6 @@ class SolverConfig:
     grid_size: int = 512
     m_max: int = 2
     tol_converge: float = 1e-9
-    tol_invariance: float = 1e-8
     max_levels: int = 8
     bound_cap: float = 100.0
 
@@ -383,8 +374,8 @@ class SolverConfig:
 
     def validate(self) -> None:
         # tolerance and order first: the derived rho0 is computed from them
-        if self.tol_converge <= 0.0 or self.tol_invariance <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_converge <= 0.0:
+            raise ValueError("tol_converge must be positive")
         if self.norm_order < 3:
             raise ValueError("norm_order must be at least 3")
         if not (0.0 < self.initial_rho() < self.delta):
@@ -573,10 +564,12 @@ def invariance_residual(
 ) -> tuple[float, InvarianceReport]:
     """Defect of the invariance identity on [0, x_max/2].
 
-    For each sample abscissa xbar, finds xhat with the X image of
-    (xhat, F(xhat)) equal to xbar (monotone root find) and measures
-    |F(xbar) - Y image|.  Samples where the root find fails are excluded
-    from the maximum and reported.
+    For each sample abscissa xbar, finds xhat in [0, xbar] with the X image
+    of (xhat, F(xhat)) equal to xbar (monotone root find) and measures
+    |F(xbar) - Y image|.  The image abscissa at 0 is 0, below xbar, so
+    brentq's sign test on the bracket decides a skip: a sample whose image
+    X(xbar, F(xbar)) lies below xbar has no preimage there, and it is
+    excluded from the maximum, reported and warned about.
     """
     half = c.x_max / 2.0
     nodes = c.xs[(c.xs > 0.0) & (c.xs <= half)]
@@ -595,9 +588,6 @@ def invariance_residual(
     failures: list[float] = []
     rtol = 4.0 * np.finfo(float).eps
     for xbar in nodes:
-        if image_x(xbar, xbar) < 0.0:
-            failures.append(float(xbar))
-            continue
         try:
             xhat = brentq(image_x, 0.0, xbar, args=(xbar,), rtol=rtol, xtol=1e-300)
         except ValueError:
@@ -614,6 +604,18 @@ def invariance_residual(
     res_arr = np.array(res)
     max_res = float(res_arr.max()) if res_arr.size else math.nan
     return max_res, InvarianceReport(max_res, np.array(xs_ok), res_arr, tuple(failures))
+
+
+def _decades(xs: np.ndarray) -> Iterator[tuple[float, float, np.ndarray]]:
+    """(lo, hi, mask of the nodes within 1e-12 of [lo, hi]) for the decades
+    [lo, 10 lo] from xs[0] to xs[-1], the last one cut at xs[-1]; empty ones skipped."""
+    lo, top = xs[0], xs[-1]
+    while lo < top * (1.0 - 1e-12):
+        hi = min(lo * 10.0, top)
+        mask = (xs >= lo * (1.0 - 1e-12)) & (xs <= hi * (1.0 + 1e-12))
+        if mask.any():
+            yield float(lo), float(hi), mask
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -648,22 +650,16 @@ def tangency_fit(c: Curve) -> tuple[float, TangencyReport]:
     ratio3 = fs / xs**3
     a3 = float(np.mean(ratio3[small]))
 
-    rows: list[DecadeStats] = []
-    lo = first
-    while lo < c.x_max * (1.0 - 1e-12):
-        hi = min(lo * 10.0, c.x_max)
-        mask = (xs >= lo * (1.0 - 1e-12)) & (xs <= hi * (1.0 + 1e-12))
-        if mask.any():
-            rows.append(
-                DecadeStats(
-                    lo=float(lo),
-                    hi=float(hi),
-                    count=int(mask.sum()),
-                    sup_cubic_ratio=float(np.max(np.abs(ratio3[mask]))),
-                    sup_scaled_23=float(np.max(np.abs(fs[mask]) / xs[mask] ** (2.0 / 3.0))),
-                )
-            )
-        lo = hi
+    rows = [
+        DecadeStats(
+            lo=lo,
+            hi=hi,
+            count=int(mask.sum()),
+            sup_cubic_ratio=float(np.max(np.abs(ratio3[mask]))),
+            sup_scaled_23=float(np.max(np.abs(fs[mask]) / xs[mask] ** (2.0 / 3.0))),
+        )
+        for lo, hi, mask in _decades(xs)
+    ]
     cubic_bounded = True
     if len(rows) >= 2:
         cubic_bounded = rows[0].sup_cubic_ratio <= 1.5 * rows[1].sup_cubic_ratio + 1e-300

@@ -186,26 +186,24 @@ def eval_map(m: MapSpec, p: Point, with_jacobian: bool = False):
     return image, m.evaluator.jacobian(p.x, p.y)
 
 
-def invert_point(
-    m: MapSpec,
-    target: Point,
-    guess: Point | None = None,
-    tol: float = 1e-13,
-    max_iter: int = 50,
-) -> Point:
+# point inversion: max-norm residual to stop at, and the Newton step cap
+INVERT_TOL = 1e-13
+INVERT_MAX_ITER = 50
+
+
+def invert_point(m: MapSpec, target: Point) -> Point:
     """Newton preimage: returns p with eval_map(m, p) = target.
 
-    Damped steps (halving on residual increase) keep the iteration stable
-    near the fixed point, where the Jacobian is close to diag(1, -1).
+    Starts from (x - x^2, -y); damped steps (halving on residual increase)
+    keep the iteration stable near the fixed point, where the Jacobian is
+    close to diag(1, -1).
     """
-    if guess is None:
-        guess = Point(target.x - target.x**2, -target.y)
-    p = guess
+    p = Point(target.x - target.x**2, -target.y)
     image, jac = eval_map(m, p, with_jacobian=True)
     res = np.array([image.x - target.x, image.y - target.y])
     res_norm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if res_norm <= tol:
+    for _ in range(INVERT_MAX_ITER):
+        if res_norm <= INVERT_TOL:
             return p
         step = np.linalg.solve(jac, res)
         scale = 1.0
@@ -214,11 +212,11 @@ def invert_point(
             image, jac_new = eval_map(m, cand, with_jacobian=True)
             new_res = np.array([image.x - target.x, image.y - target.y])
             new_norm = float(np.max(np.abs(new_res)))
-            if new_norm < res_norm or new_norm <= tol:
+            if new_norm < res_norm or new_norm <= INVERT_TOL:
                 break
             scale *= 0.5
         p, jac, res, res_norm = cand, jac_new, new_res, new_norm
-    if res_norm <= tol:
+    if res_norm <= INVERT_TOL:
         return p
     raise ConvergenceError(
         f"point inversion stalled with residual {res_norm:.3e} at target "

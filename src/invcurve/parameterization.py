@@ -222,9 +222,10 @@ def graph_invariance_check(m: MapSpec, phi: Series1, order: int) -> GraphInvaria
     The image of {(x, phi(x))} under the inverse map is re-expressed as a
     graph by reverting its first coordinate; coefficient agreement with phi
     through the requested order certifies invariance, and the image's
-    sub-cubic part is reported (it should vanish).
+    sub-cubic part is reported (it should vanish).  The series run at
+    order + 2, and at least at the map's degree so that it embeds exactly.
     """
-    work = max(order + 2, phi.order)
+    work = max(order + 2, m.degree)
     inv = invert_map_series(to_planar_series(m, work))
     t = Series1.identity(work)
     phi_w = phi.truncate(work)

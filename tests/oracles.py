@@ -1,8 +1,8 @@
 """Independent oracles and shared helpers for the test suite.
 
 The manifold jet oracle solves the invariance identity F(X(x, F)) = Y(x, F)
-order by order in exact rational arithmetic with sympy, completely apart
-from the package's own series machinery.  Closed forms for the perturbed
+order by order in exact rational arithmetic on plain lists of Fractions,
+completely apart from the package's own series machinery.  Closed forms for the perturbed
 canonical map were derived by hand from the same identity:
 
     F(x + x^2) = -F(x) (1 - lam x) + c x^3   (mu = 0)
@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from invcurve import MapSpec
 from invcurve.normalform import normalize_map
@@ -32,40 +31,54 @@ def pert_jet_closed_form(lam: float, c: float) -> tuple[float, float, float]:
     return a3, a4, a5
 
 
+def _poly_mul(a: list, b: list, order: int) -> list:
+    """Product of two coefficient lists in x, truncated after x^order."""
+    out = [Fraction(0)] * (order + 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b[: order + 1 - i]):
+                out[i + j] += u * v
+    return out
+
+
+def _jet_residual(m: MapSpec, a: list, order: int) -> list:
+    """Coefficients of F(X(x, F(x))) - Y(x, F(x)) through x^order, F = sum a_k x^k."""
+    one = [Fraction(1)] + [Fraction(0)] * order
+    f_powers = [one]
+
+    def on_graph(terms) -> list:
+        out = [Fraction(0)] * (order + 1)
+        for (i, j), c in terms.items():
+            while len(f_powers) <= j:
+                f_powers.append(_poly_mul(f_powers[-1], a, order))
+            for k, v in enumerate(f_powers[j][: order + 1 - i]):
+                out[i + k] += Fraction(c) * v
+        return out
+
+    big_x, big_y = on_graph(m.x_terms), on_graph(m.y_terms)
+    f_of_x, x_power = [Fraction(0)] * (order + 1), one
+    for k in range(1, order + 1):
+        x_power = _poly_mul(x_power, big_x, order)
+        if a[k]:
+            f_of_x = [u + a[k] * v for u, v in zip(f_of_x, x_power)]
+    return [u - v for u, v in zip(f_of_x, big_y)]
+
+
 def manifold_jet(m: MapSpec, order: int) -> list[float]:
-    """Taylor coefficients a_3..a_order of the invariant graph, via sympy.
+    """Taylor coefficients a_3..a_order of the invariant graph, in exact rationals.
 
-    Substitutes F = sum a_k x^k into F(X(x, F(x))) - Y(x, F(x)) and solves
-    the coefficient equations sequentially in exact rationals.
+    The order-k coefficient of F(X(x, F(x))) - Y(x, F(x)) holds a_3..a_k
+    only, and a_k affinely, so two probes (a_k = 0 and a_k = 1) solve for it.
     """
-    x = sp.symbols("x")
-    unknowns = {k: sp.symbols(f"a{k}") for k in range(3, order + 1)}
-    f_poly = sum(unknowns[k] * x**k for k in unknowns)
-
-    def on_curve(terms) -> sp.Expr:
-        acc = sp.Integer(0)
-        for (i, j), coeff in terms.items():
-            acc += sp.Rational(Fraction(coeff)) * x**i * f_poly**j
-        return acc
-
-    def trunc(expr: sp.Expr) -> sp.Expr:
-        expr = sp.expand(expr)
-        kept = [t for t in sp.Add.make_args(expr) if sp.degree(t, x) <= order]
-        return sp.Add(*kept)
-
-    big_x = trunc(on_curve(m.x_terms))
-    big_y = trunc(on_curve(m.y_terms))
-    f_of_x = trunc(f_poly.subs(x, big_x))
-    residual = sp.Poly(trunc(f_of_x - big_y), x)
-
-    solution: dict[sp.Symbol, sp.Rational] = {}
+    a = [Fraction(0)] * (order + 1)
     for k in range(3, order + 1):
-        eq = residual.coeff_monomial(x**k).subs(solution)
-        sol = sp.solve(sp.Eq(eq, 0), unknowns[k])
-        if len(sol) != 1:
+        r0 = _jet_residual(m, a, k)[k]
+        a[k] = Fraction(1)
+        r1 = _jet_residual(m, a, k)[k]
+        if r1 == r0:
             raise RuntimeError(f"jet equation at order {k} is not uniquely solvable")
-        solution[unknowns[k]] = sol[0]
-    return [float(solution[unknowns[k]]) for k in range(3, order + 1)]
+        a[k] = r0 / (r0 - r1)
+    return [float(v) for v in a[3:]]
 
 
 def random_form2_map(rng: np.random.Generator) -> MapSpec:
@@ -185,6 +198,35 @@ def reverse_series_full(s):
         err = s.compose(g) - Series1.identity(n)
         g = g - err.scale(1.0 / a1)
     return g
+
+
+def graph_invariance_full_order(m, phi, orders) -> list:
+    """`graph_invariance_check` reports at each check order, with the series
+    worked at max(order + 2, phi.order), phi's own order, instead of two
+    orders above the reported one.  One reverted graph serves every check
+    order that shares its working order."""
+    from invcurve import (
+        GraphInvarianceReport,
+        Series1,
+        invert_map_series,
+        reverse_series,
+        to_planar_series,
+    )
+
+    graphs = {}
+    reports = []
+    for order in orders:
+        work = max(order + 2, phi.order)
+        if work not in graphs:
+            inv = invert_map_series(to_planar_series(m, work))
+            t, phi_w = Series1.identity(work), phi.truncate(work)
+            x_of_t, y_of_t = (s.eval_series(t, phi_w) for s in (inv.fx, inv.fy))
+            graphs[work] = y_of_t.compose(reverse_series(x_of_t))
+        phi_tilde = graphs[work].truncate(order)
+        diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))
+        subcubic = max(abs(phi_tilde.coeff(k)) for k in range(min(3, order + 1)))
+        reports.append(GraphInvarianceReport(phi_tilde, max(diffs), diffs, subcubic))
+    return reports
 
 
 def run_level_regraph_every_push(kernel, rho: float, cfg):

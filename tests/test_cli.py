@@ -81,6 +81,20 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3", "2.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-invariance", "--map", "builtin:PERT"],
+            ["verify-shadow", "--map", "builtin:PERT", "--x0", "0.01"],
+            ["repulsion", "--map", "builtin:PERT", "--x0", "0.02", "--offset", "1e-9"],
+        ],
+    )
+    def test_step_count_is_a_whole_number_of_at_least_one(self, capsys, argv, steps):
+        code, out, err = run_cli(capsys, *argv, "--steps", steps)
+        assert code == 2 and not out
+        assert f"--steps: must be a whole number of at least 1, got '{steps}'" in err
+
 
 class TestManifoldGt:
     def test_canonical_curve_csv(self, capsys):

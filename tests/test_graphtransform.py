@@ -46,6 +46,32 @@ class TestGrid:
             c.eval(0.2)
 
 
+@pytest.fixture(scope="module")
+def battery_curves():
+    maps = acceptance_battery(1729)
+    return maps, [solve_manifold(m, SolverConfig())[0] for m in maps]
+
+
+class TestCurveEvalOnTheBattery:
+    def test_below_the_first_node_is_the_held_cubic(self, battery_curves):
+        rng = np.random.default_rng(3)
+        for c in battery_curves[1]:
+            x = np.concatenate(([0.0], c.xs[1] * rng.uniform(0.0, 1.0, 50)))
+            assert c.eval(x).tobytes() == (c.scaled[0] * x**3).tobytes()
+
+    def test_scalar_call_is_the_array_element(self, battery_curves):
+        rng = np.random.default_rng(4)
+        for c in battery_curves[1]:
+            x = np.concatenate((
+                [0.0, c.xs[1], c.x_max, c.x_max * (1.0 + 1e-12)],
+                c.xs[1] * rng.uniform(0.0, 1.0, 20),
+                rng.uniform(0.0, c.x_max, 40),
+                np.geomspace(c.xs[1], c.x_max, 40),
+            ))
+            scalars = np.array([c.eval(float(v)) for v in x])
+            assert scalars.tobytes() == c.eval(x).tobytes()
+
+
 class TestPushCurve:
     def test_canonical_seed_push_is_exact(self):
         rho = 0.01
@@ -66,11 +92,6 @@ class TestPushCurve:
         out, _ = push_curve(pert(c=0.1), seed_curve(rho, 256))
         pos = out.xs[1:]
         assert np.all(np.abs(out.fs[1:]) <= 0.1 * pos**3 * (1.0 + 1e-9))
-
-    def test_working_bound_guard(self):
-        seed = seed_curve(0.2, 128)
-        with pytest.raises(GuardError, match="working bound"):
-            push_curve(canon(), seed, max_x=0.1)
 
     def test_monotonicity_guard_trips(self):
         # an oscillating, steep curve under mu != 0 folds the image over
@@ -176,6 +197,19 @@ class TestInvarianceResidual:
             xhat = (np.sqrt(1.0 + 4.0 * xbar) - 1.0) / 2.0
             assert res == pytest.approx(0.1 * xhat**3, rel=1e-8)
         assert max_res > 0.0
+
+    @pytest.mark.parametrize("idx, shift", [(5, 1.05), (9, 0.9)])
+    def test_skips_exactly_the_samples_whose_image_falls_short(self, battery_curves, idx, shift):
+        # F - (shift/mu) x pulls the image abscissa x + x^2 + mu x F + ...
+        # below x wherever the cubic terms do not make up for it
+        m, c = battery_curves[0][idx], battery_curves[1][idx]
+        spoiled = Curve(c.xs, c.fs - (shift / m.mu) * c.xs)
+        with pytest.warns(UserWarning, match="no preimage"):
+            _, rep = invariance_residual(m, spoiled, samples=150)
+        sampled = np.sort(np.concatenate((rep.xs, rep.failures)))
+        short = [x for x in sampled if m.evaluator.values(x, spoiled.eval(x))[0] < x]
+        assert 0 < len(rep.failures) < sampled.size
+        assert list(rep.failures) == short
 
 
 class TestTangencyFit:

@@ -15,7 +15,13 @@ from invcurve import (
 )
 from invcurve import PlanarSeriesMap, Series2, parameterization
 from invcurve.graphtransform import Curve, graded_grid
-from oracles import acceptance_battery, manifold_jet, pert_jet_closed_form, random_form2_map
+from oracles import (
+    acceptance_battery,
+    graph_invariance_full_order,
+    manifold_jet,
+    pert_jet_closed_form,
+    random_form2_map,
+)
 
 
 class TestSquareMap:
@@ -185,6 +191,28 @@ class TestGraphInvariance:
         spoiled[4] += 1.0
         rep = graph_invariance_check(pert(c=0.1), Series1(tuple(spoiled)), 6)
         assert rep.coeff_diffs[4] >= 0.5
+
+    @pytest.mark.parametrize("order", [10, 12])
+    def test_reported_order_matches_the_full_order_rule(self, order):
+        # reversion re-polishes the lower coefficients at the rounding level
+        # in every sweep, so working at phi's order can end an ulp away: a
+        # shift of 1e-6 on every coefficient from t^3 on moves phi_tilde's
+        # t^8 coefficient by one ulp on map 5 at order 12, check order 9
+        for m in acceptance_battery():
+            phi = parameterize_manifold(m, order).phi
+            scaled = Series1(tuple(c * (1.0 + 1e-6) for c in phi.coeffs))
+            shifted = Series1(tuple(c + 1e-6 * (k >= 3) for k, c in enumerate(phi.coeffs)))
+            checks = range(3, order + 1)
+            for f in (phi, scaled):
+                got = [graph_invariance_check(m, f, k) for k in checks]
+                assert got == graph_invariance_full_order(m, f, checks)
+            refs = graph_invariance_full_order(m, shifted, checks)
+            for check, ref in zip(checks, refs):
+                rep = graph_invariance_check(m, shifted, check)
+                assert rep.max_coeff_diff == ref.max_coeff_diff
+                assert rep.subcubic_max == ref.subcubic_max
+                got, want = np.array(rep.phi_tilde.coeffs), np.array(ref.phi_tilde.coeffs)
+                assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
 
 class TestRepulsion:
