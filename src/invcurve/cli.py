@@ -74,7 +74,10 @@ def resolve_map(source: str) -> MapSpec:
                 key, _, val = item.partition("=")
                 if not _:
                     raise InvcurveError(f"bad builtin parameter {item!r}")
-                params[key.strip()] = float(val)
+                try:
+                    params[key.strip()] = float(val)
+                except ValueError as exc:
+                    raise InvcurveError(f"{name} parameter {item.strip()!r} is not a number") from exc
         if name == "CANON":
             result = canon(lam=params.pop("lambda", 1.0), mu=params.pop("mu", 0.0))
         elif name == "PERT":
@@ -88,7 +91,11 @@ def resolve_map(source: str) -> MapSpec:
         if params:
             raise InvcurveError(f"unknown parameter(s) {sorted(params)} for {name}")
         return result
-    return parse_map_spec(Path(source).read_text(encoding="utf-8"))
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvcurveError(f"cannot read map file {source!r}: {exc.strerror}") from exc
+    return parse_map_spec(text)
 
 
 # command-line flag -> SolverConfig field; an absent flag keeps the field's default
@@ -109,18 +116,18 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _emit(csv_text: str | None, report_text: str, out: str | None) -> None:
-    if csv_text is None:
-        if out:
-            Path(out).write_text(report_text, encoding="utf-8")
-        else:
-            sys.stdout.write(report_text)
-        return
+    # the CSV, or the report when there is none, goes to --out or stdout; a
+    # report beside a CSV goes to stdout or stderr respectively
+    data, note = (report_text, "") if csv_text is None else (csv_text, report_text)
     if out:
-        Path(out).write_text(csv_text, encoding="utf-8")
-        sys.stdout.write(report_text)
+        try:
+            Path(out).write_text(data, encoding="utf-8")
+        except OSError as exc:
+            raise InvcurveError(f"cannot write output file {out!r}: {exc.strerror}") from exc
+        sys.stdout.write(note)
     else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(report_text)
+        sys.stdout.write(data)
+        sys.stderr.write(note)
 
 
 def _report(pairs, text_lines=()) -> str:

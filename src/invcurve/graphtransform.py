@@ -39,15 +39,13 @@ reuses heap memory instead of mapping fresh pages every push:
 * the map is evaluated by its cached dense-matrix evaluator
   (`series.MapEvaluator`, `m.evaluator`): one matrix product of the stacked
   components with the power table of x, weighted by the power table of y;
-* the re-graph is a private Fritsch-Carlson PCHIP (Fritsch & Carlson, SIAM
-  J. Numer. Anal. 17, 1980) that builds and evaluates in one pass, with the
-  same slopes, coefficients and evaluation order as SciPy's
-  `PchipInterpolator` (`_pchip_regraph`);
 * a re-graph's grid is x_max times the unit grid computed once per solve,
   and a level carries raw (xs, fs) arrays, building one `Curve` when it
   ends.
 
-`Curve.eval`, the certify and query path, keeps SciPy's interpolator.
+One monotone cubic (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980),
+`PchipInterpolator`, serves both the re-graph and `Curve.eval`, the certify
+and query path, which caches one per curve.
 
 Certificates are measured, not assumed: suprema of x^(m-N) |F^(m)(x)| on the
 grid, the smallest observed dX/dx, and the drift constant
@@ -63,7 +61,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GuardError
@@ -91,6 +88,52 @@ def graded_grid(x_max: float, size: int) -> np.ndarray:
     pos[0] = GRID_SPAN
     pos[-1] = 1.0
     return x_max * np.concatenate(([0.0], pos))
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point estimate, clamped to keep the shape
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class PchipInterpolator:
+    """Monotone cubic (Fritsch-Carlson PCHIP) through (xk, yk), xk increasing.
+
+    Interior slopes are the weighted harmonic means of the neighbouring
+    secants (zero at a sign change or a flat secant), end slopes the
+    one-sided three-point estimates with SciPy's clamps; coefficients and
+    the evaluation order are SciPy's, so the values match its
+    PchipInterpolator bit for bit.  Queries must lie in [xk[0], xk[-1]].
+    """
+
+    def __init__(self, xk: np.ndarray, yk: np.ndarray):
+        h = xk[1:] - xk[:-1]
+        m = (yk[1:] - yk[:-1]) / h
+        d = np.empty_like(xk)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        sm = np.sign(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d[1:-1] = np.where(sm[1:] * sm[:-1] > 0.0, inner, 0.0)
+        d[0] = _end_slope(*h[:2].tolist(), *m[:2].tolist())
+        d[-1] = _end_slope(*h[:-3:-1].tolist(), *m[:-3:-1].tolist())
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        c1 = (m - d[:-1]) / h - t
+        # column k: left node, value, slope and the s^2, s^3 coefficients of interval k
+        self._inner = xk[1:-1]
+        self._cols = np.stack((xk[:-1], yk[:-1], d[:-1], c1, t / h))
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        # interval k holds xk[k] <= q < xk[k+1]; q = xk[-1] falls in the last one
+        x0, y0, d0, c1, c0 = self._cols[:, np.searchsorted(self._inner, q, side="right")]
+        s = q - x0
+        s2 = s * s
+        return y0 + d0 * s + c1 * s2 + c0 * (s2 * s)
 
 
 @dataclass(frozen=True)
@@ -127,7 +170,7 @@ class Curve:
 
     @cached_property
     def _interp(self) -> PchipInterpolator:
-        return PchipInterpolator(self.xs[1:], self.scaled, extrapolate=False)
+        return PchipInterpolator(self.xs[1:], self.scaled)
 
     def check_tangency_cap(self, cap: float) -> None:
         worst = float(np.max(np.abs(self.scaled)))
@@ -139,18 +182,15 @@ class Curve:
 
         Below the smallest positive node the scaled ordinate is held
         constant, which preserves the cubic tangency: the PCHIP is read at
-        xs[1], where Horner at s = 0 returns scaled[0] exactly.  A scalar
+        xs[1], where the cubic at s = 0 returns scaled[0] exactly.  A scalar
         runs as a 1-element array, so it rounds as the array element does.
         """
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any((arr < 0.0) | (arr > self.x_max * (1.0 + 1e-12))):
+        arr = np.array(x, dtype=float, ndmin=1)
+        if arr.size and (arr.min() < 0.0 or arr.max() > self.x_max * (1.0 + 1e-12)):
             raise ValueError("evaluation outside the curve domain")
         arr = np.minimum(arr, self.x_max)
         out = self._interp(np.maximum(arr, self.xs[1])) * arr**TANGENCY_POWER
-        if scalar:
-            return float(out[0])
-        return out
+        return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def seed_curve(rho: float, grid_size: int) -> Curve:
@@ -161,54 +201,6 @@ def seed_curve(rho: float, grid_size: int) -> Curve:
 # ---------------------------------------------------------------------------
 # push kernel: map evaluation and re-graph
 # ---------------------------------------------------------------------------
-
-
-def _sign(v: float) -> int:
-    return (v > 0.0) - (v < 0.0)
-
-
-def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    # one-sided three-point estimate, clamped to keep the shape
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if _sign(d) != _sign(m0):
-        return 0.0
-    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_regraph(xk: np.ndarray, yk: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-    """Monotone cubic (Fritsch-Carlson PCHIP) through (xk, yk), evaluated at q.
-
-    Interior slopes are the weighted harmonic means of the neighbouring
-    secants (zero at a sign change or a flat secant), end slopes the
-    one-sided three-point estimates with SciPy's clamps; coefficients and
-    the evaluation order are SciPy's, so the values match its
-    PchipInterpolator.  q must be increasing; returns None when it leaves
-    [xk[0], xk[-1]].
-    """
-    if not (xk[0] <= q[0] and q[-1] <= xk[-1]):
-        return None
-    h = xk[1:] - xk[:-1]
-    m = (yk[1:] - yk[:-1]) / h
-    d = np.empty_like(xk)
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    sm = np.sign(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    d[1:-1] = np.where(sm[1:] * sm[:-1] > 0.0, inner, 0.0)
-    d[0] = _end_slope(*h[:2].tolist(), *m[:2].tolist())
-    d[-1] = _end_slope(*h[:-3:-1].tolist(), *m[:-3:-1].tolist())
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c1 = (m - d[:-1]) / h - t
-    c0 = t / h
-    # interval k holds xk[k] <= q < xk[k+1]; q = xk[-1] falls in the last one
-    k = np.searchsorted(xk, q, side="right") - 1
-    np.minimum(k, xk.size - 2, out=k)
-    s = q - xk[k]
-    s2 = s * s
-    return yk[k] + d[k] * s + c1[k] * s2 + c0[k] * (s2 * s)
 
 
 class _PushKernel:
@@ -256,9 +248,10 @@ class _PushKernel:
         """The sampled graph through (X, Y) on X_max times the unit grid."""
         new_xs = float(big_x[-1]) * self.unit
         pos = big_x[1:]
-        scaled = big_y[1:] / pos**TANGENCY_POWER
-        new_scaled = _pchip_regraph(pos, scaled, new_xs[1:])
-        if new_scaled is None or not np.all(np.isfinite(new_scaled)):
+        if not (pos[0] <= new_xs[1] and new_xs[-1] <= pos[-1]):
+            raise GuardError("re-graph interpolation left the image range")
+        new_scaled = PchipInterpolator(pos, big_y[1:] / pos**TANGENCY_POWER)(new_xs[1:])
+        if not np.all(np.isfinite(new_scaled)):
             raise GuardError("re-graph interpolation left the image range")
         new_fs = np.empty_like(new_xs)
         new_fs[0] = 0.0

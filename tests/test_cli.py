@@ -58,6 +58,29 @@ class TestMapResolution:
         code, _, err = run_cli(capsys, "normalize", "--map", str(path))
         assert code == 1 and "line 2" in err
 
+    def test_builtin_parameter_that_is_not_a_number(self, capsys):
+        code, out, err = run_cli(capsys, "normalize", "--map", "builtin:CANON(lambda=abc)")
+        assert code == 1 and out == ""
+        assert err == "InvcurveError: CANON parameter 'lambda=abc' is not a number\n"
+
+
+class TestFileErrors:
+    def test_unreadable_map_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.spec")
+        for cmd in ("compare", "normalize"):
+            code, out, err = run_cli(capsys, cmd, "--map", missing)
+            assert code == 1 and out == ""
+            assert err.startswith(f"InvcurveError: cannot read map file {missing!r}: ")
+            assert err.count("\n") == 1
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        target = str(tmp_path / "nonexistent" / "x")
+        for cmd in ("normalize", "manifold-param"):
+            code, out, err = run_cli(capsys, cmd, "--map", "builtin:CANON", "--out", target)
+            assert code == 1 and out == ""
+            assert err.startswith(f"InvcurveError: cannot write output file {target!r}: ")
+            assert err.count("\n") == 1
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):

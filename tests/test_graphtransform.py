@@ -44,6 +44,7 @@ class TestGrid:
         assert c.eval(g[1] / 7.0) == pytest.approx(2.0 * (g[1] / 7.0) ** 3, rel=1e-9)
         with pytest.raises(ValueError, match="domain"):
             c.eval(0.2)
+        assert c.eval(np.array([])).shape == (0,)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,12 @@
 """The graph-transform push kernel against its references.
 
 The kernel evaluates the map with the map's dense-matrix evaluator and
-re-graphs with a private PCHIP; these tests hold the evaluator to the
-exactly summed terms and the PCHIP to SciPy, check that every push path
-gives the same curves, and hold the level loop, which carries pushed points
-forward, to the loop that re-graphs after every push.
+re-graphs with the package's one PCHIP, which `Curve.eval` reads too; these
+tests hold the evaluator to the exactly summed terms and the PCHIP, in the
+re-graph and in `Curve.eval`, to SciPy's bit for bit, check that every push
+path gives the same curves, and hold the level loop, which carries pushed
+points forward, to the loop that re-graphs after every push.  SciPy is the
+test-only oracle here; the package does not import `scipy.interpolate`.
 """
 
 import os
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator as ScipyPchip
 
 import invcurve
 from invcurve import (
@@ -23,6 +25,7 @@ from invcurve import (
     SolverConfig,
     format_map_spec,
     graded_grid,
+    graphtransform,
     pert,
     push_curve,
     rho_refinement,
@@ -30,9 +33,9 @@ from invcurve import (
     solve_manifold,
 )
 from invcurve.graphtransform import (
+    PchipInterpolator,
     _comparison_grid,
     _end_slope,
-    _pchip_regraph,
     _prepare,
     _PushKernel,
     _run_level,
@@ -100,25 +103,67 @@ def _end_clamp(h0, h1, m0, m1):
     return None
 
 
-def test_private_pchip_matches_scipy():
+def test_pchip_matches_scipy():
     rng = np.random.default_rng(2024)
     clamps = set()
     for x, y in _pchip_cases(rng):
         q = np.sort(rng.uniform(x[0], x[-1], 97))
         q[0], q[-1] = x[0], x[-1]
-        ref = PchipInterpolator(x, y, extrapolate=False)(q)
-        np.testing.assert_allclose(_pchip_regraph(x, y, q), ref, rtol=1e-13, atol=0)
+        q = np.concatenate((q, x))  # the nodes themselves, and unsorted queries
+        ref = ScipyPchip(x, y, extrapolate=False)(q)
+        np.testing.assert_array_equal(PchipInterpolator(x, y)(q), ref)
         h, m = np.diff(x), np.diff(y) / np.diff(x)
         clamps.add(_end_clamp(h[0], h[1], m[0], m[1]))
         clamps.add(_end_clamp(h[-1], h[-2], m[-1], m[-2]))
     assert {"zero", "three"} <= clamps
 
 
-def test_private_pchip_rejects_points_outside_the_data():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    y = np.array([0.0, 1.0, 0.5, 2.0])
-    assert _pchip_regraph(x, y, np.array([-0.1, 1.0])) is None
-    assert _pchip_regraph(x, y, np.array([1.0, 3.0 + 1e-12])) is None
+@pytest.mark.parametrize("idx", range(len(BATTERY)))
+def test_curve_eval_matches_scipy(idx):
+    curve, _, _ = _gt_solution(idx)
+    ref = ScipyPchip(curve.xs[1:], curve.scaled, extrapolate=False)
+    rng = np.random.default_rng(idx)
+    x = np.concatenate((
+        [0.0, curve.x_max, curve.x_max * (1.0 + 1e-12)],
+        curve.xs,
+        curve.xs[1] * rng.uniform(0.0, 1.0, 20),
+        rng.uniform(0.0, curve.x_max, 200),
+    ))
+    clamped = np.minimum(x, curve.x_max)
+    want = ref(np.maximum(clamped, curve.xs[1])) * clamped**3
+    np.testing.assert_array_equal(curve.eval(x), want)
+    np.testing.assert_array_equal([curve.eval(float(v)) for v in x[:60]], want[:60])
+
+
+def test_regraph_rejects_queries_outside_the_image():
+    kernel = _PushKernel(pert(), 64)
+    big_x = 0.01 * kernel.unit
+    big_y = 0.1 * big_x**3
+    np.testing.assert_allclose(kernel.regraph(big_x, big_y)[1], big_y, rtol=1e-15, atol=0)
+    # without the first positive image node, the grid's first positive node
+    # (1e-6 X_max) lies below the data
+    with pytest.raises(GuardError, match="left the image range"):
+        kernel.regraph(np.delete(big_x, 1), np.delete(big_y, 1))
+    big_y[5] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(GuardError, match="left the image range"):
+        kernel.regraph(big_x, big_y)
+
+
+def test_regraph_and_curve_eval_build_the_module_interpolator(monkeypatch):
+    # both look the class up by its module name, so a subclass bound there
+    # (a profiler's, say) sees every build
+    built = []
+
+    class Counting(PchipInterpolator):
+        def __init__(self, xk, yk):
+            built.append(xk.size)
+            super().__init__(xk, yk)
+
+    monkeypatch.setattr(graphtransform, "PchipInterpolator", Counting)
+    out, _ = push_curve(pert(), seed_curve(0.01, 64))
+    assert built == [63]
+    out.eval(0.005)
+    assert built == [63, 63]
 
 
 @pytest.mark.parametrize("m", [pert(c=0.1), BATTERY[2]])
@@ -235,3 +280,13 @@ def test_solve_makes_no_fresh_pages_per_push():
     pushes, faults = map(int, done.stdout.split())
     assert pushes > 200
     assert faults < 1000
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # in a fresh interpreter: this test module itself imports scipy.interpolate
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, invcurve.cli; print('scipy.interpolate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert done.stdout.split() == ["False"]
