@@ -74,8 +74,11 @@ def resolve_map(source: str) -> MapSpec:
                 key, _, val = item.partition("=")
                 if not _:
                     raise InvcurveError(f"bad builtin parameter {item!r}")
+                key = key.strip()
+                if key in params:
+                    raise InvcurveError(f"{name} parameter {key!r} is given twice")
                 try:
-                    params[key.strip()] = float(val)
+                    params[key] = float(val)
                 except ValueError as exc:
                     raise InvcurveError(f"{name} parameter {item.strip()!r} is not a number") from exc
         if name == "CANON":

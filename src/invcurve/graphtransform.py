@@ -45,7 +45,9 @@ reuses heap memory instead of mapping fresh pages every push:
 
 One monotone cubic (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980),
 `PchipInterpolator`, serves both the re-graph and `Curve.eval`, the certify
-and query path, which caches one per curve.
+and query path, which caches one per curve.  The invariance check solves
+every sample at once with `brentq`, Brent-Dekker bracketing on arrays with
+SciPy's steps, so the module needs NumPy only.
 
 Certificates are measured, not assumed: suprema of x^(m-N) |F^(m)(x)| on the
 grid, the smallest observed dX/dx, and the drift constant
@@ -61,7 +63,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GuardError
 from .mapdef import MapSpec
@@ -250,9 +251,15 @@ class _PushKernel:
         pos = big_x[1:]
         if not (pos[0] <= new_xs[1] and new_xs[-1] <= pos[-1]):
             raise GuardError("re-graph interpolation left the image range")
+        finite = np.isfinite(big_y)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise GuardError(
+                f"image ordinate Y = {big_y[bad]} is not finite at X = {big_x[bad]:.3g}"
+            )
         new_scaled = PchipInterpolator(pos, big_y[1:] / pos**TANGENCY_POWER)(new_xs[1:])
         if not np.all(np.isfinite(new_scaled)):
-            raise GuardError("re-graph interpolation left the image range")
+            raise GuardError("re-graph interpolation of Y/X^3 is not finite")
         new_fs = np.empty_like(new_xs)
         new_fs[0] = 0.0
         np.multiply(new_scaled, new_xs[1:] ** TANGENCY_POWER, out=new_fs[1:])
@@ -552,17 +559,100 @@ class InvarianceReport:
     failures: tuple[float, ...]
 
 
+def brentq(
+    f, a, b, *, xtol: float = 2e-12, rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100
+) -> np.ndarray:
+    """Roots of f in the brackets [a, b], one Brent-Dekker iteration per element.
+
+    a and b are numbers or 1-d arrays, broadcast together; the roots come
+    back as one 1-d array.  f(x, idx) returns f of the elements idx (an
+    index array into the brackets) at their points x; it is called only on
+    the elements still iterating.
+    Each element takes the steps of SciPy's brentq (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): keep the bracket
+    [xcur, xblk] with |f(xcur)| the smaller, try the secant or inverse
+    quadratic step, take it only under Brent's test (shorter than half the
+    step before last and than 3/4 of the bracket), else bisect, and never
+    move less than delta = (xtol + rtol |xcur|) / 2.  An element stops where
+    f vanishes or the half-bracket is below delta; an end where f vanishes
+    is the root.
+
+    Raises ValueError when f(a) and f(b) have the same sign or f returns
+    NaN, and ConvergenceError when elements still iterate after maxiter steps.
+    """
+
+    def values(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        fx = f(x, idx)
+        if np.isnan(fx).any():
+            raise ValueError(f"f is NaN at x = {x[np.isnan(fx)][0]:.17g}")
+        return fx
+
+    xpre, xcur = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b))
+    n = xcur.size
+    idx = np.arange(n)
+    fpre, fcur = values(xpre, idx), values(xcur, idx)
+    root = np.where(fpre == 0.0, xpre, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    same = int(np.count_nonzero(live & (np.signbit(fpre) == np.signbit(fcur))))
+    if same:
+        raise ValueError(f"f(a) and f(b) have the same sign in {same} of {n} brackets")
+    idx, xpre, xcur, fpre, fcur = idx[live], xpre[live], xcur[live], fpre[live], fcur[live]
+    xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
+    for _ in range(maxiter):
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        step = xcur - xpre
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        root[idx[done]] = xcur[done]
+        if done.all():
+            return root
+        if done.any():
+            live = ~done
+            idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[live] for v in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+
+        # both trial steps everywhere, as IEEE arithmetic gives them; a
+        # degenerate one is inf or NaN and fails the acceptance test
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quad = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, quad)
+        take = (
+            (np.abs(spre) > delta)
+            & (np.abs(fcur) < np.abs(fpre))
+            & (2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta))
+        )
+        spre, scur = np.where(take, scur, sbis), np.where(take, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
+        fcur = values(xcur, idx)
+    raise ConvergenceError(f"{idx.size} of {n} samples did not converge in {maxiter} iterations")
+
+
 def invariance_residual(
     m: MapSpec, c: Curve, samples: int = 200
 ) -> tuple[float, InvarianceReport]:
     """Defect of the invariance identity on [0, x_max/2].
 
     For each sample abscissa xbar, finds xhat in [0, xbar] with the X image
-    of (xhat, F(xhat)) equal to xbar (monotone root find) and measures
-    |F(xbar) - Y image|.  The image abscissa at 0 is 0, below xbar, so
-    brentq's sign test on the bracket decides a skip: a sample whose image
-    X(xbar, F(xbar)) lies below xbar has no preimage there, and it is
-    excluded from the maximum, reported and warned about.
+    of (xhat, F(xhat)) equal to xbar and measures |F(xbar) - Y image|.  The
+    image abscissa is monotone on [0, xbar] and 0 at 0, so a sample has a
+    preimage exactly when its image X(xbar, F(xbar)) is not below xbar.
+    One array sign test finds the samples without one; they are excluded
+    from the maximum, reported and warned about.  One `brentq` call solves
+    every other sample at once, to 4 eps relative.
     """
     half = c.x_max / 2.0
     nodes = c.xs[(c.xs > 0.0) & (c.xs <= half)]
@@ -572,31 +662,23 @@ def invariance_residual(
         idx = np.unique(np.linspace(0, nodes.size - 1, samples).astype(int))
         nodes = nodes[idx]
     ev = m.evaluator
-
-    def image_x(t: float, xbar: float) -> float:
-        return ev.values(t, c.eval(t))[0] - xbar
-
-    xs_ok: list[float] = []
-    res: list[float] = []
-    failures: list[float] = []
-    rtol = 4.0 * np.finfo(float).eps
-    for xbar in nodes:
-        try:
-            xhat = brentq(image_x, 0.0, xbar, args=(xbar,), rtol=rtol, xtol=1e-300)
-        except ValueError:
-            failures.append(float(xbar))
-            continue
-        y_img = ev.values(xhat, c.eval(xhat))[1]
-        xs_ok.append(float(xbar))
-        res.append(abs(c.eval(xbar) - y_img))
+    f_nodes = c.eval(nodes)
+    ok = ev.values(nodes, f_nodes)[0] >= nodes  # False for a NaN image too
+    xs_ok = nodes[ok]
+    failures = tuple(nodes[~ok].tolist())
     if failures:
         warnings.warn(
             f"{len(failures)} invariance samples had no preimage and were skipped",
             stacklevel=2,
         )
-    res_arr = np.array(res)
-    max_res = float(res_arr.max()) if res_arr.size else math.nan
-    return max_res, InvarianceReport(max_res, np.array(xs_ok), res_arr, tuple(failures))
+
+    def image_x(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return ev.values(t, c.eval(t))[0] - xs_ok[idx]
+
+    xhat = brentq(image_x, 0.0, xs_ok, xtol=1e-300)
+    res = np.abs(f_nodes[ok] - ev.values(xhat, c.eval(xhat))[1])
+    max_res = float(res.max()) if res.size else math.nan
+    return max_res, InvarianceReport(max_res, xs_ok, res, failures)
 
 
 def _decades(xs: np.ndarray) -> Iterator[tuple[float, float, np.ndarray]]:

@@ -249,6 +249,35 @@ def run_level_regraph_every_push(kernel, rho: float, cfg):
     return pushes, Curve(xs, fs)
 
 
+def invariance_residual_per_sample(m, c, samples: int):
+    """`graphtransform.invariance_residual` as one scalar SciPy brentq per sample.
+
+    Same samples, same bracket [0, xbar] and tolerances (4 eps relative),
+    same skip rule (SciPy's sign test on the bracket, or a NaN image).
+    Returns (xs, residuals, failures).
+    """
+    from scipy.optimize import brentq
+
+    half = c.x_max / 2.0
+    nodes = c.xs[(c.xs > 0.0) & (c.xs <= half)]
+    if nodes.size > samples:
+        nodes = nodes[np.unique(np.linspace(0, nodes.size - 1, samples).astype(int))]
+    ev = m.evaluator
+    xs, res, failures = [], [], []
+    for xbar in nodes:
+        try:
+            xhat = brentq(
+                lambda t: ev.values(t, c.eval(t))[0] - xbar,
+                0.0, xbar, rtol=4.0 * np.finfo(float).eps, xtol=1e-300,
+            )
+        except ValueError:
+            failures.append(float(xbar))
+            continue
+        xs.append(float(xbar))
+        res.append(abs(c.eval(xbar) - ev.values(xhat, c.eval(xhat))[1]))
+    return np.array(xs), np.array(res), tuple(failures)
+
+
 def eval_fsum(terms, x: float, y: float) -> tuple[float, float]:
     """sum c x^i y^j, each term rounded on its own and the terms summed
     exactly, together with sum |c x^i y^j|, the scale of its rounding."""

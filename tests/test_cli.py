@@ -63,6 +63,11 @@ class TestMapResolution:
         assert code == 1 and out == ""
         assert err == "InvcurveError: CANON parameter 'lambda=abc' is not a number\n"
 
+    def test_builtin_parameter_given_twice(self, capsys):
+        code, out, err = run_cli(capsys, "normalize", "--map", "builtin:CANON(lambda=1, lambda=2)")
+        assert code == 1 and out == ""
+        assert err == "InvcurveError: CANON parameter 'lambda' is given twice\n"
+
 
 class TestFileErrors:
     def test_unreadable_map_file(self, tmp_path, capsys):

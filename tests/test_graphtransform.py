@@ -19,8 +19,8 @@ from invcurve import (
     solve_manifold,
     tangency_fit,
 )
-from invcurve.graphtransform import _comparison_grid
-from oracles import acceptance_battery, flatten_map
+from invcurve.graphtransform import _comparison_grid, brentq
+from oracles import acceptance_battery, flatten_map, invariance_residual_per_sample
 
 
 class TestGrid:
@@ -211,6 +211,91 @@ class TestInvarianceResidual:
         short = [x for x in sampled if m.evaluator.values(x, spoiled.eval(x))[0] < x]
         assert 0 < len(rep.failures) < sampled.size
         assert list(rep.failures) == short
+
+    def test_matches_the_scalar_solve_on_the_battery(self, battery_curves):
+        for m, c in zip(*battery_curves):
+            max_res, rep = invariance_residual(m, c, samples=150)
+            xs, res, failures = invariance_residual_per_sample(m, c, 150)
+            assert rep.xs.tolist() == xs.tolist()
+            assert rep.failures == failures == ()
+            assert np.max(np.abs(rep.residuals - res)) <= 1e-18
+            assert max_res == float(rep.residuals.max())
+
+
+EPS = np.finfo(float).eps
+
+
+class TestBrentq:
+    """The array root finder against SciPy's scalar brentq, the oracle."""
+
+    @staticmethod
+    def _family(n: int):
+        # monotone increasing on [a, b]: a signed power, an exponential or a
+        # near-flat cubic around the root s, plus a small linear term
+        rng = np.random.default_rng(11)
+        kind = rng.integers(0, 3, n)
+        s = rng.uniform(-1.0, 1.0, n)
+        k = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        p = rng.integers(1, 8, n).astype(float)
+        a = s - 10.0 ** rng.uniform(-6.0, 0.5, n)
+        b = s + 10.0 ** rng.uniform(-6.0, 0.5, n)
+
+        def f(x, idx):
+            u = x - s[idx]
+            return np.select(
+                [kind[idx] == 0, kind[idx] == 1],
+                [np.sign(u) * k[idx] * np.abs(u) ** p[idx], np.expm1(np.minimum(k[idx], 10.0) * u)],
+                u**3 * k[idx],
+            ) + 1e-3 * u
+
+        return f, a, b
+
+    @pytest.mark.parametrize("xtol, rtol", [(2e-12, 4 * EPS), (1e-300, 4 * EPS), (1e-6, 1e-3)])
+    def test_matches_scipy_within_its_tolerance(self, xtol, rtol):
+        # same steps as SciPy's: each element is evaluated as often as
+        # SciPy evaluates it alone, and only while it still iterates
+        from scipy.optimize import brentq as scipy_brentq
+
+        f, a, b = self._family(300)
+        calls = np.zeros(a.size, dtype=int)
+
+        def counted(x, idx):
+            calls[idx] += 1
+            return f(x, idx)
+
+        roots = brentq(counted, a, b, xtol=xtol, rtol=rtol)
+        for i, (lo, hi) in enumerate(zip(a, b)):
+            one = np.array([i])
+            ref, info = scipy_brentq(
+                lambda x: f(np.array([x]), one)[0], lo, hi, xtol=xtol, rtol=rtol, full_output=True
+            )
+            assert abs(roots[i] - ref) <= xtol + rtol * abs(ref)
+            assert calls[i] == info.function_calls
+
+    def test_exact_root_at_either_end_is_returned_and_never_iterated(self):
+        a = np.array([-1.0, 0.0, -2.0, 1.0])
+        b = np.array([0.5, 3.0, 2.0, 4.0])
+        root_at = np.array([0.5, 0.0, 1.0 / 3.0, 4.0])  # at b, at a, inside, at b
+        seen = []
+
+        def f(x, idx):
+            seen.append(idx.copy())
+            return x - root_at[idx]
+
+        roots = brentq(f, a, b)
+        assert roots[0] == 0.5 and roots[1] == 0.0 and roots[3] == 4.0
+        assert abs(roots[2] - 1.0 / 3.0) <= 2e-12 + 4 * EPS / 3.0
+        assert all(list(idx) == [2] for idx in seen[2:])
+        assert brentq(lambda x, idx: x - 2.0, 0.0, 2.0).tolist() == [2.0]
+
+    def test_non_convergence_names_the_count(self):
+        f, a, b = self._family(40)
+        with pytest.raises(ConvergenceError, match=r"^\d+ of 40 samples did not converge in 3 "):
+            brentq(f, a, b, xtol=1e-300, maxiter=3)
+
+    def test_bracket_without_sign_change_is_rejected(self):
+        with pytest.raises(ValueError, match="same sign in 1 of 2 brackets"):
+            brentq(lambda x, idx: x - 0.5, np.array([0.0, 0.6]), np.array([1.0, 1.0]))
 
 
 class TestTangencyFit:
