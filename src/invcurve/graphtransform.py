@@ -74,6 +74,11 @@ TANGENCY_POWER = 3
 # a level re-graphs once the widest log-spacing of its carried abscissas
 # exceeds this many log-steps of the unit grid
 REGRAPH_SPREAD = 2.0
+# brentq stops an element once its half-bracket is below
+# (ROOT_XTOL + ROOT_RTOL |x|) / 2, or fails after ROOT_MAX_ITER steps
+ROOT_XTOL = 1e-300
+ROOT_RTOL = 4.0 * np.finfo(float).eps
+ROOT_MAX_ITER = 100
 
 
 def graded_grid(x_max: float, size: int) -> np.ndarray:
@@ -559,9 +564,7 @@ class InvarianceReport:
     failures: tuple[float, ...]
 
 
-def brentq(
-    f, a, b, *, xtol: float = 2e-12, rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100
-) -> np.ndarray:
+def brentq(f, a, b) -> np.ndarray:
     """Roots of f in the brackets [a, b], one Brent-Dekker iteration per element.
 
     a and b are numbers or 1-d arrays, broadcast together; the roots come
@@ -573,12 +576,13 @@ def brentq(
     [xcur, xblk] with |f(xcur)| the smaller, try the secant or inverse
     quadratic step, take it only under Brent's test (shorter than half the
     step before last and than 3/4 of the bracket), else bisect, and never
-    move less than delta = (xtol + rtol |xcur|) / 2.  An element stops where
-    f vanishes or the half-bracket is below delta; an end where f vanishes
-    is the root.
+    move less than delta = (ROOT_XTOL + ROOT_RTOL |xcur|) / 2.  An element
+    stops where f vanishes or the half-bracket is below delta; an end where
+    f vanishes is the root.
 
     Raises ValueError when f(a) and f(b) have the same sign or f returns
-    NaN, and ConvergenceError when elements still iterate after maxiter steps.
+    NaN, and ConvergenceError when elements still iterate after ROOT_MAX_ITER
+    steps.
     """
 
     def values(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -598,7 +602,7 @@ def brentq(
         raise ValueError(f"f(a) and f(b) have the same sign in {same} of {n} brackets")
     idx, xpre, xcur, fpre, fcur = idx[live], xpre[live], xcur[live], fpre[live], fcur[live]
     xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
-    for _ in range(maxiter):
+    for _ in range(ROOT_MAX_ITER):
         flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
         step = xcur - xpre
         xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
@@ -609,7 +613,7 @@ def brentq(
         fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
                             np.where(swap, fcur, fblk))
 
-        delta = (xtol + rtol * np.abs(xcur)) / 2.0
+        delta = (ROOT_XTOL + ROOT_RTOL * np.abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         done = (fcur == 0.0) | (np.abs(sbis) < delta)
         root[idx[done]] = xcur[done]
@@ -638,7 +642,9 @@ def brentq(
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
         fcur = values(xcur, idx)
-    raise ConvergenceError(f"{idx.size} of {n} samples did not converge in {maxiter} iterations")
+    raise ConvergenceError(
+        f"{idx.size} of {n} samples did not converge in {ROOT_MAX_ITER} iterations"
+    )
 
 
 def invariance_residual(
@@ -675,7 +681,7 @@ def invariance_residual(
     def image_x(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return ev.values(t, c.eval(t))[0] - xs_ok[idx]
 
-    xhat = brentq(image_x, 0.0, xs_ok, xtol=1e-300)
+    xhat = brentq(image_x, 0.0, xs_ok)
     res = np.abs(f_nodes[ok] - ev.values(xhat, c.eval(xhat))[1])
     max_res = float(res.max()) if res.size else math.nan
     return max_res, InvarianceReport(max_res, xs_ok, res, failures)
