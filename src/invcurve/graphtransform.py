@@ -192,7 +192,8 @@ class Curve:
         runs as a 1-element array, so it rounds as the array element does.
         """
         arr = np.array(x, dtype=float, ndmin=1)
-        if arr.size and (arr.min() < 0.0 or arr.max() > self.x_max * (1.0 + 1e-12)):
+        # written so that NaN, which fails every comparison, fails the check
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= self.x_max * (1.0 + 1e-12)):
             raise ValueError("evaluation outside the curve domain")
         arr = np.minimum(arr, self.x_max)
         out = self._interp(np.maximum(arr, self.xs[1])) * arr**TANGENCY_POWER
@@ -660,6 +661,8 @@ def invariance_residual(
     from the maximum, reported and warned about.  One `brentq` call solves
     every other sample at once, to 4 eps relative.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     half = c.x_max / 2.0
     nodes = c.xs[(c.xs > 0.0) & (c.xs <= half)]
     if nodes.size == 0:

@@ -36,7 +36,6 @@ from .mapdef import MapSpec, Point, invert_point, to_planar_series
 from .series import (
     PlanarSeriesMap,
     Series1,
-    Series2,
     compose_maps,
     invert_map_series,
     reverse_series,
@@ -99,21 +98,21 @@ def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
 
 # The residual of Psi(K) - K(R) sums products of inverse-series coefficients
 # that reach 1e5 and cancel to ~1e-10 in binary64, which would drown the
-# certified bound, so it runs on the same series core at np.longdouble (K and
-# R as series in x alone); the returned coefficients stay binary64.  The stage
-# unknowns enter the order-n residual linearly, with a matrix read off Psi's
-# low coefficients (the cohomological equation; Haro et al., The
-# Parameterization Method, 2016): one residual evaluation per stage sweep.
+# certified bound, so it runs on the same series core at np.longdouble (K a
+# pair of univariate series, R composed into K in one variable); the stage
+# increments stay binary64.  The stage unknowns enter the order-n residual
+# linearly, with a matrix read off Psi's low coefficients (the cohomological
+# equation; Haro et al., The Parameterization Method, 2016): one residual
+# evaluation per stage sweep.
 
 
 def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of t^0 .. t^order of Psi(K(t)) - K(R(t)), at psi's dtype."""
     n, dtype = psi.order, psi.fx.dtype
-    k1, k2 = Series2.in_x(a, n, dtype), Series2.in_x(b, n, dtype)
+    k1, k2 = (Series1.from_coeffs(c, n).astype(dtype) for c in (a, b))
     lhs = substitute([psi.fx, psi.fy], k1, k2)
-    model = Series2.in_x([0.0, 1.0, -2.0, d], n, dtype)
-    rhs = substitute([k1, k2], model, Series2.zero(n, dtype))
-    return tuple((u - v).x_coeffs() for u, v in zip(lhs, rhs))
+    model = Series1.from_coeffs([0.0, 1.0, -2.0, d], n)
+    return tuple(np.array((u - k.compose(model)).coeffs) for u, k in zip(lhs, (k1, k2)))
 
 
 def _stage_matrix(psi: PlanarSeriesMap, n: int) -> np.ndarray:
@@ -227,9 +226,7 @@ def graph_invariance_check(m: MapSpec, phi: Series1, order: int) -> GraphInvaria
     """
     work = max(order + 2, m.degree)
     inv = invert_map_series(to_planar_series(m, work))
-    t = Series1.identity(work)
-    phi_w = phi.truncate(work)
-    x_of_t, y_of_t = (s.eval_series(t, phi_w) for s in (inv.fx, inv.fy))
+    x_of_t, y_of_t = substitute([inv.fx, inv.fy], Series1.identity(work), phi.truncate(work))
     phi_tilde = y_of_t.compose(reverse_series(x_of_t)).truncate(order)
     diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))
     subcubic = max(abs(phi_tilde.coeff(k)) for k in range(min(3, order + 1)))

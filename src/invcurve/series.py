@@ -1,16 +1,16 @@
 """Truncated power-series arithmetic: univariate, bivariate, and planar maps.
 
-Univariate series are dense coefficient tuples.  A bivariate series is one
-dense triangular numpy array of the coefficients of x^i y^j, i + j <= order,
-in graded order (1; x, y; x^2, xy, y^2; ...), so truncation keeps a prefix;
-its dtype is a parameter (binary64 by default, `np.longdouble` where
-cancellation needs extended precision).  A product is one vectorised
-truncated 2-D convolution over a per-order table of term pairs (Brent &
-Kung, J. ACM 1978); substitution is Horner in y over the powers of the x
-substitute.  A planar map is a pair of bivariate series with no constant
-term and an invertible linear part.  Every operation truncates to the
-carrying order and returns a new immutable value, so series can be shared
-freely across threads.
+Both kinds of series share one dense core: an immutable numpy array of
+coefficients whose dtype is a parameter (binary64 by default, `np.longdouble`
+where cancellation needs extended precision).  A univariate series holds
+c_0 .. c_order; a bivariate one the coefficients of x^i y^j, i + j <= order,
+in graded order (1; x, y; x^2, xy, y^2; ...), so truncation keeps a prefix.
+A univariate product is one `np.convolve`, a bivariate one a vectorised
+truncated 2-D convolution over a per-order table of term pairs (Brent & Kung,
+J. ACM 1978); substitution is Horner in y over the powers of the x
+substitute, univariate or bivariate.  A planar map is a pair of bivariate
+series with no constant term and an invertible linear part.  Every operation
+returns a new immutable value, so series can be shared freely across threads.
 
 The module supplies the three nontrivial primitives the rest of the package
 is built on: composition of planar maps, local inversion of a planar map near
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,78 +40,138 @@ DEFAULT_ORDER = 12
 
 
 # ---------------------------------------------------------------------------
+# the dense core
+# ---------------------------------------------------------------------------
+
+
+S = TypeVar("S", bound="_Dense")
+
+
+class _Dense:
+    """What both series kinds do the same way on their coefficient array.
+
+    A subclass says how many array slots an order needs (`_slots`) and
+    supplies its constructor, coefficient access and product.
+    """
+
+    __slots__ = ("_c", "order")
+
+    @classmethod
+    def _wrap(cls: type[S], arr: np.ndarray, order: int) -> S:
+        out = object.__new__(cls)
+        arr.flags.writeable = False
+        object.__setattr__(out, "_c", arr)
+        object.__setattr__(out, "order", order)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self)._wrap, (self._c, self.order)
+
+    @classmethod
+    def zero(cls: type[S], order: int = DEFAULT_ORDER, dtype=np.float64) -> S:
+        return cls._wrap(np.zeros(cls._slots(order), dtype=dtype), order)
+
+    @classmethod
+    def constant(cls: type[S], value: float, order: int = DEFAULT_ORDER, dtype=np.float64) -> S:
+        arr = np.zeros(cls._slots(order), dtype=dtype)
+        arr[0] = value
+        return cls._wrap(arr, order)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self._c.dtype
+
+    def astype(self: S, dtype) -> S:
+        return self._wrap(self._c.astype(dtype), self.order)
+
+    def truncate(self: S, order: int) -> S:
+        arr = np.zeros(self._slots(order), dtype=self.dtype)
+        arr[: self._c.size] = self._c[: arr.size]  # the shorter prefix of the two
+        return self._wrap(arr, order)
+
+    def __eq__(self, other) -> bool:
+        same_order = type(other) is type(self) and other.order == self.order
+        return same_order and bool(np.array_equal(self._c, other._c))
+
+    def __add__(self: S, other: S) -> S:
+        n = min(self.order, other.order)
+        size = self._slots(n)
+        return self._wrap(self._c[:size] + other._c[:size], n)
+
+    def __sub__(self: S, other: S) -> S:
+        return self + (-other)
+
+    def __neg__(self: S) -> S:
+        return self._wrap(-self._c, self.order)
+
+    def scale(self: S, factor: float) -> S:
+        return self._wrap(self._c * factor, self.order)
+
+
+# ---------------------------------------------------------------------------
 # univariate series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Series1:
-    """Dense univariate series  c0 + c1 t + ... + c_order t^order."""
+class Series1(_Dense):
+    """Dense univariate series  c0 + c1 t + ... + c_order t^order.
 
-    coeffs: tuple[float, ...]
+    `Series1(coeffs)` takes the coefficients c0 .. c_order as binary64; a
+    longdouble series is `.astype(np.longdouble)` of one.  `coeffs` is the
+    tuple of all of them, Python floats at binary64.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple([float(c) for c in self.coeffs]))
-        if len(self.coeffs) == 0:
+    __slots__ = ()
+
+    @staticmethod
+    def _slots(order: int) -> int:
+        return order + 1
+
+    def __new__(cls, coeffs: Iterable[float]):
+        arr = np.array([float(c) for c in coeffs])
+        if arr.size == 0:
             raise SeriesError("Series1 needs at least the constant coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> Series1:
-        return cls((0.0,) * (order + 1))
+        return cls._wrap(arr, arr.size - 1)
 
     @classmethod
     def identity(cls, order: int = DEFAULT_ORDER) -> Series1:
-        c = [0.0] * (order + 1)
-        c[1] = 1.0
-        return cls(tuple(c))
+        return cls.from_coeffs([0.0, 1.0], order)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[float], order: int) -> Series1:
-        c = list(float(v) for v in coeffs)[: order + 1]
-        c += [0.0] * (order + 1 - len(c))
-        return cls(tuple(c))
+        c = [float(v) for v in coeffs][: order + 1]
+        return cls(c + [0.0] * (order + 1 - len(c)))
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self._c.tolist())
 
     def coeff(self, k: int) -> float:
-        return self.coeffs[k] if 0 <= k <= self.order else 0.0
-
-    def truncate(self, order: int) -> Series1:
-        return Series1.from_coeffs(self.coeffs, order)
-
-    def __add__(self, other: Series1) -> Series1:
-        n = min(self.order, other.order)
-        return Series1([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: Series1) -> Series1:
-        n = min(self.order, other.order)
-        return Series1([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __neg__(self) -> Series1:
-        return Series1([-c for c in self.coeffs])
-
-    def scale(self, factor: float) -> Series1:
-        return Series1([factor * c for c in self.coeffs])
+        return self._c[k].item() if 0 <= k <= self.order else 0.0
 
     def __mul__(self, other: Series1) -> Series1:
         n = min(self.order, other.order)
-        return Series1(tuple(np.convolve(self.coeffs[: n + 1], other.coeffs[: n + 1])[: n + 1]))
+        return Series1._wrap(np.convolve(self._c[: n + 1], other._c[: n + 1])[: n + 1], n)
 
     def compose(self, inner: Series1) -> Series1:
-        """self(inner(t)); inner must have zero constant term."""
+        """self(inner(t)), Horner at the wider dtype; inner must have zero constant term."""
         if inner.coeff(0) != 0.0:
             raise SeriesError(f"composition needs inner(0) = 0, got {inner.coeff(0)!r}")
         n = min(self.order, inner.order)
-        result = Series1.from_coeffs([self.coeff(n)], n)
+        c, t = self._c, inner._c[: n + 1]
+        acc = np.zeros(n + 1, dtype=np.result_type(self.dtype, inner.dtype))
+        acc[0] = c[n]
         for k in range(n - 1, -1, -1):
-            result = result * inner + Series1.from_coeffs([self.coeff(k)], n)
-        return result
+            acc = np.convolve(acc, t)[: n + 1]
+            acc[0] += c[k]
+        return Series1._wrap(acc, n)
 
     def eval(self, x):
         """Horner evaluation; accepts scalars or numpy arrays."""
-        acc = np.polyval(self.coeffs[::-1], np.asarray(x, dtype=float))
+        acc = np.polyval(self._c[::-1], np.asarray(x, dtype=float))
         return float(acc) if np.isscalar(x) else acc
 
 
@@ -131,15 +191,9 @@ def reverse_series(s: Series1) -> Series1:
         err = s.compose(g) - Series1.identity(k)
         g = g - err.scale(1.0 / a1)
     return g
-
-
 # ---------------------------------------------------------------------------
 # bivariate series
 # ---------------------------------------------------------------------------
-
-
-def _size(order: int) -> int:
-    return (order + 1) * (order + 2) // 2
 
 
 def _index(i, j):
@@ -170,7 +224,7 @@ def _tables(order: int) -> _Tables:
     return tables
 
 
-class Series2:
+class Series2(_Dense):
     """Dense bivariate series truncated at total degree `order`.
 
     `Series2(coeffs, order, dtype)` takes a mapping from (i, j) to the x^i
@@ -178,37 +232,19 @@ class Series2:
     canonical sparse view: no zero coefficients, no key beyond the order.
     """
 
-    __slots__ = ("_c", "order")
+    __slots__ = ()
+
+    @staticmethod
+    def _slots(order: int) -> int:
+        return (order + 1) * (order + 2) // 2
 
     def __new__(cls, coeffs: Mapping[tuple[int, int], float], order: int, dtype=np.float64):
-        arr = np.zeros(_size(order), dtype=dtype)
+        arr = np.zeros(cls._slots(order), dtype=dtype)
         for (i, j), val in coeffs.items():
             if min(i, j) < 0 or i + j > order:
                 raise SeriesError(f"key {(i, j)} is negative or exceeds truncation order {order}")
             arr[_index(i, j)] = val
         return cls._wrap(arr, order)
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray, order: int) -> Series2:
-        out = object.__new__(cls)
-        arr.flags.writeable = False
-        object.__setattr__(out, "_c", arr)
-        object.__setattr__(out, "order", order)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series2 is immutable")
-
-    def __reduce__(self):
-        return Series2._wrap, (self._c, self.order)
-
-    @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER, dtype=np.float64) -> Series2:
-        return cls({}, order, dtype)
-
-    @classmethod
-    def constant(cls, value: float, order: int = DEFAULT_ORDER, dtype=np.float64) -> Series2:
-        return cls({(0, 0): value}, order, dtype)
 
     @classmethod
     def x(cls, order: int = DEFAULT_ORDER) -> Series2:
@@ -223,27 +259,11 @@ class Series2:
         """Build from a raw table, silently dropping terms beyond the order."""
         return cls({k: v for k, v in terms.items() if k[0] + k[1] <= order}, order)
 
-    @classmethod
-    def in_x(cls, coeffs: Sequence[float], order: int, dtype=np.float64) -> Series2:
-        """The univariate series sum_k coeffs[k] x^k, truncated at the order."""
-        return cls({(k, 0): c for k, c in enumerate(coeffs) if k <= order}, order, dtype)
-
-    def x_coeffs(self) -> np.ndarray:
-        """The coefficients of x^0 .. x^order."""
-        return self._c[_index(np.arange(self.order + 1), 0)]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._c.dtype
-
     @property
     def coeffs(self) -> dict[tuple[int, int], float]:
         keys = _tables(self.order).keys
         nz = np.flatnonzero(self._c)
         return dict(zip([keys[k] for k in nz], self._c[nz].tolist()))
-
-    def astype(self, dtype) -> Series2:
-        return Series2._wrap(self._c.astype(dtype), self.order)
 
     def coeff(self, i: int, j: int) -> float:
         if i < 0 or j < 0 or i + j > self.order:
@@ -252,28 +272,6 @@ class Series2:
 
     def terms(self) -> list[tuple[tuple[int, int], float]]:
         return sorted(self.coeffs.items())
-
-    def truncate(self, order: int) -> Series2:
-        arr = np.zeros(_size(order), dtype=self.dtype)
-        arr[: self._c.size] = self._c[: arr.size]  # the shorter prefix of the two
-        return Series2._wrap(arr, order)
-
-    def __eq__(self, other) -> bool:
-        same_order = isinstance(other, Series2) and other.order == self.order
-        return same_order and bool(np.array_equal(self._c, other._c))
-
-    def __add__(self, other: Series2) -> Series2:
-        n = min(self.order, other.order)
-        return Series2._wrap(self._c[: _size(n)] + other._c[: _size(n)], n)
-
-    def __sub__(self, other: Series2) -> Series2:
-        return self + (-other)
-
-    def __neg__(self) -> Series2:
-        return Series2._wrap(-self._c, self.order)
-
-    def scale(self, factor: float) -> Series2:
-        return Series2._wrap(self._c * factor, self.order)
 
     def __mul__(self, other: Series2) -> Series2:
         n = min(self.order, other.order)
@@ -285,48 +283,45 @@ class Series2:
         """Coefficient matrix C[j, i] of x^i y^j through order n, trimmed to the
         highest powers present."""
         t = _tables(n)
-        arr = self._c[: _size(n)]
+        arr = self._c[: self._slots(n)]
         nz = np.flatnonzero(arr)
         ii, jj = t.ii[nz], t.jj[nz]
         mat = np.zeros((jj.max(initial=0) + 1, ii.max(initial=0) + 1), dtype=arr.dtype)
         mat[jj, ii] = arr[nz]
         return mat
 
-    def subst(self, sx: Series2, sy: Series2) -> Series2:
-        """Substitute x -> sx, y -> sy; both must have zero constant term."""
+    def subst(self, sx: S, sy: S) -> S:
+        """Substitute x -> sx, y -> sy: both univariate or both bivariate, with
+        zero constant terms; the result is of their kind."""
         return substitute([self], sx, sy)[0]
 
-    def eval_series(self, sx: Series1, sy: Series1) -> Series1:
-        """Substitute univariate series for x and y; zero constant terms required."""
-        n = min(self.order, sx.order, sy.order)
-        out = self.subst(Series2.in_x(sx.coeffs, n), Series2.in_x(sy.coeffs, n))
-        return Series1(tuple(out.x_coeffs()))
 
-
-def substitute(parts: Sequence[Series2], sx: Series2, sy: Series2) -> list[Series2]:
+def substitute(parts: Sequence[Series2], sx: S, sy: S) -> list[S]:
     """Each series of `parts` with x -> sx, y -> sy (zero constant terms).
 
-    The powers of sx are formed once for all parts; each part is then Horner
-    in y over the linear combinations sum_i c_ij sx^i.
+    The substitutes are both univariate or both bivariate, and so is each
+    result.  The powers of sx are formed once for all parts; each part is
+    then Horner in y over the linear combinations sum_i c_ij sx^i.
     """
-    cx, cy = sx.coeff(0, 0), sy.coeff(0, 0)
+    cx, cy = sx._c[0].item(), sy._c[0].item()
     if cx != 0.0 or cy != 0.0:
         raise SeriesError(
             f"substitution needs zero constant terms, got x -> {cx!r} and y -> {cy!r}"
         )
+    kind = type(sx)
     n = min(sx.order, sy.order, *(p.order for p in parts))
     mats = [p._by_powers(n) for p in parts]
     dtype = np.result_type(sx.dtype, sy.dtype, *(p.dtype for p in parts))
-    powers = [Series2.constant(1.0, n, dtype)]
+    powers = [kind.constant(1.0, n, dtype)]
     for _ in range(max(m.shape[1] for m in mats) - 1):
         powers.append(powers[-1] * sx)
     table = np.stack([p._c for p in powers])
     out = []
     for mat in mats:
         rows = mat @ table[: mat.shape[1]]
-        acc = Series2._wrap(rows[-1], n)
+        acc = kind._wrap(rows[-1], n)
         for row in rows[-2::-1]:
-            acc = Series2._wrap((acc * sy)._c + row, n)
+            acc = kind._wrap((acc * sy)._c + row, n)
         out.append(acc)
     return out
 

@@ -200,6 +200,43 @@ def reverse_series_full(s):
     return g
 
 
+def _residual_sides(fx, fy, a, b, model) -> tuple[list, list]:
+    """The x-coefficients of Psi(K) and of K(R), with K = (a, b) and R = model
+    carried as bivariate series in x alone."""
+    from invcurve.series import Series2, substitute
+
+    n, dtype = fx.order, fx.dtype
+
+    def on_x(coeffs):
+        return Series2({(k, 0): c for k, c in enumerate(coeffs) if k <= n}, n, dtype)
+
+    k1, k2 = on_x(a), on_x(b)
+    lhs = substitute([fx, fy], k1, k2)
+    rhs = substitute([k1, k2], on_x(model), Series2.zero(n, dtype))
+    return [[np.array([s.coeff(k, 0) for k in range(n + 1)]) for s in side] for side in (lhs, rhs)]
+
+
+def conjugacy_residual_bivariate(psi, a, b, d: float) -> tuple:
+    """`parameterization._conjugacy_residual` with the univariate series K and R
+    carried inside bivariate ones, the form it had before `Series1` shared the
+    dense core."""
+    lhs, rhs = _residual_sides(psi.fx, psi.fy, a, b, [0.0, 1.0, -2.0, d])
+    return tuple(u - v for u, v in zip(lhs, rhs))
+
+
+def conjugacy_residual_magnitude(psi, a, b, d: float) -> tuple:
+    """Per coefficient of the residual, the sum of the magnitudes its rounding
+    acts on: both sides evaluated on absolute values."""
+    from invcurve import Series2
+
+    def mag(s):
+        return Series2({k: abs(v) for k, v in s.coeffs.items()}, s.order, s.dtype)
+
+    absolute = [[abs(c) for c in cs] for cs in (a, b, [0.0, 1.0, -2.0, d])]
+    lhs, rhs = _residual_sides(mag(psi.fx), mag(psi.fy), *absolute)
+    return tuple(u + v for u, v in zip(lhs, rhs))
+
+
 def graph_invariance_full_order(m, phi, orders) -> list:
     """`graph_invariance_check` reports at each check order, with the series
     worked at max(order + 2, phi.order), phi's own order, instead of two
@@ -220,7 +257,7 @@ def graph_invariance_full_order(m, phi, orders) -> list:
         if work not in graphs:
             inv = invert_map_series(to_planar_series(m, work))
             t, phi_w = Series1.identity(work), phi.truncate(work)
-            x_of_t, y_of_t = (s.eval_series(t, phi_w) for s in (inv.fx, inv.fy))
+            x_of_t, y_of_t = (s.subst(t, phi_w) for s in (inv.fx, inv.fy))
             graphs[work] = y_of_t.compose(reverse_series(x_of_t))
         phi_tilde = graphs[work].truncate(order)
         diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))

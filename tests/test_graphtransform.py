@@ -47,6 +47,13 @@ class TestGrid:
             c.eval(0.2)
         assert c.eval(np.array([])).shape == (0,)
 
+    def test_eval_rejects_nan(self):
+        c = seed_curve(0.05, 64)
+        with pytest.raises(ValueError, match="outside the curve domain"):
+            c.eval(float("nan"))
+        with pytest.raises(ValueError, match="outside the curve domain"):
+            c.eval(np.array([0.0, np.nan, 0.01]))
+
 
 @pytest.fixture(scope="module")
 def battery_curves():
@@ -184,6 +191,11 @@ def _fast_cfg(**overrides) -> SolverConfig:
 
 
 class TestInvarianceResidual:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_is_rejected(self, samples):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            invariance_residual(pert(c=0.1), seed_curve(0.05, 64), samples=samples)
+
     def test_flat_curve_under_canonical_map(self):
         curve, _, _ = solve_manifold(canon(), _fast_cfg())
         max_res, rep = invariance_residual(canon(), curve, samples=80)

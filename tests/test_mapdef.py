@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invcurve import (
     MapFormatError,
@@ -13,6 +15,26 @@ from invcurve import (
     parse_map_spec,
     pert,
     to_planar_series,
+)
+
+# admissible maps: the quadratic skeleton with lambda > 0 and any mu, plus
+# terms of degree 3 to 6 whose coefficients range over every finite binary64
+# magnitude, subnormals and the largest included
+finite = st.floats(allow_nan=False, allow_infinity=False)
+high_terms = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda ij: 3 <= sum(ij) <= 6),
+    finite,
+    max_size=8,
+)
+admissible_maps = st.builds(
+    lambda lam, mu, x_high, y_high: MapSpec(
+        {**x_high, (1, 0): 1.0, (2, 0): 1.0, (1, 1): mu},
+        {**y_high, (0, 1): -1.0, (1, 1): lam},
+    ),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    finite,
+    high_terms,
+    high_terms,
 )
 
 CANON_TEXT = """
@@ -55,10 +77,13 @@ class TestParsing:
         with pytest.raises(MapValidationError):
             parse_map_spec("X 1 0 1\nY 0 1 -1\nY 1 1 1\n")  # no x^2 term
 
-    def test_format_round_trip(self):
-        m = pert(1.25, -0.5, 0.07)
+    @example(pert(1.25, -0.5, 0.07))
+    @example(pert(5e-324, -1.7976931348623157e308, 1e-310))
+    @settings(max_examples=200, deadline=None)
+    @given(admissible_maps)
+    def test_format_round_trip(self, m):
         again = parse_map_spec(format_map_spec(m))
-        assert again.x_terms == m.x_terms and again.y_terms == m.y_terms
+        assert again == m  # zero coefficients are dropped, so == is exact
 
 
 class TestEvaluation:

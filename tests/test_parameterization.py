@@ -17,6 +17,8 @@ from invcurve import PlanarSeriesMap, Series2, parameterization
 from invcurve.graphtransform import Curve, graded_grid
 from oracles import (
     acceptance_battery,
+    conjugacy_residual_bivariate,
+    conjugacy_residual_magnitude,
     graph_invariance_full_order,
     manifold_jet,
     pert_jet_closed_form,
@@ -171,6 +173,32 @@ class TestStageSystems:
         # two sweeps for each order 3..order, then the final full-order residual
         expected = [n for n in range(3, order + 1) for _ in range(2)] + [order]
         assert calls == expected
+
+
+@pytest.fixture(scope="module")
+def battery_solves():
+    """(psi, conjugacy result) on the 12 battery maps at orders 10 and 12."""
+    psis = [build_psi(m, n) for m in acceptance_battery(1729) for n in (10, 12)]
+    return [(psi, solve_conjugacy(psi, psi.order)) for psi in psis]
+
+
+class TestConjugacyResidual:
+    def test_matches_the_bivariate_residual_on_the_battery(self, battery_solves):
+        eps = np.finfo(np.longdouble).eps
+        for psi, conj in battery_solves:
+            args = (psi.astype(np.longdouble), conj.K1.coeffs, conj.K2.coeffs, conj.d)
+            got = parameterization._conjugacy_residual(*args)
+            want = conjugacy_residual_bivariate(*args)
+            bound = conjugacy_residual_magnitude(*args)
+            for g, w, b in zip(got, want, bound):
+                assert g.dtype == np.longdouble
+                assert np.all(np.abs(g - w) <= 64 * eps * b), (psi.order, g - w)
+
+    def test_solve_is_unchanged_by_the_bivariate_residual(self, battery_solves, monkeypatch):
+        monkeypatch.setattr(parameterization, "_conjugacy_residual", conjugacy_residual_bivariate)
+        for psi, conj in battery_solves:
+            ref = solve_conjugacy(psi, psi.order)
+            assert (ref.K1, ref.K2, ref.d, ref.phi) == (conj.K1, conj.K2, conj.d, conj.phi)
 
 
 class TestGraphInvariance:

@@ -70,7 +70,13 @@ class TestSeries2Arithmetic:
             Series2({(5, 5): 1.0}, 8)
 
     def test_pickle_and_deepcopy_round_trip(self):
-        for s in (series2({(2, 1): 0.5, (0, 3): -2.0}), Series2.x(6).astype(np.longdouble)):
+        third = Series1.identity(6).astype(np.longdouble).scale(np.longdouble(1) / 3)
+        for s in (
+            series2({(2, 1): 0.5, (0, 3): -2.0}),
+            Series2.x(6).astype(np.longdouble),
+            Series1.from_coeffs([0.0, 1.0, -0.5], 4),
+            third,
+        ):
             for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
                 assert back == s and back.dtype == s.dtype
 
@@ -264,6 +270,21 @@ ref_tables = st.dictionaries(ref_keys, unit_coeffs, max_size=8)
 ref_substitutes = st.dictionaries(
     ref_keys.filter(lambda ij: ij != (0, 0)), unit_coeffs, max_size=6
 )
+ref_lists = st.lists(unit_coeffs, min_size=1, max_size=REF_ORDER + 1)
+ref_tails = st.lists(unit_coeffs, min_size=REF_ORDER, max_size=REF_ORDER)
+
+
+def _on_x(coeffs) -> dict:
+    """Univariate coefficients c_0, c_1, ... as a table on the keys (k, 0)."""
+    return {(k, 0): c for k, c in enumerate(coeffs)}
+
+
+def _series1(coeffs, dtype) -> Series1:
+    return Series1.from_coeffs(coeffs, REF_ORDER).astype(dtype)
+
+
+def _table(s) -> dict:
+    return s.coeffs if isinstance(s, Series2) else _on_x(s.coeffs)
 
 
 def _typed(table: dict, dtype) -> dict:
@@ -286,13 +307,33 @@ def _assert_close(got: dict, want: dict, bound: dict, dtype) -> None:
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @settings(max_examples=40, deadline=None)
-@given(ref_tables, ref_tables)
-def test_dense_product_matches_dict_reference(dtype, a, b):
-    got = Series2(a, REF_ORDER, dtype) * Series2(b, REF_ORDER, dtype)
+@given(ref_tables, ref_tables, ref_lists, ref_lists)
+def test_dense_product_matches_dict_reference(dtype, a, b, u, v):
+    for got, left, right in (
+        (Series2(a, REF_ORDER, dtype) * Series2(b, REF_ORDER, dtype), a, b),
+        (_series1(u, dtype) * _series1(v, dtype), _on_x(u), _on_x(v)),
+    ):
+        assert got.dtype == dtype
+        want = dict_mul(_typed(left, dtype), _typed(right, dtype), REF_ORDER)
+        bound = dict_mul(_absolute(left, dtype), _absolute(right, dtype), REF_ORDER)
+        _assert_close(_table(got), want, bound, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=30, deadline=None)
+@given(ref_lists, ref_tails, st.booleans())
+def test_univariate_composition_matches_dict_reference(dtype, f, g, wide_outer):
+    # the composition runs at the wider dtype of its two operands
+    narrow = np.float64
+    outer = _series1(f, dtype if wide_outer else narrow)
+    inner = _series1((0.0, *g), narrow if wide_outer else dtype)
+    got = outer.compose(inner)
     assert got.dtype == dtype
-    want = dict_mul(_typed(a, dtype), _typed(b, dtype), REF_ORDER)
-    bound = dict_mul(_absolute(a, dtype), _absolute(b, dtype), REF_ORDER)
-    _assert_close(got.coeffs, want, bound, dtype)
+    want = dict_subst(_typed(_on_x(f), dtype), _typed(_on_x((0.0, *g)), dtype), {}, REF_ORDER)
+    bound = dict_subst(
+        _absolute(_on_x(f), dtype), _absolute(_on_x((0.0, *g)), dtype), {}, REF_ORDER
+    )
+    _assert_close(_table(got), want, bound, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -312,25 +353,20 @@ def test_horner_substitution_matches_dict_reference(dtype, f, sx, sy):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @settings(max_examples=30, deadline=None)
-@given(
-    ref_tables,
-    st.lists(unit_coeffs, min_size=REF_ORDER, max_size=REF_ORDER),
-    st.lists(unit_coeffs, min_size=REF_ORDER, max_size=REF_ORDER),
-)
+@given(ref_tables, ref_tails, ref_tails)
 def test_series_evaluation_matches_dict_reference(dtype, f, sx, sy):
-    got = Series2(f, REF_ORDER, dtype).eval_series(
-        Series1((0.0, *sx)), Series1((0.0, *sy))
+    sx, sy = (0.0, *sx), (0.0, *sy)
+    got = Series2(f, REF_ORDER, dtype).subst(
+        Series1(sx).astype(dtype), Series1(sy).astype(dtype)
     )
-    as_x = lambda cs: {(k, 0): c for k, c in enumerate(cs, start=1)}  # noqa: E731
+    assert got.dtype == dtype
     want = dict_subst(
-        _typed(f, dtype), _typed(as_x(sx), dtype), _typed(as_x(sy), dtype), REF_ORDER
+        _typed(f, dtype), _typed(_on_x(sx), dtype), _typed(_on_x(sy), dtype), REF_ORDER
     )
     bound = dict_subst(
-        _absolute(f, dtype), _absolute(as_x(sx), dtype), _absolute(as_x(sy), dtype), REF_ORDER
+        _absolute(f, dtype), _absolute(_on_x(sx), dtype), _absolute(_on_x(sy), dtype), REF_ORDER
     )
-    got_table = {(k, 0): c for k, c in enumerate(got.coeffs)}
-    # the result is binary64 whatever the working precision
-    _assert_close(got_table, want, bound, np.float64)
+    _assert_close(_table(got), want, bound, dtype)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
