@@ -103,7 +103,11 @@ def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
 # increments stay binary64.  The stage unknowns enter the order-n residual
 # linearly, with a matrix read off Psi's low coefficients (the cohomological
 # equation; Haro et al., The Parameterization Method, 2016): one residual
-# evaluation per stage sweep.
+# evaluation per stage sweep.  Psi becomes longdouble once per solve and is
+# truncated once per stage, so both sweeps share its substitution matrices.
+# The substitution multiplies raw arrays with the series core's product
+# kernels and skips the powers a substitute's valuation puts beyond the
+# order: K2 = O(t^3), so its Horner chain takes n // 3 steps, 4 at order 12.
 
 
 def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +116,7 @@ def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d: float) -> tuple[np.ndarra
     k1, k2 = (Series1.from_coeffs(c, n).astype(dtype) for c in (a, b))
     lhs = substitute([psi.fx, psi.fy], k1, k2)
     model = Series1.from_coeffs([0.0, 1.0, -2.0, d], n)
-    return tuple(np.array((u - k.compose(model)).coeffs) for u, k in zip(lhs, (k1, k2)))
+    return tuple(u._c - k.compose(model)._c for u, k in zip(lhs, (k1, k2)))
 
 
 def _stage_matrix(psi: PlanarSeriesMap, n: int) -> np.ndarray:
@@ -163,9 +167,10 @@ def solve_conjugacy(
     # the order-n equations involve nothing beyond order n, so each stage
     # works at its own order; two sweeps per order, the second polishes the
     # binary64 increments
+    psi_ld = psi.astype(np.longdouble)
     for n in range(3, order + 1):
         mat = _stage_matrix(psi, n)
-        psi_n = psi.truncate(n).astype(np.longdouble)
+        psi_n = psi_ld.truncate(n)  # its substitution matrices serve both sweeps
         for _ in range(2):
             r1, r2 = _conjugacy_residual(psi_n, a, b, d)
             rhs = -np.array([r1[n], r2[n]], dtype=float)
@@ -181,7 +186,7 @@ def solve_conjugacy(
                 a[n - 1] += float(sol[0])
                 b[n - 1] += float(sol[1])
 
-    r1, r2 = _conjugacy_residual(psi.truncate(order).astype(np.longdouble), a, b, d)
+    r1, r2 = _conjugacy_residual(psi_n, a, b, d)  # psi_n is at `order` now
     residual_max = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     if residual_max > 1e-10 * scale:
         raise ConjugacyError(

@@ -7,10 +7,18 @@ c_0 .. c_order; a bivariate one the coefficients of x^i y^j, i + j <= order,
 in graded order (1; x, y; x^2, xy, y^2; ...), so truncation keeps a prefix.
 A univariate product is one `np.convolve`, a bivariate one a vectorised
 truncated 2-D convolution over a per-order table of term pairs (Brent & Kung,
-J. ACM 1978); substitution is Horner in y over the powers of the x
-substitute, univariate or bivariate.  A planar map is a pair of bivariate
-series with no constant term and an invertible linear part.  Every operation
-returns a new immutable value, so series can be shared freely across threads.
+J. ACM 1978).  Both are raw kernels on coefficient arrays (`_mul1`, `_mul2`):
+the `*` operators wrap them, and substitution calls them directly.
+Substitution is Horner in y over the powers of the x substitute, univariate
+or bivariate, on raw arrays; it wraps only its results, apart from the powers
+of a bivariate substitute, which are `Series2` products.  It skips the
+powers that cannot reach the truncation order n: sx^i once i val(sx) > n and
+sy^j once j val(sy) > n, where val is the degree of the lowest nonzero term
+(a substitute zero everywhere keeps only the zeroth power).  The skipped
+terms would only add exact zeros, so the results are unchanged up to the
+sign of a zero.  A planar map is a pair of bivariate series with no constant
+term and an invertible linear part.  Every operation returns a new immutable
+value, so series can be shared freely across threads.
 
 The module supplies the three nontrivial primitives the rest of the package
 is built on: composition of planar maps, local inversion of a planar map near
@@ -29,6 +37,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
+from math import isqrt
 from operator import mul
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -116,6 +125,11 @@ class _Dense:
 # ---------------------------------------------------------------------------
 
 
+def _mul1(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Raw univariate product kernel: c_0 .. c_n of a b."""
+    return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
+
+
 class Series1(_Dense):
     """Dense univariate series  c0 + c1 t + ... + c_order t^order.
 
@@ -125,10 +139,15 @@ class Series1(_Dense):
     """
 
     __slots__ = ()
+    _mul = staticmethod(_mul1)
 
     @staticmethod
     def _slots(order: int) -> int:
         return order + 1
+
+    @staticmethod
+    def _degree(slot: int) -> int:
+        return slot
 
     def __new__(cls, coeffs: Iterable[float]):
         arr = np.array([float(c) for c in coeffs])
@@ -154,7 +173,7 @@ class Series1(_Dense):
 
     def __mul__(self, other: Series1) -> Series1:
         n = min(self.order, other.order)
-        return Series1._wrap(np.convolve(self._c[: n + 1], other._c[: n + 1])[: n + 1], n)
+        return Series1._wrap(_mul1(self._c, other._c, n), n)
 
     def compose(self, inner: Series1) -> Series1:
         """self(inner(t)), Horner at the wider dtype; inner must have zero constant term."""
@@ -165,7 +184,7 @@ class Series1(_Dense):
         acc = np.zeros(n + 1, dtype=np.result_type(self.dtype, inner.dtype))
         acc[0] = c[n]
         for k in range(n - 1, -1, -1):
-            acc = np.convolve(acc, t)[: n + 1]
+            acc = _mul1(acc, t, n)
             acc[0] += c[k]
         return Series1._wrap(acc, n)
 
@@ -224,6 +243,12 @@ def _tables(order: int) -> _Tables:
     return tables
 
 
+def _mul2(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Raw bivariate product kernel: the slots through order n of a b."""
+    t = _tables(n)
+    return np.add.reduceat(a[t.left] * b[t.right], t.starts)
+
+
 class Series2(_Dense):
     """Dense bivariate series truncated at total degree `order`.
 
@@ -232,11 +257,16 @@ class Series2(_Dense):
     canonical sparse view: no zero coefficients, no key beyond the order.
     """
 
-    __slots__ = ()
+    __slots__ = ("_mat",)  # the `_by_powers` matrix at the series' own order
+    _mul = staticmethod(_mul2)
 
     @staticmethod
     def _slots(order: int) -> int:
         return (order + 1) * (order + 2) // 2
+
+    @staticmethod
+    def _degree(slot: int) -> int:
+        return (isqrt(8 * slot + 1) - 1) // 2
 
     def __new__(cls, coeffs: Mapping[tuple[int, int], float], order: int, dtype=np.float64):
         arr = np.zeros(cls._slots(order), dtype=dtype)
@@ -275,19 +305,23 @@ class Series2(_Dense):
 
     def __mul__(self, other: Series2) -> Series2:
         n = min(self.order, other.order)
-        t = _tables(n)
-        prod = self._c[t.left] * other._c[t.right]
-        return Series2._wrap(np.add.reduceat(prod, t.starts), n)
+        return Series2._wrap(_mul2(self._c, other._c, n), n)
 
     def _by_powers(self, n: int) -> np.ndarray:
         """Coefficient matrix C[j, i] of x^i y^j through order n, trimmed to the
-        highest powers present."""
+        highest powers present.  At the series' own order it is built once and
+        kept, so repeated substitutions into one series share it."""
+        if n == self.order and hasattr(self, "_mat"):
+            return self._mat
         t = _tables(n)
         arr = self._c[: self._slots(n)]
         nz = np.flatnonzero(arr)
         ii, jj = t.ii[nz], t.jj[nz]
         mat = np.zeros((jj.max(initial=0) + 1, ii.max(initial=0) + 1), dtype=arr.dtype)
         mat[jj, ii] = arr[nz]
+        mat.flags.writeable = False
+        if n == self.order:
+            object.__setattr__(self, "_mat", mat)
         return mat
 
     def subst(self, sx: S, sy: S) -> S:
@@ -296,33 +330,59 @@ class Series2(_Dense):
         return substitute([self], sx, sy)[0]
 
 
+def _reach(s: _Dense, n: int) -> int:
+    """The highest power of s (zero constant term) that is nonzero through
+    order n: n // val(s), with val the degree of its lowest nonzero term, and
+    0 for a series that is zero everywhere."""
+    nz = np.flatnonzero(s._c)
+    return n // s._degree(nz[0]) if nz.size else 0
+
+
 def substitute(parts: Sequence[Series2], sx: S, sy: S) -> list[S]:
     """Each series of `parts` with x -> sx, y -> sy (zero constant terms).
 
     The substitutes are both univariate or both bivariate, and so is each
-    result.  The powers of sx are formed once for all parts; each part is
-    then Horner in y over the linear combinations sum_i c_ij sx^i.
+    result.  The powers of sx are formed once for all parts, as the rows of
+    one array; each part is then Horner in y over the linear combinations
+    sum_i c_ij sx^i, on raw arrays, and only the results are wrapped (and
+    the powers of a bivariate sx, which are `Series2` products).  Powers
+    that start beyond the order are skipped: sx^i once i val(sx) > order,
+    sy^j once j val(sy) > order.  They would only add exact zeros.
     """
+    kind = type(sx)
+    if type(sy) is not kind or kind not in (Series1, Series2):
+        raise SeriesError(
+            "substitution needs two univariate or two bivariate substitutes, "
+            f"got x -> {kind.__name__} and y -> {type(sy).__name__}"
+        )
+    if not parts:
+        raise SeriesError("substitution needs at least one series to substitute into")
     cx, cy = sx._c[0].item(), sy._c[0].item()
     if cx != 0.0 or cy != 0.0:
         raise SeriesError(
             f"substitution needs zero constant terms, got x -> {cx!r} and y -> {cy!r}"
         )
-    kind = type(sx)
     n = min(sx.order, sy.order, *(p.order for p in parts))
     mats = [p._by_powers(n) for p in parts]
     dtype = np.result_type(sx.dtype, sy.dtype, *(p.dtype for p in parts))
-    powers = [kind.constant(1.0, n, dtype)]
-    for _ in range(max(m.shape[1] for m in mats) - 1):
-        powers.append(powers[-1] * sx)
-    table = np.stack([p._c for p in powers])
+    top_x = min(max(m.shape[1] for m in mats) - 1, _reach(sx, n))
+    top_y = _reach(sy, n)
+    table = np.zeros((top_x + 1, kind._slots(n)), dtype=dtype)
+    table[0, 0] = 1.0
+    for i in range(1, top_x + 1):
+        if kind is Series1:
+            table[i] = _mul1(table[i - 1], sx._c, n)
+        else:  # bivariate powers go through the operator, which the benchmark
+            # traces as the layer series.Series2.mul
+            table[i] = (Series2._wrap(table[i - 1], n) * sx)._c
     out = []
     for mat in mats:
+        mat = mat[: top_y + 1, : top_x + 1]
         rows = mat @ table[: mat.shape[1]]
-        acc = kind._wrap(rows[-1], n)
+        acc = rows[-1]
         for row in rows[-2::-1]:
-            acc = kind._wrap((acc * sy)._c + row, n)
-        out.append(acc)
+            acc = kind._mul(acc, sy._c, n) + row
+        out.append(kind._wrap(acc, n))
     return out
 
 

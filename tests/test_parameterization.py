@@ -13,7 +13,7 @@ from invcurve import (
     solve_conjugacy,
     square_map,
 )
-from invcurve import PlanarSeriesMap, Series2, parameterization
+from invcurve import PlanarSeriesMap, Series2, parameterization, series
 from invcurve.graphtransform import Curve, graded_grid
 from oracles import (
     acceptance_battery,
@@ -173,6 +173,36 @@ class TestStageSystems:
         # two sweeps for each order 3..order, then the final full-order residual
         expected = [n for n in range(3, order + 1) for _ in range(2)] + [order]
         assert calls == expected
+
+    def test_stage_loop_stays_on_raw_arrays(self, monkeypatch):
+        # a substitution wraps only its results, and the solve multiplies
+        # coefficient arrays with the raw kernels, never through an operator
+        wraps, products = [], []
+        wrap = series._Dense._wrap.__func__
+
+        def counted_wrap(cls, arr, order):
+            wraps.append(cls)
+            return wrap(cls, arr, order)
+
+        def counted_mul(mul):
+            def product(self, other):
+                products.append(type(self))
+                return mul(self, other)
+
+            return product
+
+        psi = build_psi(pert(), 12)
+        conj = solve_conjugacy(psi, 12)
+        k1, k2 = conj.K1.astype(np.longdouble), conj.K2.astype(np.longdouble)
+        monkeypatch.setattr(series._Dense, "_wrap", classmethod(counted_wrap))
+        for parts in ([psi.fx], [psi.fx, psi.fy]):
+            wraps.clear()
+            series.substitute(parts, k1, k2)
+            assert len(wraps) == len(parts)
+        for kind in (Series1, Series2):
+            monkeypatch.setattr(kind, "__mul__", counted_mul(kind.__mul__))
+        assert solve_conjugacy(psi, 12).K1 == conj.K1
+        assert products == []
 
 
 @pytest.fixture(scope="module")

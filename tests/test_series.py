@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invcurve
@@ -26,6 +26,7 @@ from invcurve import (
     solve_conjugacy,
     to_planar_series,
 )
+from invcurve.series import substitute
 from oracles import (
     acceptance_battery,
     dict_invert,
@@ -272,6 +273,10 @@ ref_substitutes = st.dictionaries(
 )
 ref_lists = st.lists(unit_coeffs, min_size=1, max_size=REF_ORDER + 1)
 ref_tails = st.lists(unit_coeffs, min_size=REF_ORDER, max_size=REF_ORDER)
+# a substitute's valuation v: its terms below degree v are zeroed, so that
+# substitution skips the powers that start beyond the order (v = REF_ORDER +
+# 1 leaves it zero everywhere)
+valuations = st.integers(1, REF_ORDER + 1)
 
 
 def _on_x(coeffs) -> dict:
@@ -281,6 +286,11 @@ def _on_x(coeffs) -> dict:
 
 def _series1(coeffs, dtype) -> Series1:
     return Series1.from_coeffs(coeffs, REF_ORDER).astype(dtype)
+
+
+def _from_degree(v: int, table: dict) -> dict:
+    """The terms of a table of degree at least v."""
+    return {k: c for k, c in table.items() if sum(k) >= v}
 
 
 def _table(s) -> dict:
@@ -338,8 +348,13 @@ def test_univariate_composition_matches_dict_reference(dtype, f, g, wide_outer):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @settings(max_examples=30, deadline=None)
-@given(ref_tables, ref_substitutes, ref_substitutes)
-def test_horner_substitution_matches_dict_reference(dtype, f, sx, sy):
+@given(ref_tables, ref_substitutes, ref_substitutes, valuations, valuations)
+# y^3 with val(sy) = 2 reaches the order exactly (j v = n); x with val(sx) = 7
+# and y with val(sy) = 7 start one beyond it (i v = j v = n + 1)
+@example({(0, 3): 0.5, (2, 1): -1.0}, {(1, 0): 1.0}, {(0, 2): 0.25, (1, 1): 1.0}, 1, 2)
+@example({(1, 0): 1.0, (0, 1): -0.5, (1, 1): 2.0}, {(2, 0): 1.0}, {(1, 0): 1.0}, 7, 7)
+def test_horner_substitution_matches_dict_reference(dtype, f, sx, sy, vx, vy):
+    sx, sy = _from_degree(vx, sx), _from_degree(vy, sy)
     got = Series2(f, REF_ORDER, dtype).subst(
         Series2(sx, REF_ORDER, dtype), Series2(sy, REF_ORDER, dtype)
     )
@@ -353,9 +368,15 @@ def test_horner_substitution_matches_dict_reference(dtype, f, sx, sy):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @settings(max_examples=30, deadline=None)
-@given(ref_tables, ref_tails, ref_tails)
-def test_series_evaluation_matches_dict_reference(dtype, f, sx, sy):
-    sx, sy = (0.0, *sx), (0.0, *sy)
+@given(ref_tables, ref_tails, ref_tails, valuations, valuations)
+# as above: j v = n for y^2 with val(sy) = 3 and i v = n for x^3 with
+# val(sx) = 2; x and y with valuation 7 start one beyond the order
+@example({(3, 0): 0.5, (0, 2): -1.0}, [0.5] * REF_ORDER, [0.25] * REF_ORDER, 2, 3)
+@example({(1, 0): 1.0, (0, 1): -0.5}, [0.5] * REF_ORDER, [0.25] * REF_ORDER, 7, 7)
+def test_series_evaluation_matches_dict_reference(dtype, f, sx, sy, vx, vy):
+    sx, sy = (
+        [c if k >= v else 0.0 for k, c in enumerate((0.0, *s))] for s, v in ((sx, vx), (sy, vy))
+    )
     got = Series2(f, REF_ORDER, dtype).subst(
         Series1(sx).astype(dtype), Series1(sy).astype(dtype)
     )
@@ -435,6 +456,20 @@ def test_tables_are_built_lazily_per_order():
         (
             lambda: Series2.x(4).subst(Series2.x(4) + Series2.constant(0.5, 4), Series2.y(4)),
             r"zero constant terms, got x -> 0.5",
+        ),
+        (
+            lambda: Series2({(1, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0}, 4).subst(
+                Series1.identity(4), Series2.y(4)
+            ),
+            r"two univariate or two bivariate substitutes, got x -> Series1 and y -> Series2",
+        ),
+        (
+            lambda: Series2.x(4).subst(Series2.x(4), Series1.identity(4)),
+            r"got x -> Series2 and y -> Series1",
+        ),
+        (
+            lambda: substitute([], Series1.identity(4), Series1.identity(4)),
+            r"at least one series to substitute into",
         ),
         (lambda: reverse_series(Series1.from_coeffs([0.25, 1.0], 4)), r"s\(0\) = 0.25"),
         (
