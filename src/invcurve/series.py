@@ -8,7 +8,11 @@ in graded order (1; x, y; x^2, xy, y^2; ...), so truncation keeps a prefix.
 A univariate product is one `np.convolve`, a bivariate one a vectorised
 truncated 2-D convolution over a per-order table of term pairs (Brent & Kung,
 J. ACM 1978).  Both are raw kernels on coefficient arrays (`_mul1`, `_mul2`):
-the `*` operators wrap them, and substitution calls them directly.
+the `*` operators wrap them, and substitution calls them directly.  The pair
+table is sorted by target slot, so the pairs of the slots of degrees low .. n
+are a tail of it: `_mul2(a, b, n, low)` computes only those slots, each with
+the same pairs in the same order and so the same bits, and takes a stack of
+series as `a`.
 Substitution is Horner in y over the powers of the x substitute, univariate
 or bivariate, on raw arrays; it wraps only its results, apart from the powers
 of a bivariate substitute, which are `Series2` products.  It skips the
@@ -16,14 +20,19 @@ powers that cannot reach the truncation order n: sx^i once i val(sx) > n and
 sy^j once j val(sy) > n, where val is the degree of the lowest nonzero term
 (a substitute zero everywhere keeps only the zeroth power).  The skipped
 terms would only add exact zeros, so the results are unchanged up to the
-sign of a zero.  A planar map is a pair of bivariate series with no constant
-term and an invertible linear part.  Every operation returns a new immutable
-value, so series can be shared freely across threads.
+sign of a zero.  A planar map is a pair of bivariate series with finite
+coefficients, no constant term and an invertible linear part.  Every
+operation returns a new immutable value, so series can be shared freely
+across threads.
 
 The module supplies the three nontrivial primitives the rest of the package
 is built on: composition of planar maps, local inversion of a planar map near
-the origin (order-by-order fixed-point correction around the inverted linear
-part), and reversion of a univariate series.
+the origin, and reversion of a univariate series.  Local inversion is the
+fixed-point sweep g <- L^-1 (id - h(g)) around the inverted linear part L,
+run online (relaxed, in the sense of van der Hoeven, J. Symb. Comput. 2002):
+the degree-k terms of h(g) need g only through degree k - 1, so sweep k
+computes only degree k of the powers of gx and of the Horner accumulators
+it keeps across sweeps, each product a tail of the pair table.
 
 It also holds the one evaluator of planar polynomial maps, `MapEvaluator`,
 built once per map (`MapSpec.evaluator`, `PlanarSeriesMap.evaluator`): the
@@ -38,6 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from math import isqrt
+from numbers import Integral
 from operator import mul
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -243,10 +253,27 @@ def _tables(order: int) -> _Tables:
     return tables
 
 
-def _mul2(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Raw bivariate product kernel: the slots through order n of a b."""
+@lru_cache(maxsize=None)
+def _tail(n: int, low: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, run starts) of the pairs of `_tables(n)` whose target
+    degree is low .. n: a tail of the table, which is sorted by target slot."""
     t = _tables(n)
-    return np.add.reduceat(a[t.left] * b[t.right], t.starts)
+    first = low * (low + 1) // 2  # slot of x^low, the first of degree low
+    off = t.starts[first]
+    tail = (t.left[off:], t.right[off:], t.starts[first:] - off)
+    tail[2].flags.writeable = False
+    return tail
+
+
+def _mul2(a: np.ndarray, b: np.ndarray, n: int, low: int = 0) -> np.ndarray:
+    """Raw bivariate product kernel: the slots of degrees low .. n of a b.
+
+    `a` may be a stack of series (slots on its last axis), each multiplied by
+    `b`.  Every slot sums the same pairs in the same order whatever `low`
+    is, so it comes out with the same bits.
+    """
+    left, right, starts = _tail(n, low)
+    return np.add.reduceat(a.take(left, axis=-1) * b.take(right), starts, axis=-1)
 
 
 class Series2(_Dense):
@@ -271,6 +298,8 @@ class Series2(_Dense):
     def __new__(cls, coeffs: Mapping[tuple[int, int], float], order: int, dtype=np.float64):
         arr = np.zeros(cls._slots(order), dtype=dtype)
         for (i, j), val in coeffs.items():
+            if not isinstance(i, Integral) or not isinstance(j, Integral):
+                raise SeriesError(f"key {(i, j)} has a non-integer exponent")
             if min(i, j) < 0 or i + j > order:
                 raise SeriesError(f"key {(i, j)} is negative or exceeds truncation order {order}")
             arr[_index(i, j)] = val
@@ -493,6 +522,13 @@ class PlanarSeriesMap:
         orders = (self.fx.order, self.fy.order)
         if orders != (self.order, self.order):
             raise SeriesError(f"component orders {orders} differ from map order {self.order}")
+        for name, comp in (("fx", self.fx), ("fy", self.fy)):
+            if not np.isfinite(comp._c).all():
+                slot = np.flatnonzero(~np.isfinite(comp._c))[0]
+                raise SeriesError(
+                    f"{name} coefficient of term {_tables(self.order).keys[slot]} "
+                    f"is not finite: {float(comp._c[slot])!r}"
+                )
         constants = (self.fx.coeff(0, 0), self.fy.coeff(0, 0))
         if constants != (0.0, 0.0):
             raise SeriesError(f"a planar series map must fix the origin, got {constants}")
@@ -539,10 +575,23 @@ def compose_maps(outer: PlanarSeriesMap, inner: PlanarSeriesMap) -> PlanarSeries
 def invert_map_series(m: PlanarSeriesMap) -> PlanarSeriesMap:
     """Local inverse g with m(g) = identity up to the truncation order.
 
-    The linear part is inverted exactly; higher orders are filled in by the
-    fixed-point sweep g <- L^-1 (id - h(g)) with h the nonlinear part of m.
-    The order-k terms of h(g) involve g only through order k - 1, so the
-    sweep that extends g from order k - 1 to order k runs at order k.
+    The linear part L is inverted exactly; higher orders are filled in by
+    the fixed-point sweep g <- L^-1 (id - h(g)) with h the nonlinear part of
+    m.  The degree-k terms of h(g) involve g only through degree k - 1, so
+    sweep k sets g's degree-k terms and leaves the lower ones as they are.
+
+    The sweep is online: it keeps, over the slots through order n, the
+    powers P_i = gx^i and the Horner accumulators A_j = A_(j+1) gy + R_j
+    (A_(ny+1) = 0) of both components, with R_j = sum_i c_ij P_i and c_ij
+    the x^i y^j coefficient of h.  Sweep k computes only their degree-k
+    slots, each product a tail of the pair table (`_mul2` with low = k):
+    P_2.. from P_1.. through degree k - 1; h(g) = A_1 gy + R_0 at degree k,
+    which sets g there; then, with gx's new terms in P_1, the rows R_j and
+    A_1 .. A_ny at degree k (A_j only while k <= n - j, the degrees later
+    sweeps read).  Every product slot sums the same pairs in the same order
+    as the full-order substitution of the plain sweep, so g equals its
+    result by value; at binary64 the rows' matrix product may differ from it
+    in summation order, by an ulp.
     """
     det = m.linear_determinant()
     if det == 0.0:
@@ -553,15 +602,36 @@ def invert_map_series(m: PlanarSeriesMap) -> PlanarSeriesMap:
     n = m.order
 
     dtype = np.result_type(m.fx.dtype, m.fy.dtype)
-    hx = m.fx - Series2({(1, 0): a, (0, 1): b}, n, dtype)
-    hy = m.fy - Series2({(1, 0): c, (0, 1): d}, n, dtype)
+    mats = [f._by_powers(n) for f in (m.fx, m.fy)]
+    ny = max(mat.shape[0] for mat in mats) - 1
+    nx = max(mat.shape[1] for mat in mats) - 1
+    coef = np.zeros((2, ny + 1, nx + 1), dtype=dtype)  # c_ij of h, at [:, j, i]
+    for comp, mat in zip(coef, mats):
+        comp[: mat.shape[0], : mat.shape[1]] = mat
+    coef[:, 0, 1] = coef[:, 1, 0] = 0.0  # L is not part of h
 
-    gx = Series2({(1, 0): ia, (0, 1): ib}, 1, dtype)
-    gy = Series2({(1, 0): ic, (0, 1): id_}, 1, dtype)
-    for k in range(2, n + 1):
-        hgx, hgy = substitute([hx, hy], gx.truncate(k), gy.truncate(k))
-        rx = Series2.x(k) - hgx
-        ry = Series2.y(k) - hgy
-        gx = rx.scale(ia) + ry.scale(ib)
-        gy = rx.scale(ic) + ry.scale(id_)
-    return PlanarSeriesMap(gx, gy, n)
+    size = Series2._slots(n)
+    powers = np.zeros((nx + 1, size), dtype=dtype)  # P_i at [i]
+    powers[0, 0] = 1.0
+    gx, gy = powers[1], np.zeros(size, dtype=dtype)
+    acc = np.zeros((2, ny + 2, size), dtype=dtype)  # A_j at [:, j]; A_0 unused
+    acc[:, 1 : ny + 1, 0] = coef[:, 1:, 0]  # A_j = R_j = c_0j at degree 0
+    for k in range(1, n + 1):
+        new = slice(k * (k + 1) // 2, (k + 1) * (k + 2) // 2)  # the degree-k slots
+        if k == 1:  # r = id - h(g) is the identity's linear part
+            rx, ry = np.eye(2, dtype=dtype)
+        else:
+            top = min(nx, k)
+            if top > 1:
+                powers[2 : top + 1, new] = _mul2(powers[1:top], gx, k, low=k)
+            h = _mul2(acc[:, 1], gy, k, low=k) + coef[:, 0] @ powers[:, new]
+            rx, ry = 0.0 - h
+        gx[new] = rx * ia + ry * ib
+        gy[new] = rx * ic + ry * id_
+        # A_j is read only through degree n - j; its row R_j needs gx's
+        # degree-k terms, set just above
+        live = min(ny, n - k)
+        if live > 0:
+            row = coef[:, 1 : live + 1] @ powers[:, new]
+            acc[:, 1 : live + 1, new] = _mul2(acc[:, 2 : live + 2], gy, k, low=k) + row
+    return PlanarSeriesMap(Series2._wrap(gx.copy(), n), Series2._wrap(gy, n), n)

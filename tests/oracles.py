@@ -200,6 +200,34 @@ def reverse_series_full(s):
     return g
 
 
+def invert_map_series_sweep(m):
+    """`series.invert_map_series` as it was before its sweeps went online:
+    sweep k substitutes h into g at the full order k, recomputing every
+    coefficient of g through order k."""
+    from invcurve import PlanarSeriesMap, Series2
+    from invcurve.series import substitute
+
+    det = m.linear_determinant()
+    a, b = m.fx.coeff(1, 0), m.fx.coeff(0, 1)
+    c, d = m.fy.coeff(1, 0), m.fy.coeff(0, 1)
+    ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
+    n = m.order
+
+    dtype = np.result_type(m.fx.dtype, m.fy.dtype)
+    hx = m.fx - Series2({(1, 0): a, (0, 1): b}, n, dtype)
+    hy = m.fy - Series2({(1, 0): c, (0, 1): d}, n, dtype)
+
+    gx = Series2({(1, 0): ia, (0, 1): ib}, 1, dtype)
+    gy = Series2({(1, 0): ic, (0, 1): id_}, 1, dtype)
+    for k in range(2, n + 1):
+        hgx, hgy = substitute([hx, hy], gx.truncate(k), gy.truncate(k))
+        rx = Series2.x(k) - hgx
+        ry = Series2.y(k) - hgy
+        gx = rx.scale(ia) + ry.scale(ib)
+        gy = rx.scale(ic) + ry.scale(id_)
+    return PlanarSeriesMap(gx, gy, n)
+
+
 def _residual_sides(fx, fy, a, b, model) -> tuple[list, list]:
     """The x-coefficients of Psi(K) and of K(R), with K = (a, b) and R = model
     carried as bivariate series in x alone."""

@@ -22,16 +22,20 @@ from invcurve import (
     canon,
     compose_maps,
     invert_map_series,
+    pert,
     reverse_series,
     solve_conjugacy,
     to_planar_series,
 )
+from invcurve import series
+from invcurve.parameterization import square_map
 from invcurve.series import substitute
 from oracles import (
     acceptance_battery,
     dict_invert,
     dict_mul,
     dict_subst,
+    invert_map_series_sweep,
     reverse_series_full,
 )
 
@@ -416,6 +420,83 @@ def test_inversion_matches_dict_reference(dtype, b, c, higher):
             assert abs(got.get(key, 0) - want.get(key, 0)) <= 1e4 * eps * scale
 
 
+# ---------------------------------------------------------------------------
+# the online inversion against its full-order sweep
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_inverse(got: PlanarSeriesMap, want: PlanarSeriesMap, ulps: int) -> None:
+    # by value, so the signs of zeros may differ; binary64 may move by the
+    # summation order of the coefficient-row matmul, which BLAS chooses by shape
+    assert got.order == want.order and got.fx.dtype == want.fx.dtype
+    top = max(np.abs(want.fx._c).max(), np.abs(want.fy._c).max())
+    for g, w in ((got.fx, want.fx), (got.fy, want.fy)):
+        if ulps == 0:
+            assert np.array_equal(g._c, w._c), (g.coeffs, w.coeffs)
+        else:
+            assert np.abs(g._c - w._c).max() <= ulps * np.spacing(top), (g.coeffs, w.coeffs)
+
+
+def test_battery_squared_maps_invert_as_the_full_order_sweep():
+    for m in acceptance_battery(1729):
+        for n in (10, 12):
+            sq = square_map(m, n)
+            _assert_same_inverse(invert_map_series(sq), invert_map_series_sweep(sq), 0)
+
+
+@st.composite
+def planar_maps(draw):
+    """(order, linear part, higher terms of fx, higher terms of fy): the two
+    components draw their own terms, so their x and y degrees differ."""
+    order = draw(st.integers(1, 10))
+    a, d = (draw(st.sampled_from([-1, 1])) * draw(st.floats(0.5, 2.0)) for _ in range(2))
+    b, c = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))
+    keys = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
+        lambda ij: 2 <= ij[0] + ij[1] <= order
+    )
+    higher = st.dictionaries(keys, unit_coeffs, max_size=8) if order > 1 else st.just({})
+    return order, (a, b, c, d), draw(higher), draw(higher)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=60, deadline=None)
+@given(planar_maps())
+@example((6, (1.0, 0.25, -0.25, -1.0), {}, {}))  # linear
+@example((8, (1.0, 0.0, 0.0, -1.0), {(0, 2): 0.5, (0, 5): -1.0}, {(0, 3): 1.0, (0, 8): 0.25}))
+@example((9, (2.0, 0.1, 0.2, 0.5), {(7, 0): 1.0, (2, 1): -0.5}, {(0, 6): 0.75, (1, 1): 1.0}))
+def test_inversion_matches_the_full_order_sweep(dtype, drawn):
+    order, (a, b, c, d), hx, hy = drawn
+    fx = Series2({(1, 0): a, (0, 1): b, **hx}, order, dtype)
+    fy = Series2({(1, 0): c, (0, 1): d, **hy}, order, dtype)
+    m = PlanarSeriesMap(fx, fy, order)
+    ulps = 0 if dtype is np.longdouble else 2
+    _assert_same_inverse(invert_map_series(m), invert_map_series_sweep(m), ulps)
+
+
+def test_inversion_sweeps_compute_only_their_new_degree(monkeypatch):
+    # no substitution and no operator product: every product is one raw
+    # kernel call for the degree-k slots of sweep k, at most 3 per sweep
+    sq = square_map(pert(), 12)
+    want = invert_map_series(sq)
+    lows = []
+    mul2 = series._mul2
+
+    def counted_mul2(a, b, n, low=0):
+        assert low == n
+        lows.append(low)
+        return mul2(a, b, n, low)
+
+    def forbidden(*args):
+        raise AssertionError("the inversion substituted or used the product operator")
+
+    monkeypatch.setattr(series, "_mul2", counted_mul2)
+    monkeypatch.setattr(series, "substitute", forbidden)
+    monkeypatch.setattr(Series2, "__mul__", forbidden)
+    assert invert_map_series(sq) == want
+    assert 0 < len(lows) <= 3 * (sq.order - 1)
+    assert max(lows.count(k) for k in set(lows)) <= 3
+
+
 def test_tables_are_built_lazily_per_order():
     probe = (
         "from invcurve import series\n"
@@ -449,6 +530,20 @@ def test_tables_are_built_lazily_per_order():
             r"key \(5, 5\) is negative or exceeds truncation order 8",
         ),
         (lambda: Series2({(-1, 2): 1.0}, 8), r"key \(-1, 2\) is negative"),
+        (lambda: Series2({(1.5, 0): 1.0}, 3), r"key \(1.5, 0\) has a non-integer exponent"),
+        (
+            # a NaN determinant is not == 0, so the finiteness check must catch it
+            lambda: PlanarSeriesMap(
+                Series2({(1, 0): float("nan"), (0, 1): 1.0}, 4), Series2.y(4), 4
+            ),
+            r"fx coefficient of term \(1, 0\) is not finite: nan",
+        ),
+        (
+            lambda: PlanarSeriesMap(
+                Series2.x(4), Series2({(0, 1): 1.0, (1, 2): float("inf")}, 4), 4
+            ),
+            r"fy coefficient of term \(1, 2\) is not finite: inf",
+        ),
         (
             lambda: PlanarSeriesMap(Series2.x(4), Series2.from_terms({(2, 0): 1.0}, 4), 4),
             r"singular \(determinant 0",
