@@ -31,8 +31,9 @@ class ConvergenceError(InvcurveError):
         self.history = history
 
 
-class ConjugacyError(InvcurveError):
-    """The conjugacy coefficient equations could not be solved."""
+class ConjugacyError(InvcurveError, ValueError):
+    """The conjugacy coefficient equations could not be solved, or were
+    given a series or an order outside their domain."""
 
 
 class SeriesError(InvcurveError, ValueError):

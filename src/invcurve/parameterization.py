@@ -15,12 +15,18 @@ Structure that the solver relies on (and asserts):
   residual Psi(K) - K(R) pin the order-(n-1) coefficients of K (and d at
   order three), while the order-n coefficients cancel identically.  The
   leftover freedom is the usual reparameterization of K; it is fixed by
-  pinning the t^2 coefficient of K1 (minimum-norm choice zero), and the
-  graph phi does not depend on it.
+  pinning the t^2 coefficient of K1 (zero by default), and the graph phi
+  does not depend on it.
 
 K's top-order coefficients are therefore only pinned by equations one order
 beyond the requested residual order; the last phi coefficient inherits the
 normalization choice and should be trusted one order below the solve order.
+
+The stages run online: stage n needs only the t^n coefficient of the
+residual, which tables of the powers of K and of R kept across the stages
+give without forming the rest, and its two unknowns come from the 2x2 stage
+matrix in closed form.  The whole residual is formed once, at the end, to
+certify the result.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .mapdef import MapSpec, Point, invert_point, to_planar_series
 from .series import (
     PlanarSeriesMap,
     Series1,
+    _mul1,
     compose_maps,
     invert_map_series,
     reverse_series,
@@ -44,6 +51,7 @@ from .series import (
 
 DEFAULT_CONJUGACY_ORDER = 10
 _STRUCT_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,7 @@ def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
     component must carry no pure x^3 term.
     """
     if order < 4:
-        raise ValueError("psi needs order at least 4")
+        raise ConjugacyError(f"psi needs order at least 4, got {order}")
     sq = square_map(m, order)
     stray = abs(float(sq.fy.coeff(3, 0)))
     if stray > _STRUCT_TOL:
@@ -98,16 +106,17 @@ def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
 
 # The residual of Psi(K) - K(R) sums products of inverse-series coefficients
 # that reach 1e5 and cancel to ~1e-10 in binary64, which would drown the
-# certified bound, so it runs on the same series core at np.longdouble (K a
-# pair of univariate series, R composed into K in one variable); the stage
-# increments stay binary64.  The stage unknowns enter the order-n residual
-# linearly, with a matrix read off Psi's low coefficients (the cohomological
-# equation; Haro et al., The Parameterization Method, 2016): one residual
-# evaluation per stage sweep.  Psi becomes longdouble once per solve and is
-# truncated once per stage, so both sweeps share its substitution matrices.
-# The substitution multiplies raw arrays with the series core's product
-# kernels and skips the powers a substitute's valuation puts beyond the
-# order: K2 = O(t^3), so its Horner chain takes n // 3 steps, 4 at order 12.
+# certified bound, so it runs at np.longdouble; the stage increments stay
+# binary64.  The stage unknowns enter the order-n residual linearly, with a
+# matrix read off Psi's low coefficients (the cohomological equation; Haro et
+# al., The Parameterization Method, 2016), so a stage sweep needs only the
+# t^n coefficient of the residual.  `_StageResidual` computes just that
+# coefficient from tables kept across the stages.  `_conjugacy_residual`
+# computes the whole residual through psi's order, independently of those
+# tables, and certifies the solve once at its end.  Its substitution
+# multiplies raw arrays with the series core's product kernels and skips the
+# powers a substitute's valuation puts beyond the order: K2 = O(t^3), so its
+# Horner chain takes n // 3 steps, 4 at order 12.
 
 
 def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,6 +126,58 @@ def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d: float) -> tuple[np.ndarra
     lhs = substitute([psi.fx, psi.fy], k1, k2)
     model = Series1.from_coeffs([0.0, 1.0, -2.0, d], n)
     return tuple(u._c - k.compose(model)._c for u, k in zip(lhs, (k1, k2)))
+
+
+class _StageResidual:
+    """The t^n coefficient of Psi(K) - K(R), online over the stages.
+
+    Three longdouble tables live across the stages of one solve: psi's
+    coefficients c_ij (of x^i y^j); the powers P_i = K1^i and Q_j = K2^j,
+    through psi's order; and the powers of the model, with [k, m] the t^m
+    coefficient of R^k.  Stage n sets only K's t^(n-1) coefficients, so the
+    columns of P and Q below n - 1 are final by then.  A call at n refreshes
+    the columns from n - 1 on, each with one matrix-vector product (P_i[m]
+    is P_(i-1)[1..m-1] . K1[m-1..1]), and forms
+
+        r_n = sum_j (sum_i c_ij P_i)[0..n] . Q_j[n..0]  -  sum_k K_k R^k[n].
+
+    The powers of R are rebuilt only when d changes, in the stage-3 sweeps.
+    Calls come with n nondecreasing, and between calls K changes only in
+    its coefficients from t^(n-1) on.
+    """
+
+    def __init__(self, psi: PlanarSeriesMap):
+        mats = [f._by_powers(psi.order) for f in (psi.fx, psi.fy)]
+        ny = max(mat.shape[0] for mat in mats)
+        nx = max(mat.shape[1] for mat in mats)
+        self._coef = np.zeros((2, ny, nx), dtype=np.longdouble)  # c_ij at [:, j, i]
+        for comp, mat in zip(self._coef, mats):
+            comp[: mat.shape[0], : mat.shape[1]] = mat
+        # P_i at [0, i], Q_j at [1, j]; row 1 holds K itself
+        self._powers = np.zeros((2, max(nx, ny, 2), psi.order + 1), dtype=np.longdouble)
+        self._powers[:, 0, 0] = 1.0
+        self._stale = 1  # the first column that is not final
+        self._d = None
+        self._model_powers = None
+
+    def __call__(self, n: int, a, b, d: float) -> np.ndarray:
+        pw = self._powers
+        if d != self._d:
+            model = np.zeros(pw.shape[2], dtype=np.longdouble)
+            model[1:4] = 1.0, -2.0, d
+            table = np.zeros((model.size, model.size), dtype=np.longdouble)
+            table[0, 0] = 1.0
+            for k in range(1, model.size):
+                table[k] = _mul1(table[k - 1], model, model.size - 1)
+            self._d, self._model_powers = d, table
+        for col in range(self._stale, n + 1):
+            pw[:, 1, col] = a[col], b[col]
+            pw[:, 2:, col] = (pw[:, 1:-1, 1:col] @ pw[:, 1, col - 1 : 0 : -1, None])[..., 0]
+        self._stale = n - 1
+        _, ny, nx = self._coef.shape
+        rows = self._coef @ pw[0, :nx, : n + 1]  # sum_i c_ij P_i, at [:, j]
+        lhs = np.einsum("cjm,jm->c", rows, pw[1, :ny, n::-1])
+        return lhs - pw[:, 1, : n + 1] @ self._model_powers[: n + 1, n]
 
 
 def _stage_matrix(psi: PlanarSeriesMap, n: int) -> np.ndarray:
@@ -141,17 +202,21 @@ def solve_conjugacy(
 ) -> ConjugacyResult:
     """Determine K1, K2 and d so that Psi(K) = K(R) through the given order.
 
-    Works order by order; at each stage the two coefficient equations are
-    solved by minimum-norm least squares for the unknowns they actually pin
-    (d at order three, then the order-(n-1) coefficients of K).  Rank
-    deficiency with an inconsistent right-hand side is an error naming the
-    order.  The graph function phi = K2(K1^-1) is returned with its
+    Works order by order.  Stage n solves the two t^n coefficient equations
+    for the unknowns they pin: d at order three, where the second equation
+    must already hold (an error naming |r2[3]| otherwise), then the
+    order-(n-1) coefficients of K, by Cramer's rule on the 2x2 stage matrix
+    (a singular one is an error naming the order and its determinant).  Two
+    sweeps per stage; the second polishes the binary64 increments.  The
+    whole residual through the order is computed once at the end, and its
+    largest coefficient must stay within 1e-10 max(1, psi's largest
+    coefficient).  The graph function phi = K2(K1^-1) is returned with its
     sub-cubic coefficients checked against 1e-12 and zeroed.
     """
     if order < 3:
-        raise ValueError("conjugacy order must be at least 3")
+        raise ConjugacyError(f"conjugacy order must be at least 3, got {order}")
     if psi.order < order:
-        raise ValueError(f"psi order {psi.order} below requested order {order}")
+        raise ConjugacyError(f"psi order {psi.order} is below the requested order {order}")
     if psi.fx.coeff(2, 0) >= 0.0:
         raise ConjugacyError("sign condition failed: x^2 coefficient of psi1 not negative")
     if psi.fy.coeff(1, 1) <= 0.0:
@@ -164,29 +229,30 @@ def solve_conjugacy(
     a[1], a[2] = 1.0, float(t2_coefficient)
     d = 0.0
 
-    # the order-n equations involve nothing beyond order n, so each stage
-    # works at its own order; two sweeps per order, the second polishes the
-    # binary64 increments
-    psi_ld = psi.astype(np.longdouble)
+    psi_ld = psi.astype(np.longdouble).truncate(order)
+    stage_residual = _StageResidual(psi_ld)
     for n in range(3, order + 1):
-        mat = _stage_matrix(psi, n)
-        psi_n = psi_ld.truncate(n)  # its substitution matrices serve both sweeps
-        for _ in range(2):
-            r1, r2 = _conjugacy_residual(psi_n, a, b, d)
-            rhs = -np.array([r1[n], r2[n]], dtype=float)
-            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            if np.max(np.abs(mat @ sol - rhs)) > stage_tol:
+        if n > 3:
+            (m11, m12), (m21, m22) = _stage_matrix(psi, n).tolist()
+            det = m11 * m22 - m12 * m21
+            if abs(det) <= _EPS * (abs(m11 * m22) + abs(m12 * m21)):
                 raise ConjugacyError(
-                    f"rank-deficient coefficient equations at order {n} "
-                    "admit no minimum-norm solution"
+                    f"stage matrix at order {n} is singular (determinant {det:.3e})"
                 )
-            if n == 3:
-                d += float(sol[0])
-            else:
-                a[n - 1] += float(sol[0])
-                b[n - 1] += float(sol[1])
+        for _ in range(2):  # the second sweep polishes the binary64 increments
+            r1, r2 = stage_residual(n, a, b, d).astype(float).tolist()
+            if n == 3:  # the stage matrix is the column (-1, 0)
+                if abs(r2) > stage_tol:
+                    raise ConjugacyError(
+                        "order-3 coefficient equations are inconsistent: "
+                        f"|r2[3]| = {abs(r2):.3e} exceeds the tolerance {stage_tol:.3e}"
+                    )
+                d += r1
+            else:  # Cramer's rule for the stage matrix times the increments = -(r1, r2)
+                a[n - 1] += (m12 * r2 - m22 * r1) / det
+                b[n - 1] += (m21 * r1 - m11 * r2) / det
 
-    r1, r2 = _conjugacy_residual(psi_n, a, b, d)  # psi_n is at `order` now
+    r1, r2 = _conjugacy_residual(psi_ld, a, b, d)
     residual_max = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     if residual_max > 1e-10 * scale:
         raise ConjugacyError(

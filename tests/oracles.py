@@ -228,6 +228,47 @@ def invert_map_series_sweep(m):
     return PlanarSeriesMap(gx, gy, n)
 
 
+def solve_conjugacy_full_residual(psi, order: int, t2_coefficient: float = 0.0):
+    """`parameterization.solve_conjugacy` as it was before its stages went
+    online: each of the two sweeps of stage n evaluates the whole residual
+    Psi(K) - K(R) through order n, reads its t^n coefficient and solves the
+    stage system by minimum-norm least squares."""
+    from invcurve import ConjugacyError, ConjugacyResult, Series1, reverse_series
+    from invcurve.parameterization import _STRUCT_TOL, _conjugacy_residual, _stage_matrix
+
+    scale = max(1.0, *(abs(v) for s in (psi.fx, psi.fy) for v in s.coeffs.values()))
+    stage_tol = 1e-9 * scale
+    a, b = [0.0] * (order + 1), [0.0] * (order + 1)
+    a[1], a[2] = 1.0, float(t2_coefficient)
+    d = 0.0
+    psi_ld = psi.astype(np.longdouble)
+    for n in range(3, order + 1):
+        mat = _stage_matrix(psi, n)
+        psi_n = psi_ld.truncate(n)
+        for _ in range(2):
+            r1, r2 = _conjugacy_residual(psi_n, a, b, d)
+            rhs = -np.array([r1[n], r2[n]], dtype=float)
+            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+            if np.max(np.abs(mat @ sol - rhs)) > stage_tol:
+                raise ConjugacyError(f"rank-deficient coefficient equations at order {n}")
+            if n == 3:
+                d += float(sol[0])
+            else:
+                a[n - 1] += float(sol[0])
+                b[n - 1] += float(sol[1])
+
+    r1, r2 = _conjugacy_residual(psi_n, a, b, d)
+    residual_max = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    if residual_max > 1e-10 * scale:
+        raise ConjugacyError(f"conjugacy residual {residual_max:.3e} exceeds tolerance")
+    k1, k2 = Series1(tuple(a)), Series1(tuple(b))
+    phi = k2.compose(reverse_series(k1)).truncate(order)
+    if max(abs(c) for c in phi.coeffs[:3]) > _STRUCT_TOL:
+        raise ConjugacyError("graph function keeps sub-cubic terms")
+    phi = Series1((0.0, 0.0, 0.0) + phi.coeffs[3:])
+    return ConjugacyResult(k1, k2, float(d), phi, order, float(residual_max))
+
+
 def _residual_sides(fx, fy, a, b, model) -> tuple[list, list]:
     """The x-coefficients of Psi(K) and of K(R), with K = (a, b) and R = model
     carried as bivariate series in x alone."""
