@@ -344,15 +344,18 @@ def _cmd_repulsion(args) -> int:
     csv_text = "\n".join(rows) + "\n"
     devs = np.abs(trace.deviations)
     ratio = float(devs[1] / devs[0]) if len(devs) > 1 and devs[0] != 0.0 else float("nan")
+    monotone = bool(np.all(np.diff(devs) >= 0.0))
+    ok = monotone and not trace.truncated
     pairs = [
         ("steps", len(trace.xs) - 1),
         ("truncated", trace.truncated),
         ("first_step_ratio", ratio),
-        ("monotone_deviation", bool(np.all(np.diff(devs) >= 0.0))),
+        ("monotone_deviation", monotone),
         ("x_final", float(trace.xs[-1])),
+        ("status", "PASS" if ok else "FAIL"),
     ]
     _emit(csv_text, _report(pairs), args.out)
-    return 0
+    return 0 if ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_compare(args) -> int:

@@ -183,7 +183,7 @@ def eval_map(m: MapSpec, p: Point, with_jacobian: bool = False):
     image = Point(*m.evaluator.values(p.x, p.y))
     if not with_jacobian:
         return image
-    return image, m.evaluator.jacobian(p.x, p.y)
+    return image, np.array(m.evaluator.jacobian(p.x, p.y))
 
 
 # point inversion: max-norm residual to stop at, and the Newton step cap
@@ -194,28 +194,58 @@ INVERT_MAX_ITER = 50
 def invert_point(m: MapSpec, target: Point) -> Point:
     """Newton preimage: returns p with eval_map(m, p) = target.
 
-    Starts from (x - x^2, -y); damped steps (halving on residual increase)
-    keep the iteration stable near the fixed point, where the Jacobian is
-    close to diag(1, -1).
+    Starts from (x - x^2, -y); damped steps (halving on residual increase,
+    at most 40 times) keep the iteration stable near the fixed point, where
+    the Jacobian is close to diag(1, -1).  The iteration runs on Python
+    floats: every value comes from `eval_map`, the residual is a max-norm
+    over two floats, and the step is Cramer's rule on the Jacobian, one
+    contraction of the map's evaluator at the iterate, computed only when a
+    step is taken.  A singular Jacobian, a non-finite candidate and a
+    candidate whose image is not finite are a `ConvergenceError` naming the
+    iterate; a residual still above INVERT_TOL after INVERT_MAX_ITER steps
+    is one naming the target.
     """
-    p = Point(target.x - target.x**2, -target.y)
-    image, jac = eval_map(m, p, with_jacobian=True)
-    res = np.array([image.x - target.x, image.y - target.y])
-    res_norm = float(np.max(np.abs(res)))
+    tx, ty = target.x, target.y
+    p = Point(tx - tx**2, -ty)
+    image = eval_map(m, p)
+    rx, ry = image.x - tx, image.y - ty
+    res_norm = max(abs(rx), abs(ry))
     for _ in range(INVERT_MAX_ITER):
         if res_norm <= INVERT_TOL:
             return p
-        step = np.linalg.solve(jac, res)
+        (a, b), (c, d) = m.evaluator.jacobian(p.x, p.y)
+        det = a * d - b * c
+        if det == 0.0:
+            raise ConvergenceError(
+                f"point inversion hit a singular Jacobian at ({p.x!r}, {p.y!r}) "
+                f"(determinant {det!r})",
+                history=res_norm,
+            )
+        sx, sy = (d * rx - b * ry) / det, (a * ry - c * rx) / det
         scale = 1.0
         for _ in range(40):
-            cand = Point(p.x - scale * step[0], p.y - scale * step[1])
-            image, jac_new = eval_map(m, cand, with_jacobian=True)
-            new_res = np.array([image.x - target.x, image.y - target.y])
-            new_norm = float(np.max(np.abs(new_res)))
+            cx, cy = p.x - scale * sx, p.y - scale * sy
+            if not (math.isfinite(cx) and math.isfinite(cy)):
+                raise ConvergenceError(
+                    f"point inversion stepped from ({p.x!r}, {p.y!r}) to the non-finite "
+                    f"candidate ({cx!r}, {cy!r}) (determinant {det!r})",
+                    history=res_norm,
+                )
+            cand = Point(cx, cy)
+            try:
+                image = eval_map(m, cand)
+            except ValueError:  # the image overflowed: Point rejects it
+                raise ConvergenceError(
+                    f"point inversion stepped from ({p.x!r}, {p.y!r}) to the candidate "
+                    f"({cx!r}, {cy!r}), whose image is not finite",
+                    history=res_norm,
+                ) from None
+            nrx, nry = image.x - tx, image.y - ty
+            new_norm = max(abs(nrx), abs(nry))
             if new_norm < res_norm or new_norm <= INVERT_TOL:
                 break
             scale *= 0.5
-        p, jac, res, res_norm = cand, jac_new, new_res, new_norm
+        p, rx, ry, res_norm = cand, nrx, nry, new_norm
     if res_norm <= INVERT_TOL:
         return p
     raise ConvergenceError(

@@ -197,6 +197,12 @@ def _stage_matrix(psi: PlanarSeriesMap, n: int) -> np.ndarray:
     return np.array([row1, row2])
 
 
+def _coeff_scale(psi: PlanarSeriesMap) -> float:
+    """max(1, the largest |coefficient| of psi): the scale of the stage and
+    residual tolerances of a conjugacy solve."""
+    return max(1.0, float(np.abs(psi.fx._c).max()), float(np.abs(psi.fy._c).max()))
+
+
 def solve_conjugacy(
     psi: PlanarSeriesMap, order: int, t2_coefficient: float = 0.0
 ) -> ConjugacyResult:
@@ -222,7 +228,7 @@ def solve_conjugacy(
     if psi.fy.coeff(1, 1) <= 0.0:
         raise ConjugacyError("sign condition failed: xy coefficient of psi2 not positive")
 
-    scale = max(1.0, *(abs(v) for s in (psi.fx, psi.fy) for v in s.coeffs.values()))
+    scale = _coeff_scale(psi)
     stage_tol = 1e-9 * scale
 
     a, b = [0.0] * (order + 1), [0.0] * (order + 1)
@@ -346,9 +352,9 @@ def repulsion_check(
         try:
             half = invert_point(m, Point(x, y))
             nxt = invert_point(m, half)
-        except ConvergenceError:
+        except ConvergenceError as exc:
             truncated = True
-            warnings.warn("pointwise inversion stalled; trace truncated", stacklevel=2)
+            warnings.warn(f"pointwise inversion failed ({exc}); trace truncated", stacklevel=2)
             break
         x, y = nxt.x, nxt.y
         if x <= 0.0:

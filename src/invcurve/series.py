@@ -36,8 +36,9 @@ it keeps across sweeps, each product a tail of the pair table.
 
 It also holds the one evaluator of planar polynomial maps, `MapEvaluator`,
 built once per map (`MapSpec.evaluator`, `PlanarSeriesMap.evaluator`): the
-values, the Jacobian and exact image offsets, each one contraction of a dense
-coefficient matrix with power tables of x and y.
+values on arrays of points and, at a point, the values, the Jacobian, or the
+image together with the exact offset of a nearby point's image, each one
+contraction of a dense coefficient matrix with power tables of x and y.
 """
 
 from __future__ import annotations
@@ -452,12 +453,17 @@ def _divided(a: float, pb: list) -> list:
 class MapEvaluator:
     """Values, Jacobian and exact image offsets of a planar polynomial map.
 
-    Built once per map from its two term lists.  Component k is a dense
+    Built once per map from its two term lists: component k is a dense
     coefficient matrix C_k[j, i] of x^i y^j, trimmed to the highest powers
-    present; both are stacked so row k * (ny + 1) + j holds the
-    x-coefficients of y^j in component k.  Every operation is the one
-    contraction sum_ij C_k[j, i] u_i v_j over power tables u of x and v of
-    y: 1-d tables at a point, 2-d tables (one column per point) on arrays.
+    present.  Every operation is the contraction sum_ij C_k[j, i] u_i v_j
+    over power tables u of x and v of y, one column per sum.  On arrays the
+    columns are the points and the contraction is one matrix product
+    (`_contract`).  At a single point NumPy's dispatch costs more than the
+    arithmetic, so an operation builds every power list it needs from the
+    point's powers as Python floats and takes all its sums from one
+    contraction (`_at_point`): the image and the exact offset of a nearby
+    point's image (`pair_image`), or both columns of the Jacobian
+    (`jacobian`).
     """
 
     def __init__(self, parts):
@@ -468,29 +474,38 @@ class MapEvaluator:
         for comp, terms in zip(coef, parts):
             for (i, j), c in terms:
                 comp[j, i] = c
-        self._coef = coef.reshape(-1, self._nx + 1)
+        self._coef = coef
 
-    def _contract(self, u, v) -> np.ndarray:
-        acc = self._coef @ u
-        if acc.ndim == 1:  # a point: one more matrix-vector product
-            return acc.reshape(2, self._ny + 1) @ v
+    def _contract(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The sums of both components for the point columns of the power
+        tables u and v, shape (2, points)."""
+        acc = self._coef.reshape(-1, self._nx + 1) @ u
         acc = acc.reshape(2, self._ny + 1, -1)
         acc *= v
         return acc.sum(axis=1)
 
+    def _at_point(self, us: list, vs: list) -> list:
+        """The sums of both components for each pair (u, v) of power lists
+        of one point, as [[X sums], [Y sums]] of Python floats."""
+        return np.einsum("kji,ci,cj->kc", self._coef, us, vs).tolist()
+
     def values(self, x, y):
         """(X, Y) at a point (floats) or at 1-d arrays of points (arrays)."""
-        px, py = _powers(x, self._nx), _powers(y, self._ny)
-        out = self._contract(px, py)
-        return tuple(out.tolist()) if isinstance(px, list) else (out[0], out[1])
+        if isinstance(x, np.ndarray):
+            out = self._contract(_powers(x, self._nx), _powers(y, self._ny))
+            return out[0], out[1]
+        (big_x,), (big_y,) = self._at_point([_powers(x, self._nx)], [_powers(y, self._ny)])
+        return big_x, big_y
 
-    def jacobian(self, x: float, y: float) -> np.ndarray:
-        """The exact Jacobian [[dX/dx, dX/dy], [dY/dx, dY/dy]] at a point."""
+    def jacobian(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The exact Jacobian ((dX/dx, dX/dy), (dY/dx, dY/dy)) at a point."""
         px, py = _powers(x, self._nx), _powers(y, self._ny)
-        return np.stack([self._contract(_slopes(px), py), self._contract(px, _slopes(py))], axis=1)
+        jx, jy = self._at_point([_slopes(px), px], [py, _slopes(py)])
+        return tuple(jx), tuple(jy)
 
-    def offset(self, x: float, y: float, dx: float, dy: float) -> tuple[float, float]:
-        """The image of (x + dx, y + dy) minus the image of (x, y), at a point.
+    def pair_image(self, x: float, y: float, dx: float, dy: float) -> tuple[float, ...]:
+        """(X, Y, dX, dY): the image of (x, y) and the offset from it of the
+        image of (x + dx, y + dy).
 
         Each monomial difference is dx D_i(x) (y + dy)^j + x^i dy D_j(y), so
         the images are never subtracted and a separation far below the
@@ -498,8 +513,10 @@ class MapEvaluator:
         """
         px, pxh = _powers(x, self._nx), _powers(x + dx, self._nx)
         py, pyh = _powers(y, self._ny), _powers(y + dy, self._ny)
-        out = dx * self._contract(_divided(x, pxh), pyh) + dy * self._contract(px, _divided(y, pyh))
-        return tuple(out.tolist())
+        (big_x, sx, tx), (big_y, sy, ty) = self._at_point(
+            [px, _divided(x, pxh), px], [py, pyh, _divided(y, pyh)]
+        )
+        return big_x, big_y, dx * sx + dy * tx, dx * sy + dy * ty
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ directly.  Instead the pair is carried as (base point, offset) and the offset
 is propagated with exact divided differences of the polynomial components:
 the difference of a monomial at the two points splits into terms carrying
 the factors dx and dy, which keeps every digit of a separation of, say,
-1e-40.  Both the image and its offset come from the map's cached evaluator
-(`series.MapEvaluator.values` and `.offset`).
+1e-40.  The image and its offset come from one call of the map's cached
+evaluator (`series.MapEvaluator.pair_image`), one contraction per step.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ def _metric(x: float, dx: float, dy: float) -> float:
     return (abs(dx) + abs(dy) / x**METRIC_Y_POWER) / x**METRIC_X_POWER
 
 
-def _step(m: MapLike, x, y, dx, dy):
-    ev = m.evaluator
-    return (*ev.values(x, y), *ev.offset(x, y, dx, dy))
-
-
 def shadow_step_check(
     m: MapLike,
     pair: ShadowPair,
@@ -89,7 +84,7 @@ def shadow_step_check(
     before = _metric(x, dx, dy)
     if before > 1.0:
         raise ValueError(f"hypothesis metric <= 1 failed: metric = {before:.6g}")
-    xx, yy, ddx, ddy = _step(m, x, y, dx, dy)
+    xx, yy, ddx, ddy = m.evaluator.pair_image(x, y, dx, dy)
     after = _metric(xx, ddx, ddy)
     return before, after, after <= before
 
@@ -132,7 +127,7 @@ def orbit_shadow_experiment(
     dys = [dy]
     truncated = False
     for _ in range(steps):
-        x, y, dx, dy = _step(m, x, y, dx, dy)
+        x, y, dx, dy = m.evaluator.pair_image(x, y, dx, dy)
         if not (0.0 < x <= 2.0 * delta) or not math.isfinite(x):
             truncated = True
             warnings.warn(

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from invcurve import MapSpec
+from invcurve import ConvergenceError, MapSpec
+from invcurve.mapdef import INVERT_MAX_ITER, INVERT_TOL, Point, eval_map
 from invcurve.normalform import normalize_map
 
 
@@ -391,6 +392,15 @@ def eval_fsum(terms, x: float, y: float) -> tuple[float, float]:
     return math.fsum(vals), math.fsum(abs(v) for v in vals)
 
 
+def jacobian_fsum(terms, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(d/dx, d/dy) of sum c x^i y^j, each derivative term rounded on its own
+    and the terms summed exactly, each paired with the sum of the terms'
+    magnitudes, the scale of its rounding."""
+    dx = [c * i * x ** (i - 1) * y**j for (i, j), c in terms if i > 0]
+    dy = [c * j * x**i * y ** (j - 1) for (i, j), c in terms if j > 0]
+    return tuple((math.fsum(v), math.fsum(abs(t) for t in v)) for v in (dx, dy))
+
+
 def _power_diff_termwise(a: float, da: float, i: int) -> float:
     if i == 0:
         return 0.0
@@ -410,3 +420,38 @@ def offset_image_termwise(terms, x: float, y: float, dx: float, dy: float) -> fl
             _power_diff_termwise(x, dx, i) * yh**j + x**i * _power_diff_termwise(y, dy, j)
         )
     return acc
+
+
+# ---------------------------------------------------------------------------
+# point inversion as it was before its Newton step ran on floats
+# ---------------------------------------------------------------------------
+
+
+def invert_point_linalg(m: MapSpec, target: Point) -> Point:
+    """`mapdef.invert_point` with NumPy arrays: the Jacobian at every
+    candidate, the step by `np.linalg.solve` (kept verbatim)."""
+    p = Point(target.x - target.x**2, -target.y)
+    image, jac = eval_map(m, p, with_jacobian=True)
+    res = np.array([image.x - target.x, image.y - target.y])
+    res_norm = float(np.max(np.abs(res)))
+    for _ in range(INVERT_MAX_ITER):
+        if res_norm <= INVERT_TOL:
+            return p
+        step = np.linalg.solve(jac, res)
+        scale = 1.0
+        for _ in range(40):
+            cand = Point(p.x - scale * step[0], p.y - scale * step[1])
+            image, jac_new = eval_map(m, cand, with_jacobian=True)
+            new_res = np.array([image.x - target.x, image.y - target.y])
+            new_norm = float(np.max(np.abs(new_res)))
+            if new_norm < res_norm or new_norm <= INVERT_TOL:
+                break
+            scale *= 0.5
+        p, jac, res, res_norm = cand, jac_new, new_res, new_norm
+    if res_norm <= INVERT_TOL:
+        return p
+    raise ConvergenceError(
+        f"point inversion stalled with residual {res_norm:.3e} at target "
+        f"({target.x}, {target.y})",
+        history=res_norm,
+    )

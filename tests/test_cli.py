@@ -3,6 +3,7 @@ import pytest
 
 from invcurve import SolverConfig, cli, solve_manifold
 from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
+from invcurve.parameterization import RepulsionTrace
 
 FAST = ["--rho0", "0.00625", "--grid", "128"]
 
@@ -255,6 +256,31 @@ class TestRepulsion:
         rep = parse_report(err)
         assert float(rep["first_step_ratio"]) == pytest.approx(1.04, rel=5e-2)
         assert rep["monotone_deviation"] == "True"
+        assert rep["status"] == "PASS"
+
+    def test_truncated_trace_fails(self, capsys):
+        # CANON(lambda=4) inverts (0.5, y) from (0.25, -y), where dY/dy = 0:
+        # the first inversion fails and the trace stops at its start
+        with pytest.warns(UserWarning, match="singular Jacobian"):
+            code, out, err = run_cli(
+                capsys,
+                "repulsion", "--map", "builtin:CANON(lambda=4)",
+                "--x0", "0.5", "--offset", "1e-9", "--delta", "1", "--steps", "5",
+            )
+        assert code == EXIT_VERIFY_FAILED
+        rep = parse_report(err)
+        assert rep["truncated"] == "True" and rep["steps"] == "0"
+        assert rep["status"] == "FAIL"
+
+    def test_shrinking_deviation_fails(self, capsys, monkeypatch):
+        shrinking = RepulsionTrace(np.array([0.02, 0.0196]), np.array([1e-9, 5e-10]), False)
+        monkeypatch.setattr(cli, "repulsion_check", lambda *args: shrinking)
+        code, _, err = run_cli(
+            capsys, "repulsion", "--map", "builtin:PERT", "--x0", "0.02", "--offset", "1e-9"
+        )
+        assert code == EXIT_VERIFY_FAILED
+        rep = parse_report(err)
+        assert rep["monotone_deviation"] == "False" and rep["status"] == "FAIL"
 
 
 class TestCompare:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invcurve import (
+    ConvergenceError,
     MapFormatError,
     MapSpec,
     MapValidationError,
@@ -12,10 +13,15 @@ from invcurve import (
     eval_map,
     format_map_spec,
     invert_point,
+    parameterize_manifold,
     parse_map_spec,
     pert,
     to_planar_series,
 )
+from invcurve import mapdef
+from invcurve.cli import resolve_map
+import oracles
+from oracles import acceptance_battery, flatten_map, invert_point_linalg, jacobian_fsum
 
 # admissible maps: the quadratic skeleton with lambda > 0 and any mu, plus
 # terms of degree 3 to 6 whose coefficients range over every finite binary64
@@ -114,6 +120,20 @@ class TestEvaluation:
                 fd[1, col] = (plus.y - minus.y) / (2 * h)
             np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9)
 
+    def test_jacobian_matches_termwise_derivatives(self):
+        # each entry within 8 eps of the magnitude of its derivative terms,
+        # at points outside the working window so every power counts
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(14)
+        for raw in acceptance_battery(1729):
+            for m in (raw, flatten_map(raw, 8)):
+                for x, y in rng.uniform(-1.2, 1.2, (40, 2)):
+                    jac = m.evaluator.jacobian(x, y)
+                    assert all(type(v) is float for row in jac for v in row)
+                    for terms, row in zip(m.sorted_terms(), jac):
+                        for got, (want, scale) in zip(row, jacobian_fsum(terms, x, y)):
+                            assert abs(got - want) <= 8.0 * eps * scale, (x, y, got, want)
+
     def test_series_conversion_matches_eval_exactly(self):
         m = pert(0.8, 0.6, -0.3)
         sm = to_planar_series(m, 8)
@@ -148,6 +168,53 @@ class TestInvertPoint:
             img = eval_map(m, p)
             back = invert_point(m, img)
             assert abs(back.x - p.x) <= 1e-10 and abs(back.y - p.y) <= 1e-10
+
+
+    def test_singular_jacobian_is_a_typed_error(self):
+        # the start point (0.25, 0) has dY/dy = -1 + 4 x = 0
+        m = resolve_map("builtin:CANON(lambda=4)")
+        with pytest.raises(ConvergenceError) as err:
+            invert_point(m, Point(0.5, 0.0))
+        assert str(err.value) == (
+            "point inversion hit a singular Jacobian at (0.25, -0.0) (determinant 0.0)"
+        )
+
+    @pytest.mark.parametrize(
+        "det, message",
+        [
+            (1e-310, r"non-finite candidate \(inf, "),  # the step overflows
+            (1e-170, "whose image is not finite"),  # the step's image overflows
+        ],
+    )
+    def test_non_finite_candidate_is_a_typed_error(self, monkeypatch, det, message):
+        m = canon()
+        monkeypatch.setattr(m.evaluator, "jacobian", lambda x, y: ((det, 0.0), (0.0, 1.0)))
+        with pytest.raises(ConvergenceError, match=message):
+            invert_point(m, Point(0.5, 0.0))
+
+    def test_preimages_match_the_linalg_oracle_on_repulsion_inputs(self, monkeypatch):
+        # the targets repulsion_check inverts on each battery map (x0 = 0.02,
+        # offset 1e-9, 20 steps of two inversions), each inverted by both
+        calls = []
+
+        def counted(m, p, with_jacobian=False):
+            calls.append(1)
+            return eval_map(m, p, with_jacobian)
+
+        monkeypatch.setattr(mapdef, "eval_map", counted)
+        monkeypatch.setattr(oracles, "eval_map", counted)
+        for m in acceptance_battery(1729):
+            phi = parameterize_manifold(m, 10).phi
+            target = Point(0.02, phi.eval(0.02) + 1e-9)
+            for _ in range(40):
+                del calls[:]
+                got = invert_point(m, target)
+                evals = len(calls)
+                del calls[:]
+                want = invert_point_linalg(m, target)
+                assert abs(got.x - want.x) <= 1e-12 and abs(got.y - want.y) <= 1e-12
+                assert evals <= len(calls)
+                target = got
 
 
 def test_degree_reported():

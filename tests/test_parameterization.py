@@ -368,6 +368,15 @@ def test_online_solve_matches_the_full_residual_loop_family_wide(drawn):
     _assert_stage_residuals_are_full_coefficients(psi, conj, records)
 
 
+@pytest.mark.parametrize("order", [10, 12])
+def test_coefficient_scale_matches_the_sparse_view(order):
+    for m in acceptance_battery(1729):
+        psi = build_psi(m, order)
+        want = max(1.0, *(abs(v) for s in (psi.fx, psi.fy) for v in s.coeffs.values()))
+        got = parameterization._coeff_scale(psi)
+        assert type(got) is float and got == want
+
+
 class TestGraphInvariance:
     def test_canonical_graph(self):
         rep = graph_invariance_check(canon(), Series1.zero(10), 6)

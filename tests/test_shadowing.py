@@ -11,7 +11,13 @@ from invcurve import (
     shadow_metric,
     shadow_step_check,
 )
-from oracles import acceptance_battery, flatten_map, offset_image_termwise, sample_shadow_pair
+from oracles import (
+    acceptance_battery,
+    eval_fsum,
+    flatten_map,
+    offset_image_termwise,
+    sample_shadow_pair,
+)
 
 
 class TestMetric:
@@ -82,10 +88,30 @@ class TestStepCheck:
             for _ in range(50):
                 pair = sample_shadow_pair(rng, 0.05, 8)
                 (x, y), (dx, dy) = (pair.p.x, pair.p.y), pair.offset
-                offsets = fm.evaluator.offset(x, y, dx, dy)
-                for terms, got in zip(fm.sorted_terms(), offsets):
+                out = fm.evaluator.pair_image(x, y, dx, dy)
+                for terms, image, got in zip(fm.sorted_terms(), out[:2], out[2:]):
                     want = offset_image_termwise(terms, x, y, dx, dy)
                     assert abs(got - want) <= 8.0 * eps * abs(want), (pair, got, want)
+                    want, scale = eval_fsum(terms, x, y)
+                    assert abs(image - want) <= 32.0 * eps * scale, (pair, image, want)
+
+    def test_one_step_is_one_contraction(self, monkeypatch):
+        # the image and the offset come from a single product of the
+        # coefficient table with the point's stacked power lists
+        fm = flatten_map(pert(c=0.1), 8)
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            del calls[:]
+            shadow_step_check(fm, sample_shadow_pair(rng, 0.05, 8), 8)
+            assert len(calls) == 1
 
     def test_map_terms_are_read_once_per_map(self, monkeypatch):
         fm = flatten_map(pert(c=0.1), 8)
