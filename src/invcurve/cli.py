@@ -8,7 +8,8 @@ syntax `builtin:NAME(key=val,...)` with NAME one of CANON, PERT.
 Output is deterministic: data as CSV with 17 significant digits, reports as
 `key = value` lines followed by free text.  When --out is given the CSV goes
 to that file and the report to stdout; otherwise the CSV itself is stdout
-and the report moves to stderr.
+and the report moves to stderr.  A library warning goes to stderr as one
+`warning: <message>` line.
 """
 
 from __future__ import annotations
@@ -435,13 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a library warning as one `warning: <message>` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except InvcurveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

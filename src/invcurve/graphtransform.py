@@ -32,13 +32,17 @@ dX/dx, the drift constant and the cap on |Y|/X^3 (the growth margin is
 checked by the loop); its `regraph` step fits them back onto the grid.
 Re-graphing is kept rare because each one adds interpolation error and
 removes none.  Each push costs a few dozen NumPy calls on grid-sized arrays;
-its largest temporaries are the power tables of x and y and their product
-with the coefficients, a few dozen rows of grid size, so the allocator
+its largest temporaries are the power table of x and the product of the
+coefficients with it, about two dozen rows of grid size, so the allocator
 reuses heap memory instead of mapping fresh pages every push:
 
 * the map is evaluated by its cached dense-matrix evaluator
   (`series.MapEvaluator`, `m.evaluator`): one matrix product of the stacked
-  components with the power table of x, weighted by the power table of y;
+  components with the power table of x, weighted by the power table of y.
+  Only the rows of the powers of y that can change a value count, and in
+  flattened coordinates the carried ordinate is F = O(x^(N+1)), below 2e-11
+  on the acceptance battery, so a push of an order-12 map uses 2 to 4 of
+  its 13 powers of y (y^0 .. y^2 on most pushes);
 * a re-graph's grid is x_max times the unit grid computed once per solve,
   and a level carries raw (xs, fs) arrays, building one `Curve` when it
   ends.
@@ -227,19 +231,21 @@ class _PushKernel:
         if big_x[0] != 0.0 or big_y[0] != 0.0:
             raise GuardError("image of the origin moved off the origin")
         dx = big_x[1:] - big_x[:-1]
-        rising = dx > 0.0
-        if not rising.all():
-            bad = int(np.argmin(rising))
+        if not dx.min() > 0.0:  # a NaN fails it too
+            bad = int(np.argmin(dx > 0.0))
             raise GuardError(
                 f"graph monotonicity guard failed: image abscissas stall at x = {xs[bad]:.6g}"
             )
-        min_slope = float(np.min(dx / (xs[1:] - xs[:-1])))
+        min_slope = float((dx / (xs[1:] - xs[:-1])).min())
         xm = float(xs[-1])
         drift_c = float(abs(big_x[-1] - (xm + xm * xm)) / xm**3)
         if bound_cap is not None:
             # the PCHIP re-graph is monotone between nodes, so the cap on the
-            # image nodes also holds for any re-graph of them
-            worst = float(np.max(np.abs(big_y[1:] / big_x[1:] ** TANGENCY_POWER)))
+            # image nodes also holds for any re-graph of them; X^3 as two
+            # products, which cost less than a power
+            pos = big_x[1:]
+            ratio = big_y[1:] / (pos * pos * pos)
+            worst = float(max(ratio.max(), -ratio.min()))  # NaN if any is NaN
             if not worst <= bound_cap:
                 raise GuardError(
                     f"|F|/x^3 reached {worst:.3e} after the push, above the cap {bound_cap:.3e}"
@@ -249,7 +255,7 @@ class _PushKernel:
     def spread_doubled(self, xs: np.ndarray) -> bool:
         """Whether some neighbouring abscissas are further apart, in log, than
         REGRAPH_SPREAD unit-grid steps."""
-        return bool(np.max(xs[2:] / xs[1:-1]) > self._max_ratio)
+        return bool((xs[2:] / xs[1:-1]).max() > self._max_ratio)
 
     def regraph(self, big_x: np.ndarray, big_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The sampled graph through (X, Y) on X_max times the unit grid."""

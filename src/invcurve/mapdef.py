@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import ConvergenceError, MapFormatError, MapValidationError
 from .series import DEFAULT_ORDER, MapEvaluator, PlanarSeriesMap, Series2
 
@@ -178,12 +176,9 @@ def format_map_spec(m: MapSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_map(m: MapSpec, p: Point, with_jacobian: bool = False):
-    """Evaluate the map at a point; optionally return the exact Jacobian."""
-    image = Point(*m.evaluator.values(p.x, p.y))
-    if not with_jacobian:
-        return image
-    return image, np.array(m.evaluator.jacobian(p.x, p.y))
+def eval_map(m: MapSpec, p: Point) -> Point:
+    """The image of a point; the exact Jacobian is `m.evaluator.jacobian`."""
+    return Point(*m.evaluator.values(p.x, p.y))
 
 
 # point inversion: max-norm residual to stop at, and the Newton step cap

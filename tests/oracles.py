@@ -429,9 +429,10 @@ def offset_image_termwise(terms, x: float, y: float, dx: float, dy: float) -> fl
 
 def invert_point_linalg(m: MapSpec, target: Point) -> Point:
     """`mapdef.invert_point` with NumPy arrays: the Jacobian at every
-    candidate, the step by `np.linalg.solve` (kept verbatim)."""
+    candidate, the step by `np.linalg.solve` (kept verbatim, apart from
+    reading the Jacobian from the evaluator)."""
     p = Point(target.x - target.x**2, -target.y)
-    image, jac = eval_map(m, p, with_jacobian=True)
+    image, jac = eval_map(m, p), np.array(m.evaluator.jacobian(p.x, p.y))
     res = np.array([image.x - target.x, image.y - target.y])
     res_norm = float(np.max(np.abs(res)))
     for _ in range(INVERT_MAX_ITER):
@@ -441,7 +442,8 @@ def invert_point_linalg(m: MapSpec, target: Point) -> Point:
         scale = 1.0
         for _ in range(40):
             cand = Point(p.x - scale * step[0], p.y - scale * step[1])
-            image, jac_new = eval_map(m, cand, with_jacobian=True)
+            image = eval_map(m, cand)
+            jac_new = np.array(m.evaluator.jacobian(cand.x, cand.y))
             new_res = np.array([image.x - target.x, image.y - target.y])
             new_norm = float(np.max(np.abs(new_res)))
             if new_norm < res_norm or new_norm <= INVERT_TOL:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -260,14 +262,25 @@ class TestRepulsion:
 
     def test_truncated_trace_fails(self, capsys):
         # CANON(lambda=4) inverts (0.5, y) from (0.25, -y), where dY/dy = 0:
-        # the first inversion fails and the trace stops at its start
-        with pytest.warns(UserWarning, match="singular Jacobian"):
+        # the first inversion fails and the trace stops at its start; the
+        # library's warning reaches stderr as one `warning: ...` line, without
+        # the file, line, category and source line of Python's own format
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
             code, out, err = run_cli(
                 capsys,
                 "repulsion", "--map", "builtin:CANON(lambda=4)",
                 "--x0", "0.5", "--offset", "1e-9", "--delta", "1", "--steps", "5",
             )
+        assert escaped == []
         assert code == EXIT_VERIFY_FAILED
+        assert out == "step,x,deviation\n0,0.5,1.0000000000000001e-09\n"
+        lines = err.splitlines()
+        assert lines[0] == (
+            "warning: pointwise inversion failed (point inversion hit a singular "
+            "Jacobian at (0.25, -1e-09) (determinant 0.0)); trace truncated"
+        )
+        assert all(" = " in line for line in lines[1:])
         rep = parse_report(err)
         assert rep["truncated"] == "True" and rep["steps"] == "0"
         assert rep["status"] == "FAIL"

@@ -2,20 +2,27 @@
 
 The kernel evaluates the map with the map's dense-matrix evaluator and
 re-graphs with the package's one PCHIP, which `Curve.eval` reads too; these
-tests hold the evaluator to the exactly summed terms and the PCHIP, in the
+tests hold the evaluator to the exactly summed terms, its cut of the
+y-power rows to the contraction of every row, and the PCHIP, in the
 re-graph and in `Curve.eval`, to SciPy's bit for bit, check that every push
 path gives the same curves, and hold the level loop, which carries pushed
 points forward, to the loop that re-graphs after every push.  SciPy is the
 test-only oracle here; the package imports no part of SciPy.
 """
 
+import contextlib
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator as ScipyPchip
 
 import invcurve
@@ -40,6 +47,7 @@ from invcurve.graphtransform import (
     _PushKernel,
     _run_level,
 )
+from invcurve.series import ROW_CUT, MapEvaluator
 from oracles import eval_fsum, flatten_map, run_level_regraph_every_push
 from test_acceptance import BASE_CFG, BATTERY, _gt_solution
 from test_graphtransform import _fast_cfg
@@ -64,6 +72,94 @@ def test_matrix_evaluator_matches_term_by_term(idx):
                 want, scale = eval_fsum(terms, float(x), float(y))
                 assert abs(at_point - want) <= 32.0 * eps * scale
                 assert abs(in_array[k] - want) <= 32.0 * eps * scale
+
+
+@contextlib.contextmanager
+def every_row():
+    """The evaluator with its row choice patched to keep every y-power row,
+    as it did before it dropped any."""
+    with mock.patch.object(MapEvaluator, "_rows", lambda self, x, y: self._ny + 1):
+        yield
+
+
+def test_row_cut_leaves_the_battery_curves_unchanged():
+    # in flattened coordinates every carried ordinate is tiny, so a push
+    # keeps 2 to 4 of the 13 y-power rows; the curves do not move a bit
+    kept = []
+    rows = MapEvaluator._rows
+
+    def spy(self, x, y):
+        kept.append((rows(self, x, y), self._ny + 1))
+        return kept[-1][0]
+
+    with mock.patch.object(MapEvaluator, "_rows", spy):
+        cut = [solve_manifold(m, BASE_CFG) for m in BATTERY]
+    with every_row():
+        full = [solve_manifold(m, BASE_CFG) for m in BATTERY]
+    assert max(r for r, every in kept if every == 13) <= 4
+    for (c_cut, _, d_cut), (c_full, _, d_full) in zip(cut, full):
+        assert c_cut.xs.tobytes() == c_full.xs.tobytes()
+        assert c_cut.fs.tobytes() == c_full.fs.tobytes()
+        assert d_cut.gaps == d_full.gaps
+        assert [lv.nu_bar for lv in d_cut.levels] == [lv.nu_bar for lv in d_full.levels]
+
+
+# a table of 1 .. 13 y-power rows and 1 .. 13 x-power columns per component,
+# some coefficients zero and the others of size 1e-3 .. 1e3, and points with
+# |x| <= 1 and |y| <= ymax, ymax = 10^-30 .. 1
+@st.composite
+def _tables_and_points(draw):
+    nx, ny = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    zeros, size = draw(st.floats(0.0, 1.0)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2, ny + 1, nx + 1)
+    coef = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    coef[rng.random(shape) < zeros] = 0.0
+    parts = [[((i, j), c) for (j, i), c in np.ndenumerate(comp)] for comp in coef]
+    xs = rng.uniform(-1.0, 1.0, size)
+    ys = 10.0 ** draw(st.floats(-30.0, 0.0)) * rng.uniform(-1.0, 1.0, size)
+    return parts, xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_and_points())
+def test_row_cut_changes_no_value_it_may_not(case):
+    # the dropped rows add less than ROW_CUT |y| to each value, so the cut
+    # moves a value by at most twice that, and not at all where the value is
+    # 2^-5 |y| or more: half its ulp is then at least 2^-59 |y|
+    parts, xs, ys = case
+    ev = MapEvaluator(parts)
+    got = ev.values(xs, ys)
+    with every_row():
+        want = ev.values(xs, ys)
+    rows = ev._ny + 1
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= ROW_CUT * np.abs(ys) * rows)
+        exact = np.abs(g) >= 2.0**-5 * np.abs(ys)
+        assert np.array_equal(g[exact], w[exact])
+
+
+@pytest.mark.parametrize(
+    "x_far, y_bad",
+    [(1.5, 0.0), (0.5, 1e200), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)],
+    ids=["x beyond 1", "y beyond 1", "NaN in y", "inf in y", "-inf in y"],
+)
+def test_row_cut_keeps_every_row_outside_its_bound(x_far, y_bad):
+    m = flatten_map(BATTERY[2], 8)
+    ev = m.evaluator
+    xs = np.linspace(0.0, 0.05, 8)
+    ys = 1e-15 * xs
+    assert ev._rows(xs, ys) == 3 < ev._ny + 1
+    xs[-1], ys[-2] = x_far, y_bad
+    assert ev._rows(xs, ys) == ev._ny + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # y^12 and inf * 0
+        big_x, big_y = ev.values(xs, ys)
+        with every_row():
+            want = ev.values(xs, ys)
+    if math.isnan(y_bad):
+        assert math.isnan(big_x[-2]) and math.isnan(big_y[-2])
+    np.testing.assert_array_equal(big_x, want[0])
+    np.testing.assert_array_equal(big_y, want[1])
 
 
 def test_end_slope_clamps():
@@ -149,6 +245,21 @@ def test_regraph_rejects_queries_outside_the_image():
         kernel.regraph(big_x, big_y)
 
 
+def test_image_guards_trip_on_nan(monkeypatch):
+    kernel = _PushKernel(flatten_map(BATTERY[2], 8), 64)
+    xs = 0.01 * kernel.unit
+    fs = 1e-3 * xs**3
+    fs[10] = np.nan  # a NaN ordinate keeps every row and spoils X and Y
+    with pytest.raises(GuardError, match="image abscissas stall at x = "):
+        kernel.image(xs, fs, 100.0)
+    # a NaN in Y alone passes the monotonicity guard and trips the cap
+    big_x, big_y = kernel._ev.values(xs, 1e-3 * xs**3)
+    big_y[10] = np.nan
+    monkeypatch.setattr(kernel, "_ev", SimpleNamespace(values=lambda x, y: (big_x, big_y)))
+    with pytest.raises(GuardError, match=r"\|F\|/x\^3 reached nan after the push"):
+        kernel.image(xs, fs, 100.0)
+
+
 def test_regraph_and_curve_eval_build_the_module_interpolator(monkeypatch):
     # both look the class up by its module name, so a subclass bound there
     # (a profiler's, say) sees every build
@@ -216,12 +327,15 @@ def test_monotonicity_guard_on_a_carried_push():
     assert str(err.value) == want
 
 
-def test_bound_cap_on_a_carried_push():
-    # the x^2 y term of Y triples |F|/x^3 per push near x = 0.0125
-    m = MapSpec({(1, 0): 1.0, (2, 0): 1.0}, {(0, 1): -1.0, (1, 1): 1.0, (2, 1): -1e4, (3, 0): 1.0})
+def _check_bound_cap(c):
+    # the x^2 y term of Y triples |F|/x^3 per push near x = 0.0125; the
+    # sign of the c x^3 term sets the sign of F after each push
+    m = MapSpec({(1, 0): 1.0, (2, 0): 1.0}, {(0, 1): -1.0, (1, 1): 1.0, (2, 1): -1e4, (3, 0): c})
     rho, size = 0.0125, 512
     images = _carried_images(m, rho, size, 3)
-    worst = [float(np.max(np.abs(y[1:] / x[1:] ** 3))) for x, y in images]
+    signed = [y[1:] / x[1:] ** 3 for x, y in images]
+    worst = [float(np.max(np.abs(r))) for r in signed]
+    assert worst[2] == float(np.max(np.sign(c) * signed[2]))
     assert worst[0] < worst[1] < worst[2]
     kernel = _PushKernel(m, size)
     assert not any(kernel.spread_doubled(x) for x, _ in images)
@@ -230,6 +344,14 @@ def test_bound_cap_on_a_carried_push():
     with pytest.raises(GuardError) as err:
         _run_level(kernel, rho, SolverConfig(rho0=rho, bound_cap=cap))
     assert str(err.value) == want
+
+
+def test_bound_cap_on_a_carried_push():
+    _check_bound_cap(1.0)
+
+
+def test_bound_cap_on_a_carried_push_below_the_axis():
+    _check_bound_cap(-1.0)
 
 
 def test_graded_grid_is_a_scaled_unit_grid():
