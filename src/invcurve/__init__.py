@@ -47,13 +47,7 @@ from .mapdef import (
     pert,
     to_planar_series,
 )
-from .normalform import (
-    NormalFormResult,
-    normalize_step,
-    normalize_to_order,
-    pullback_curve,
-    shear_map,
-)
+from .normalform import NormalFormResult, normalize_to_order, pullback_curve
 from .parameterization import (
     ConjugacyResult,
     GraphInvarianceReport,
@@ -121,7 +115,6 @@ __all__ = [
     "invariance_residual",
     "invert_map_series",
     "invert_point",
-    "normalize_step",
     "normalize_to_order",
     "orbit_shadow_experiment",
     "parameterize_manifold",
@@ -135,7 +128,6 @@ __all__ = [
     "seed_curve",
     "shadow_metric",
     "shadow_step_check",
-    "shear_map",
     "solve_conjugacy",
     "solve_manifold",
     "square_map",

@@ -401,7 +401,7 @@ _SHADOW = ("--delta", "--x", "--y", "--xhat", "--yhat", "--x0", "--offset", "--s
 # subcommand -> (handler, the flags besides --map, --order and --out that the
 # handler reads, help); any other flag is a usage error
 _COMMANDS = {
-    "normalize": (_cmd_normalize, (), "flatten the Y component and print the shears"),
+    "normalize": (_cmd_normalize, (), "flatten the Y component and print the shift"),
     "manifold-gt": (_cmd_manifold_gt, _SOLVER, "graph-transform solve; curve CSV"),
     "manifold-param": (_cmd_manifold_param, (), "conjugacy solve; phi CSV"),
     "verify-invariance": (

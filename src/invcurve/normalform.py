@@ -1,24 +1,29 @@
-"""Shear conjugations that flatten the Y component one order at a time.
+"""Flatten the Y component through order N with one shear conjugation.
 
-A change of variables y -> y + gamma * x^n (applied on both sides of the map)
-can remove the pure x^n term from the Y component: if beta is that
-coefficient, the conjugated map carries (2 gamma + beta) x^n, so
-gamma = -beta/2 kills it.  Iterating n = 3..N produces coordinates in which
-the Y component has no pure-x terms through order N, leaving the x-axis
-invariant up to O(x^(N+1)).  The accumulated shift s(x) = sum gamma_n x^n
-maps results back: a curve y = F(x) in the new coordinates is
-y = F(x) - s(x) in the original ones.
+The shear S(x, y) = (x, y + s(x)) conjugates the map f = (fx, fy) to
+X' = fx(x, y - s(x)), Y' = fy(x, y - s(x)) + s(X').  The pure-x part
+P(x) = fy(x, -s(x)) + s(fx(x, -s(x))) of Y' holds 2 s_k at x^k and
+otherwise s_3 .. s_(k-1) only, so with s known through k - 1, the shift's
+coefficient gamma_k = s_k is -P_k / 2, for k = 3..N: a solve on raw
+univariate arrays at np.longdouble, rounded to binary64 once.  The map is then conjugated once, at binary64,
+and the pure-x terms of Y through order N, left at rounding level, are
+checked and zeroed.  So the x-axis is invariant up to O(x^(N+1)), and -s is
+the N-jet of the map's invariant graph: a curve y = F(x) in the new
+coordinates is y = F(x) - s(x) in the original ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mapdef import MapSpec, to_planar_series
-from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, compose_maps
+import numpy as np
 
-# conjugation is exact through order n only when the shear's quadratic
-# interactions stay representable; callers must leave two orders of headroom
+from .errors import SeriesError
+from .mapdef import MapSpec, to_planar_series
+from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, _index, _mul1, _mul2
+
+# the conjugated pure-x coefficients of Y through order N must cancel to
+# this, relative to max(1, 2 |gamma_k|), before they are zeroed
 _KILL_TOL = 1e-12
 
 
@@ -30,72 +35,75 @@ class NormalFormResult:
     order: int
 
 
-def shear_map(gamma: float, n: int, order: int) -> PlanarSeriesMap:
-    """(x, y) -> (x, y + gamma x^n)."""
-    fy = Series2({(0, 1): 1.0, (n, 0): gamma}, order) if gamma != 0.0 else Series2.y(order)
-    return PlanarSeriesMap(Series2.x(order), fy, order)
+def _horner(rows: np.ndarray, t: np.ndarray, mul, n: int) -> np.ndarray:
+    """sum_j rows[j] t^j through order n by `mul`, the raw product kernel of their kind."""
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = mul(acc, t, n) + row
+    return acc
 
 
-def _zero_pure_coeff(m: PlanarSeriesMap, n: int) -> PlanarSeriesMap:
-    fy = m.fy - Series2({(n, 0): m.fy.coeff(n, 0)}, m.order)
-    return PlanarSeriesMap(m.fx, fy, m.order)
+def _constants(c: np.ndarray, size: int) -> np.ndarray:
+    """The constant series c_0, c_1, ... as rows of `size` slots."""
+    rows = np.zeros((c.size, size), dtype=c.dtype)
+    rows[:, 0] = c
+    return rows
 
 
-def normalize_step(m: PlanarSeriesMap, n: int) -> tuple[PlanarSeriesMap, float]:
-    """Remove the pure x^n coefficient from the Y component.
-
-    Reads beta from the current series, conjugates with the shear for
-    gamma = -beta/2, and returns the conjugated map together with gamma.
-    The killed coefficient is checked against a 1e-12 residual and then
-    zeroed exactly so later guards see a clean tail.
-    """
-    if n < 3:
-        raise ValueError("flattening starts at the cubic term (n >= 3)")
-    if n > m.order:
-        raise ValueError(f"order {n} exceeds truncation order {m.order}")
-    for k in range(3, n):
-        left = abs(m.fy.coeff(k, 0))
-        if left > _KILL_TOL:
-            raise ValueError(
-                f"map is not flattened below order {n}: Y keeps {left:.3e} * x^{k}"
-            )
-    beta = m.fy.coeff(n, 0)
-    gamma = -beta / 2.0
-    if gamma == 0.0:
-        return m, 0.0
-    fwd = shear_map(gamma, n, m.order)
-    back = shear_map(-gamma, n, m.order)
-    conj = compose_maps(fwd, compose_maps(m, back))
-    leftover = abs(conj.fy.coeff(n, 0))
-    if leftover > _KILL_TOL * max(1.0, abs(beta)):
-        raise ArithmeticError(
-            f"shear failed to cancel the x^{n} coefficient (residual {leftover:.3e})"
-        )
-    return _zero_pure_coeff(conj, n), gamma
+def _solve_shift(coef: np.ndarray, order: int) -> np.ndarray:
+    """s_0 .. s_order (the first three zero) at np.longdouble, from coef[j, c],
+    the univariate series sum_i c_ij x^i of component c, through x^order."""
+    s = np.zeros(order + 1, dtype=np.longdouble)
+    for k in range(3, order + 1):
+        # y = -s(x) = O(x^3), so only y^j with j <= k // 3 reach x^k
+        rows = coef[: k // 3 + 1, :, : k + 1].swapaxes(0, 1)
+        big_x, big_y = (_horner(r, -s[: k + 1], _mul1, k) for r in rows)
+        pure = big_y + _horner(_constants(s[:k], k + 1), big_x, _mul1, k)
+        s[k] = (0.0 - pure[k]) / 2
+    return s
 
 
 def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
     """Flatten the Y component through the requested order.
 
     Needs truncation headroom: the map's series order must be at least
-    order + 2 so every conjugation is exact on the tracked coefficients.
+    order + 2.  A map whose shift is zero (CANON) comes back unchanged.
     """
     if order < 3:
-        raise ValueError("normalization order must be at least 3")
-    if m.order < order + 2:
-        raise ValueError(
-            f"series order {m.order} too small; need at least {order + 2} for order {order}"
+        raise SeriesError(f"normalization order must be at least 3, got {order}")
+    n = m.order
+    if n < order + 2:
+        raise SeriesError(
+            f"series order {n} too small; need at least {order + 2} for order {order}"
         )
-    gammas = []
-    current = m
-    for n in range(3, order + 1):
-        current, gamma = normalize_step(current, n)
-        gammas.append(gamma)
-    shift_coeffs = [0.0] * (m.order + 1)
-    for n, g in zip(range(3, order + 1), gammas):
-        shift_coeffs[n] = g
-    shift = Series1(tuple(shift_coeffs))
-    return NormalFormResult(current, tuple(gammas), shift, order)
+    # the powers of x are unit rows: rows[j, c], the Horner row sum_i c_ij x^i
+    # of component c, holds each c_ij in the slot of x^i
+    size, x_slots = Series2._slots(n), _index(np.arange(n + 1), 0)
+    mats = [f._by_powers(n) for f in (m.fx, m.fy)]
+    rows = np.zeros((max(mat.shape[0] for mat in mats), 2, size))
+    for c, mat in enumerate(mats):
+        rows[: mat.shape[0], c, x_slots[: mat.shape[1]]] = mat
+    s = _solve_shift(rows[:, :, x_slots[: order + 1]].astype(np.longdouble), order)
+    s = s.astype(np.float64)
+    shift, gammas = Series1.from_coeffs(s, n), tuple(s[3:].tolist())
+    if not s.any():
+        return NormalFormResult(m, gammas, shift, order)
+
+    sy = np.zeros(size)  # y - s(x)
+    sy[_index(0, 1)] = 1.0
+    sy[x_slots[3 : order + 1]] = -s[3:]
+    big_x, big_y = _horner(rows, sy, _mul2, n)
+    big_y = big_y + _horner(_constants(s, size), big_x, _mul2, n)
+    for k, gamma in enumerate(gammas, start=3):
+        left, bound = abs(big_y[x_slots[k]]), _KILL_TOL * max(1.0, 2.0 * abs(gamma))
+        if left > bound:
+            raise SeriesError(
+                f"shear failed to cancel the x^{k} coefficient of Y: "
+                f"residual {left:.3e} exceeds {bound:.3e}"
+            )
+    big_y[x_slots[3 : order + 1]] = 0.0
+    normalized = PlanarSeriesMap(Series2._wrap(big_x, n), Series2._wrap(big_y, n), n)
+    return NormalFormResult(normalized, gammas, shift, order)
 
 
 def normalize_map(m: MapSpec, order: int) -> NormalFormResult:
@@ -107,11 +115,11 @@ def normalize_map(m: MapSpec, order: int) -> NormalFormResult:
 
 
 def pullback_curve(f_norm, shift: Series1):
-    """Undo the accumulated shears: F_orig(x) = F_norm(x) - s(x).
+    """Undo the flattening shear: F_orig(x) = F_norm(x) - s(x).
 
     Accepts either a univariate series or a sampled curve and returns the
-    same kind.  The shears fix x and stack additively in y, so a single
-    subtraction of the shift reverses all of them.
+    same kind.  The shear fixes x and shifts y by s(x), so a single
+    subtraction of the shift reverses it.
     """
     if isinstance(f_norm, Series1):
         return f_norm - shift.truncate(f_norm.order)

@@ -201,6 +201,29 @@ def reverse_series_full(s):
     return g
 
 
+def normalize_shear_steps(m, order: int):
+    """`normalform.normalize_to_order` as the loop of one-term shears it
+    replaced: step n reads beta, the x^n coefficient of Y, conjugates the map
+    with (x, y) -> (x, y + gamma x^n), gamma = -beta/2, by two compositions
+    of planar maps, and zeroes that coefficient.  Returns (normalized map,
+    gammas)."""
+    from invcurve import PlanarSeriesMap, Series2, compose_maps
+
+    def shear(gamma, n):
+        fy = Series2({(0, 1): 1.0, (n, 0): gamma}, m.order)
+        return PlanarSeriesMap(Series2.x(m.order), fy, m.order)
+
+    gammas = []
+    for n in range(3, order + 1):
+        gamma = -m.fy.coeff(n, 0) / 2.0
+        gammas.append(gamma)
+        if gamma != 0.0:
+            m = compose_maps(shear(gamma, n), compose_maps(m, shear(-gamma, n)))
+            fy = m.fy - Series2({(n, 0): m.fy.coeff(n, 0)}, m.order)
+            m = PlanarSeriesMap(m.fx, fy, m.order)
+    return m, tuple(gammas)
+
+
 def invert_map_series_sweep(m):
     """`series.invert_map_series` as it was before its sweeps went online:
     sweep k substitutes h into g at the full order k, recomputing every

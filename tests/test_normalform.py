@@ -1,57 +1,123 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import invcurve.normalform as normalform
+import invcurve.series as series_mod
 from invcurve import (
+    MapSpec,
     Series1,
     Series2,
+    SeriesError,
     PlanarSeriesMap,
     canon,
     compose_maps,
-    normalize_step,
     normalize_to_order,
     pert,
     pullback_curve,
-    shear_map,
     to_planar_series,
 )
 from invcurve.graphtransform import Curve, graded_grid
+from invcurve.normalform import normalize_map
+from oracles import acceptance_battery, manifold_jet, normalize_shear_steps
 
 
 def series(m, order=12):
     return to_planar_series(m, order)
 
 
-class TestNormalizeStep:
+def _shear(gammas, order: int) -> PlanarSeriesMap:
+    """(x, y) -> (x, y + sum gamma_n x^n), n = 3, 4, ..."""
+    terms = {(0, 1): 1.0, **{(n, 0): g for n, g in enumerate(gammas, start=3)}}
+    return PlanarSeriesMap(Series2.x(order), Series2.from_terms(terms, order), order)
+
+
+def _identity_gap(m: PlanarSeriesMap, nf) -> float:
+    """Largest coefficient of S m - normalized S, with S the shear of the gammas."""
+    shear = _shear(nf.gammas, m.order)
+    return _map_diff(compose_maps(shear, m), compose_maps(nf.normalized, shear))
+
+
+class TestShiftSolve:
     def test_pert_cubic_gamma(self):
-        _, gamma = normalize_step(series(pert(c=0.1)), 3)
-        assert gamma == -0.05
+        nf = normalize_to_order(series(pert(c=0.1)), 8)
+        assert nf.gammas[0] == -0.05
 
     def test_canonical_map_untouched(self):
         m = series(canon())
-        out, gamma = normalize_step(m, 3)
-        assert gamma == 0.0
-        assert out.fy.coeffs == m.fy.coeffs
+        nf = normalize_to_order(m, 3)
+        assert nf.gammas == (0.0,)
+        assert nf.normalized is m
+        assert nf.normalized.fy.coeffs == m.fy.coeffs
 
     def test_target_coefficient_removed(self):
-        out, _ = normalize_step(series(pert(c=0.37)), 3)
-        assert out.fy.coeff(3, 0) == 0.0
+        nf = normalize_to_order(series(pert(c=0.37)), 3)
+        assert nf.normalized.fy.coeff(3, 0) == 0.0
 
-    def test_conjugacy_identity_per_step(self):
+    def test_conjugacy_identity_per_order(self):
         m = series(pert(1.2, -0.4, 0.3))
-        out, gamma = normalize_step(m, 3)
-        fwd = shear_map(gamma, 3, m.order)
-        lhs = compose_maps(fwd, m)
-        rhs = compose_maps(out, fwd)
-        worst = _map_diff(lhs, rhs)
-        assert worst <= 1e-10
-
-    def test_requires_flattened_prefix(self):
-        with pytest.raises(ValueError, match="not flattened"):
-            normalize_step(series(pert(c=0.1)), 4)
+        for order in range(3, 11):
+            assert _identity_gap(m, normalize_to_order(m, order)) <= 1e-10
 
     def test_order_cap(self):
-        with pytest.raises(ValueError, match="exceeds truncation"):
-            normalize_step(series(pert(c=0.1), order=4), 5)
+        with pytest.raises(SeriesError, match="series order 4 too small; need at least 7"):
+            normalize_to_order(series(pert(c=0.1), order=4), 5)
+
+    def test_order_floor(self):
+        with pytest.raises(SeriesError, match="at least 3, got 2"):
+            normalize_to_order(series(pert(c=0.1)), 2)
+
+    def test_cancellation_check_names_its_values(self, monkeypatch):
+        # with no tolerance, the rounding left in the conjugated x^k
+        # coefficients trips the check
+        monkeypatch.setattr(normalform, "_KILL_TOL", 0.0)
+        with pytest.raises(SeriesError, match=r"x\^\d+ coefficient of Y: residual \S+ exceeds 0"):
+            normalize_to_order(series(pert(1.4, 0.3, -0.6)), 8)
+
+    def test_gammas_are_the_exact_jet(self):
+        # -s is the N-jet of the invariant graph: each gamma within 4 ulp of
+        # the exact rational jet, correctly rounded
+        for idx, m in enumerate(acceptance_battery()):
+            jet = manifold_jet(m, 8)
+            gammas = normalize_map(m, 8).gammas
+            worst = max(_ulps(-g, a) for g, a in zip(gammas, jet))
+            assert worst <= 4, f"map {idx}: gamma {worst} ulp off the exact jet"
+
+    def test_matches_the_shear_step_loop(self):
+        # the one conjugation against the loop of one-term shears, each
+        # normalized coefficient within 32 ulp of the map's largest
+        for idx, m in enumerate(acceptance_battery()):
+            sm = series(m)
+            loop, _ = normalize_shear_steps(sm, 8)
+            nf = normalize_to_order(sm, 8)
+            for new, ref in ((nf.normalized.fx, loop.fx), (nf.normalized.fy, loop.fy)):
+                scale = max(abs(c) for c in ref.coeffs.values())
+                gap = np.max(np.abs(new._c - ref._c))
+                assert gap <= 32 * np.finfo(float).eps * scale, f"map {idx}: {gap:.3e}"
+
+    def test_no_map_composition(self, monkeypatch):
+        # the shift is solved on univariate series and the map conjugated
+        # once, with no composition of planar maps
+        calls = []
+        compose = series_mod.compose_maps
+
+        def counted(*args):
+            calls.append(1)
+            return compose(*args)
+
+        monkeypatch.setattr(series_mod, "compose_maps", counted)
+        monkeypatch.setattr(normalform, "compose_maps", counted, raising=False)
+        for m in acceptance_battery()[:4]:
+            normalize_map(m, 8)
+        assert calls == []
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance between two doubles in units in the last place."""
+    ia, ib = (int(np.float64(v).view(np.int64)) for v in (a, b))
+    ia, ib = (v if v >= 0 else -(1 << 63) - v for v in (ia, ib))
+    return abs(ia - ib)
 
 
 def _map_diff(a: PlanarSeriesMap, b: PlanarSeriesMap) -> float:
@@ -61,6 +127,31 @@ def _map_diff(a: PlanarSeriesMap, b: PlanarSeriesMap) -> float:
         for k in keys:
             worst = max(worst, abs(lhs.coeff(*k) - rhs.coeff(*k)))
     return worst
+
+
+@st.composite
+def admissible_maps(draw):
+    """lambda in (0, 4], mu in [-2, 2], cubic and quartic tails in [-3, 3]."""
+    lam = draw(st.floats(0.0, 4.0, exclude_min=True))
+    mu = draw(st.floats(-2.0, 2.0))
+    x_terms = {(1, 0): 1.0, (2, 0): 1.0, (1, 1): mu}
+    y_terms = {(0, 1): -1.0, (1, 1): lam}
+    for table in (x_terms, y_terms):
+        for deg in (3, 4):
+            for i in range(deg + 1):
+                table[(deg - i, i)] = draw(st.floats(-3.0, 3.0))
+    return MapSpec(x_terms, y_terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_maps())
+def test_normal_form_across_the_admissible_family(m):
+    sm = series(m)
+    nf = normalize_to_order(sm, 8)
+    assert all(nf.normalized.fy.coeff(k, 0) == 0.0 for k in range(3, 9))
+    scale = max(abs(c) for f in (sm.fx, sm.fy, nf.normalized.fx, nf.normalized.fy)
+                for c in f.coeffs.values())
+    assert _identity_gap(sm, nf) <= 1e-10 * max(1.0, scale)
 
 
 class TestNormalizeToOrder:
@@ -92,16 +183,7 @@ class TestNormalizeToOrder:
 
     def test_composite_conjugacy_identity(self):
         m = series(pert(1.4, 0.3, -0.6))
-        nf = normalize_to_order(m, 8)
-        shear = PlanarSeriesMap(
-            Series2.x(m.order),
-            Series2.from_terms(
-                {(0, 1): 1.0, **{(n, 0): g for n, g in zip(range(3, 9), nf.gammas)}},
-                m.order,
-            ),
-            m.order,
-        )
-        assert _map_diff(compose_maps(shear, m), compose_maps(nf.normalized, shear)) <= 1e-10
+        assert _identity_gap(m, normalize_to_order(m, 8)) <= 1e-10
 
     def test_headroom_enforced(self):
         with pytest.raises(ValueError, match="too small"):
