@@ -14,6 +14,7 @@ Both come with measured certificates and cross-validation utilities.
 from .errors import (
     ConjugacyError,
     ConvergenceError,
+    DomainError,
     GuardError,
     InvcurveError,
     MapFormatError,
@@ -85,6 +86,7 @@ __all__ = [
     "ConvergenceError",
     "Curve",
     "DEFAULT_ORDER",
+    "DomainError",
     "GraphInvarianceReport",
     "GuardError",
     "InvarianceReport",

@@ -241,11 +241,13 @@ def _cmd_manifold_gt(args) -> int:
         pairs.append((f"x_max_trace_{i}", trace))
     for i, gap in enumerate(diag.gaps):
         pairs.append((f"gap_{i}", gap))
+    pairs.append(("seed_error_est", diag.seed_error_est))
     for mm, k in enumerate(cert.ks):
         pairs.append((f"K_{mm}", k))
     text = [
         "graph-transform solve: curve CSV has columns x,F on the graded grid.",
         "K_m are measured suprema of x^(m-N) |F^(m)| on the final flattened curve.",
+        "seed_error_est models the returned level's seed error from the last gap; not a bound.",
     ]
     _emit(_curve_csv(curve), _report(pairs, text), args.out)
     return 0

@@ -38,3 +38,8 @@ class ConjugacyError(InvcurveError, ValueError):
 
 class SeriesError(InvcurveError, ValueError):
     """A truncated-series operation got operands outside its domain."""
+
+
+class DomainError(InvcurveError, ValueError):
+    """An argument lies outside the domain its function accepts; the message
+    names the argument and its value."""

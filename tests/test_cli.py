@@ -160,6 +160,16 @@ class TestManifoldGt:
             assert int(report[f"regraphs_{i}"]) == lv.regraphs
             assert 1 <= lv.regraphs < lv.nu_bar
 
+    def test_report_prints_the_seed_error_estimate_after_the_gaps(self, capsys):
+        spec = "builtin:PERT(lambda=1,mu=0,c=0.1)"
+        code, _, err = run_cli(capsys, "manifold-gt", "--map", spec, *FAST)
+        assert code == 0
+        report = parse_report(err)
+        _, _, diag = solve_manifold(resolve_map(spec), SolverConfig(rho0=0.00625, grid_size=128))
+        assert float(report["seed_error_est"]) == diag.seed_error_est
+        keys = list(report)
+        assert keys.index("seed_error_est") == keys.index(f"gap_{len(diag.gaps) - 1}") + 1
+
     def test_seed_length_matches_the_library_default(self, capsys):
         args = ["manifold-gt", "--map", "builtin:PERT", "--grid", "128"]
         code, _, err = run_cli(capsys, *args)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from invcurve import (
     ConvergenceError,
     Curve,
+    DomainError,
     GuardError,
     SolverConfig,
     bound_certificate,
@@ -13,6 +15,7 @@ from invcurve import (
     graded_grid,
     graphtransform,
     invariance_residual,
+    parameterize_manifold,
     pert,
     push_curve,
     rho_refinement,
@@ -38,6 +41,40 @@ class TestGrid:
         with pytest.raises(ValueError, match="increasing"):
             Curve(np.array([0.0, 0.2, 0.1, 0.3]), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: graded_grid(-1.0, 64), "x_max = -1.0 must be positive and finite"),
+            (lambda: graded_grid(float("nan"), 64), "x_max = nan must be positive"),
+            (lambda: graded_grid(0.1, 4), "grid size = 4 must be at least 8"),
+            (lambda: Curve(np.zeros(3), np.zeros(4)), "got shapes xs (3,) and fs (4,)"),
+            (lambda: Curve(np.arange(4.0), np.arange(4.0) + 1.0), "starts at (0, 1)"),
+            (
+                lambda: Curve(np.array([0.0, 0.2, 0.1, 0.3]), np.zeros(4)),
+                "increasing: xs[2] = 0.1 after xs[1] = 0.2",
+            ),
+            (
+                lambda: Curve(np.arange(4.0), np.array([0.0, 1.0, np.nan, 1.0])),
+                "must be finite: F = nan at x = 2",
+            ),
+            (
+                lambda: Curve(np.array([0.0, 1.0, 2.0, np.inf]), np.zeros(4)),
+                "must be finite: F = 0.0 at x = inf",
+            ),
+            (lambda: bound_certificate(seed_curve(0.1, 64), 8, 4), "m_max = 4 must be"),
+            (lambda: bound_certificate(seed_curve(0.1, 8), 8, 2), "8 nodes, need 16"),
+            (
+                lambda: invariance_residual(canon(), Curve(np.array([0.0, 0.6, 0.8, 1.0]),
+                                                           np.zeros(4))),
+                "no positive nodes in (0, x_max/2 = 0.5]",
+            ),
+        ],
+    )
+    def test_argument_errors_are_typed_and_name_their_value(self, call, message):
+        with pytest.raises(DomainError, match=re.escape(message)) as err:
+            call()
+        assert isinstance(err.value, ValueError)
+
     def test_eval_clamps_and_extends(self):
         g = graded_grid(0.1, 64)
         c = Curve(g, 2.0 * g**3)
@@ -56,9 +93,15 @@ class TestGrid:
 
 
 @pytest.fixture(scope="module")
-def battery_curves():
+def battery_solves():
     maps = acceptance_battery(1729)
-    return maps, [solve_manifold(m, SolverConfig())[0] for m in maps]
+    return maps, [solve_manifold(m, SolverConfig()) for m in maps]
+
+
+@pytest.fixture(scope="module")
+def battery_curves(battery_solves):
+    maps, solves = battery_solves
+    return maps, [curve for curve, _, _ in solves]
 
 
 class TestCurveEvalOnTheBattery:
@@ -182,6 +225,23 @@ class TestSolveManifold:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(rho0=0.1, delta=0.05).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(rho0=0.06), "rho0 = 0.06 must lie in (0, delta = 0.05)"),
+            (dict(delta=-0.05), "rho0 = -0.025 must lie in (0, delta = -0.05)"),
+            (dict(tol_converge=0.0), "tol_converge = 0 must be positive"),
+            (dict(norm_order=2), "norm_order = 2 must be at least 3"),
+            (dict(grid_size=32), "grid_size = 32 must be at least 64"),
+            (dict(m_max=4), "m_max = 4 must be between 0 and 3"),
+            (dict(rho_factor=1.0), "rho_factor = 1 must lie in (0, 1)"),
+            (dict(max_levels=1), "max_levels = 1 must be at least 2"),
+        ],
+    )
+    def test_invalid_config_names_its_value(self, overrides, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            SolverConfig(**overrides).validate()
 
 
 def _fast_cfg(**overrides) -> SolverConfig:
@@ -353,7 +413,7 @@ def test_random_map_solve_is_well_behaved():
 
 class TestSeedRule:
     def test_default_is_the_cap(self):
-        assert SolverConfig().initial_rho() == 0.05 / 4.0
+        assert SolverConfig().initial_rho() == 0.05 / 2.0
 
     def test_low_flattening_order_follows_the_error_model(self):
         rho = SolverConfig(norm_order=3).initial_rho()
@@ -362,7 +422,7 @@ class TestSeedRule:
     def test_replace_rederives(self):
         cfg = SolverConfig()
         assert replace(cfg, norm_order=3).initial_rho() == SolverConfig(norm_order=3).initial_rho()
-        assert replace(cfg, delta=0.02).initial_rho() == 0.02 / 4.0
+        assert replace(cfg, delta=0.02).initial_rho() == 0.02 / 2.0
         tight = replace(cfg, tol_converge=1e-30).initial_rho()
         assert tight == pytest.approx((1e-33) ** (1.0 / 9.0), rel=1e-14)
 
@@ -372,7 +432,7 @@ class TestSeedRule:
 
     def test_levels_record_the_rho_used(self):
         derived, _ = rho_refinement(pert(c=0.1), SolverConfig(grid_size=128), 2)
-        assert [lv.rho for lv in derived] == [0.0125, 0.00625]
+        assert [lv.rho for lv in derived] == [0.025, 0.025 / 3.0]
         explicit, _ = rho_refinement(pert(c=0.1), SolverConfig(rho0=0.025, grid_size=128), 1)
         assert explicit[0].rho == 0.025
 
@@ -380,6 +440,31 @@ class TestSeedRule:
         SolverConfig().validate()
         with pytest.raises(ValueError, match="rho0"):
             SolverConfig(delta=-0.05).validate()
+
+    def test_default_schedule_is_coarse_first(self, battery_solves):
+        # coarse first: delta/2 confirms and delta/6 is returned
+        for _, _, diag in battery_solves[1]:
+            assert [lv.rho for lv in diag.levels] == [0.025, 0.025 / 3.0]
+            assert sum(lv.nu_bar for lv in diag.levels) <= 130
+            assert diag.seed_error_est == diag.config.seed_error_est(diag.gaps[-1])
+
+    def test_returned_nodes_match_the_determined_jet(self, battery_solves):
+        # phi through order 14 from an order-15 solve, so every coefficient
+        # is determined; the two solvers stay independent
+        for m, (curve, _, _) in zip(*battery_solves):
+            phi = parameterize_manifold(m, 15).phi.truncate(14)
+            sel = (curve.xs > 0.0) & (curve.xs <= 0.025)
+            assert np.max(np.abs(curve.fs[sel] - phi.eval(curve.xs[sel]))) <= 1e-17
+
+    def test_seed_error_est_tracks_the_visible_seed_error(self):
+        # at N = 3 the seed error stands far above the floor; level 3 stands
+        # in for the limit when judging level 1's estimate
+        cfg = SolverConfig(norm_order=3, rho0=0.025, rho_factor=1.0 / 3.0, grid_size=256)
+        grid = _comparison_grid(cfg.delta)
+        for m in acceptance_battery(1729)[1:]:
+            levels, gaps = rho_refinement(m, cfg, 4)
+            dist = np.max(np.abs(levels[1].curve.eval(grid) - levels[3].curve.eval(grid)))
+            assert 1.0 / 2.5 <= cfg.seed_error_est(gaps[0]) / dist <= 2.5
 
     @pytest.mark.parametrize("idx", [2, 6, 8])
     def test_derived_seed_matches_the_short_seed(self, idx):
