@@ -224,8 +224,12 @@ class Curve:
         """
         arr = np.array(x, dtype=float, ndmin=1)
         # written so that NaN, which fails every comparison, fails the check
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= self.x_max * (1.0 + 1e-12)):
-            raise ValueError("evaluation outside the curve domain")
+        top = self.x_max * (1.0 + 1e-12)
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= top):
+            bad = arr[~((arr >= 0.0) & (arr <= top))][0]
+            raise DomainError(
+                f"evaluation outside the curve domain [0, x_max = {self.x_max:g}]: x = {bad:g}"
+            )
         arr = np.minimum(arr, self.x_max)
         out = self._interp(np.maximum(arr, self.xs[1])) * arr**TANGENCY_POWER
         return float(out[0]) if np.ndim(x) == 0 else out
@@ -438,6 +442,8 @@ class SolverConfig:
             raise DomainError(f"tol_converge = {self.tol_converge:g} must be positive")
         if self.norm_order < 3:
             raise DomainError(f"norm_order = {self.norm_order} must be at least 3")
+        if not math.isfinite(self.delta):
+            raise DomainError(f"delta = {self.delta:g} must be finite")
         rho0 = self.initial_rho()
         if not (0.0 < rho0 < self.delta):
             raise DomainError(f"rho0 = {rho0:g} must lie in (0, delta = {self.delta:g})")
@@ -788,7 +794,9 @@ def tangency_fit(c: Curve) -> tuple[float, TangencyReport]:
     first = xs[0]
     small = xs <= first * 10.0 * (1.0 + 1e-12)
     if int(small.sum()) < 8:
-        raise ValueError("need at least 8 samples in the smallest grid decade")
+        raise DomainError(
+            f"need at least 8 samples in the smallest grid decade, got {int(small.sum())}"
+        )
     ratio3 = fs / xs**3
     a3 = float(np.mean(ratio3[small]))
 

@@ -72,8 +72,8 @@ class MapSpec:
 
     @cached_property
     def evaluator(self) -> MapEvaluator:
-        """The map's evaluator, built on first use."""
-        return MapEvaluator(self.sorted_terms())
+        """The evaluator of the map's exact series embedding, built on first use."""
+        return to_planar_series(self, self.degree).evaluator
 
 
 def _clean_table(table: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:

@@ -5,11 +5,14 @@ X' = fx(x, y - s(x)), Y' = fy(x, y - s(x)) + s(X').  The pure-x part
 P(x) = fy(x, -s(x)) + s(fx(x, -s(x))) of Y' holds 2 s_k at x^k and
 otherwise s_3 .. s_(k-1) only, so with s known through k - 1, the shift's
 coefficient gamma_k = s_k is -P_k / 2, for k = 3..N: a solve on raw
-univariate arrays at np.longdouble, rounded to binary64 once.  The map is then conjugated once, at binary64,
-and the pure-x terms of Y through order N, left at rounding level, are
-checked and zeroed.  So the x-axis is invariant up to O(x^(N+1)), and -s is
-the N-jet of the map's invariant graph: a curve y = F(x) in the new
-coordinates is y = F(x) - s(x) in the original ones.
+univariate arrays at np.longdouble, rounded to binary64 once.  The map is
+then conjugated once, at binary64, and the pure-x terms of Y through order
+N, left at rounding level, are checked and zeroed.  Both steps read the
+map's coefficient layout (`PlanarSeriesMap.coef`), spread onto the slots of
+the powers of x, run the series module's Horner in y (`series._horner`) and
+take s(X') with `Series1.compose`.  So the x-axis is invariant up to
+O(x^(N+1)), and -s is the N-jet of the map's invariant graph: a curve
+y = F(x) in the new coordinates is y = F(x) - s(x) in the original ones.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import SeriesError
 from .mapdef import MapSpec, to_planar_series
-from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, _index, _mul1, _mul2
+from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, _horner, _index, _mul1, _mul2
 
 # the conjugated pure-x coefficients of Y through order N must cancel to
 # this, relative to max(1, 2 |gamma_k|), before they are zeroed
@@ -35,21 +38,6 @@ class NormalFormResult:
     order: int
 
 
-def _horner(rows: np.ndarray, t: np.ndarray, mul, n: int) -> np.ndarray:
-    """sum_j rows[j] t^j through order n by `mul`, the raw product kernel of their kind."""
-    acc = rows[-1]
-    for row in rows[-2::-1]:
-        acc = mul(acc, t, n) + row
-    return acc
-
-
-def _constants(c: np.ndarray, size: int) -> np.ndarray:
-    """The constant series c_0, c_1, ... as rows of `size` slots."""
-    rows = np.zeros((c.size, size), dtype=c.dtype)
-    rows[:, 0] = c
-    return rows
-
-
 def _solve_shift(coef: np.ndarray, order: int) -> np.ndarray:
     """s_0 .. s_order (the first three zero) at np.longdouble, from coef[j, c],
     the univariate series sum_i c_ij x^i of component c, through x^order."""
@@ -57,9 +45,9 @@ def _solve_shift(coef: np.ndarray, order: int) -> np.ndarray:
     for k in range(3, order + 1):
         # y = -s(x) = O(x^3), so only y^j with j <= k // 3 reach x^k
         rows = coef[: k // 3 + 1, :, : k + 1].swapaxes(0, 1)
-        big_x, big_y = (_horner(r, -s[: k + 1], _mul1, k) for r in rows)
-        pure = big_y + _horner(_constants(s[:k], k + 1), big_x, _mul1, k)
-        s[k] = (0.0 - pure[k]) / 2
+        big_x, big_y = (Series1._wrap(_horner(r, -s[: k + 1], _mul1, k), k) for r in rows)
+        pure = big_y + Series1._wrap(s[: k + 1].copy(), k).compose(big_x)
+        s[k] = (0.0 - pure._c[k]) / 2
     return s
 
 
@@ -77,12 +65,11 @@ def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
             f"series order {n} too small; need at least {order + 2} for order {order}"
         )
     # the powers of x are unit rows: rows[j, c], the Horner row sum_i c_ij x^i
-    # of component c, holds each c_ij in the slot of x^i
+    # of component c, holds each c_ij of the map's layout in the slot of x^i
     size, x_slots = Series2._slots(n), _index(np.arange(n + 1), 0)
-    mats = [f._by_powers(n) for f in (m.fx, m.fy)]
-    rows = np.zeros((max(mat.shape[0] for mat in mats), 2, size))
-    for c, mat in enumerate(mats):
-        rows[: mat.shape[0], c, x_slots[: mat.shape[1]]] = mat
+    coef = m.coef.swapaxes(0, 1)
+    rows = np.zeros((coef.shape[0], 2, size))
+    rows[:, :, x_slots[: coef.shape[2]]] = coef
     s = _solve_shift(rows[:, :, x_slots[: order + 1]].astype(np.longdouble), order)
     s = s.astype(np.float64)
     shift, gammas = Series1.from_coeffs(s, n), tuple(s[3:].tolist())
@@ -93,7 +80,7 @@ def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
     sy[_index(0, 1)] = 1.0
     sy[x_slots[3 : order + 1]] = -s[3:]
     big_x, big_y = _horner(rows, sy, _mul2, n)
-    big_y = big_y + _horner(_constants(s, size), big_x, _mul2, n)
+    big_y = big_y + shift.compose(Series2._wrap(big_x, n))._c
     for k, gamma in enumerate(gammas, start=3):
         left, bound = abs(big_y[x_slots[k]]), _KILL_TOL * max(1.0, 2.0 * abs(gamma))
         if left > bound:

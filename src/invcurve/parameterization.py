@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConjugacyError, ConvergenceError
+from .errors import ConjugacyError, ConvergenceError, DomainError
 from .graphtransform import Curve
 from .mapdef import MapSpec, Point, invert_point, to_planar_series
 from .series import (
@@ -132,12 +132,13 @@ class _StageResidual:
     """The t^n coefficient of Psi(K) - K(R), online over the stages.
 
     Three longdouble tables live across the stages of one solve: psi's
-    coefficients c_ij (of x^i y^j); the powers P_i = K1^i and Q_j = K2^j,
-    through psi's order; and the powers of the model, with [k, m] the t^m
-    coefficient of R^k.  Stage n sets only K's t^(n-1) coefficients, so the
-    columns of P and Q below n - 1 are final by then.  A call at n refreshes
-    the columns from n - 1 on, each with one matrix-vector product (P_i[m]
-    is P_(i-1)[1..m-1] . K1[m-1..1]), and forms
+    coefficients c_ij (of x^i y^j), its layout `PlanarSeriesMap.coef`; the
+    powers P_i = K1^i and Q_j = K2^j, through psi's order; and the powers of
+    the model, with [k, m] the t^m coefficient of R^k.  Stage n sets only
+    K's t^(n-1) coefficients, so the columns of P and Q below n - 1 are
+    final by then.  A call at n refreshes the columns from n - 1 on, each
+    with one matrix-vector product (P_i[m] is P_(i-1)[1..m-1] .
+    K1[m-1..1]), and forms
 
         r_n = sum_j (sum_i c_ij P_i)[0..n] . Q_j[n..0]  -  sum_k K_k R^k[n].
 
@@ -147,12 +148,8 @@ class _StageResidual:
     """
 
     def __init__(self, psi: PlanarSeriesMap):
-        mats = [f._by_powers(psi.order) for f in (psi.fx, psi.fy)]
-        ny = max(mat.shape[0] for mat in mats)
-        nx = max(mat.shape[1] for mat in mats)
-        self._coef = np.zeros((2, ny, nx), dtype=np.longdouble)  # c_ij at [:, j, i]
-        for comp, mat in zip(self._coef, mats):
-            comp[: mat.shape[0], : mat.shape[1]] = mat
+        self._coef = psi.coef.astype(np.longdouble)  # c_ij at [:, j, i]
+        _, ny, nx = self._coef.shape
         # P_i at [0, i], Q_j at [1, j]; row 1 holds K itself
         self._powers = np.zeros((2, max(nx, ny, 2), psi.order + 1), dtype=np.longdouble)
         self._powers[:, 0, 0] = 1.0
@@ -334,16 +331,20 @@ def repulsion_check(
     """
     if isinstance(manifold, Curve):
         if x0 > manifold.x_max:
-            raise ValueError("x0 outside the sampled curve domain")
+            raise DomainError(
+                f"x0 outside the sampled curve domain: x0 = {x0:g}, x_max = {manifold.x_max:g}"
+            )
         f = manifold.eval
     elif isinstance(manifold, Series1):
         f = manifold.eval
     else:
         raise TypeError("manifold must be a Curve or a Series1")
     if not 0.0 < x0 <= delta / 2.0:
-        raise ValueError("need 0 < x0 <= delta/2")
+        raise DomainError(f"need 0 < x0 <= delta/2: x0 = {x0:g}, delta = {delta:g}")
     if abs(offset) > x0**3:
-        raise ValueError("offset must satisfy |offset| <= x0^3")
+        raise DomainError(
+            f"offset must satisfy |offset| <= x0^3: offset = {offset:g}, x0 = {x0:g}"
+        )
     x, y = x0, f(x0) + offset
     xs = [x0]
     devs = [offset]

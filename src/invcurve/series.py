@@ -12,18 +12,22 @@ the `*` operators wrap them, and substitution calls them directly.  The pair
 table is sorted by target slot, so the pairs of the slots of degrees low .. n
 are a tail of it: `_mul2(a, b, n, low)` computes only those slots, each with
 the same pairs in the same order and so the same bits, and takes a stack of
-series as `a`.
-Substitution is Horner in y over the powers of the x substitute, univariate
-or bivariate, on raw arrays; it wraps only its results, apart from the powers
-of a bivariate substitute, which are `Series2` products.  It skips the
-powers that cannot reach the truncation order n: sx^i once i val(sx) > n and
-sy^j once j val(sy) > n, where val is the degree of the lowest nonzero term
-(a substitute zero everywhere keeps only the zeroth power).  The skipped
-terms would only add exact zeros, so the results are unchanged up to the
-sign of a zero.  A planar map is a pair of bivariate series with finite
-coefficients, no constant term and an invertible linear part.  Every
-operation returns a new immutable value, so series can be shared freely
-across threads.
+series as `a`.  Every reader of bivariate coefficients by power takes one
+dense layout C[k, j, i], the x^i y^j coefficient of series k trimmed to the
+highest powers present, built by `_coef_cube` and kept per planar map
+(`PlanarSeriesMap.coef`).  Substitution is Horner in y (`_horner`) over
+the powers of the x substitute, univariate or bivariate, on raw arrays; it
+wraps only its results, apart from the powers of a bivariate substitute,
+which are `Series2` products.  It skips the powers that cannot reach the
+truncation order n: sx^i once i val(sx) > n and sy^j once j val(sy) > n,
+where val is the degree of the lowest nonzero term (a substitute zero
+everywhere keeps only the zeroth power).  The skipped terms would only add
+exact zeros, so the results are unchanged up to the sign of a zero.
+`Series1.compose` is Horner over the inner series' own product kernel, so
+it composes into either kind.  A planar map is a pair of bivariate series
+with finite coefficients, no constant term and an invertible linear part.
+Every operation returns a new immutable value, so series can be shared
+freely across threads.
 
 The module supplies the three nontrivial primitives the rest of the package
 is built on: composition of planar maps, local inversion of a planar map near
@@ -35,13 +39,13 @@ computes only degree k of the powers of gx and of the Horner accumulators
 it keeps across sweeps, each product a tail of the pair table.
 
 It also holds the one evaluator of planar polynomial maps, `MapEvaluator`,
-built once per map (`MapSpec.evaluator`, `PlanarSeriesMap.evaluator`): the
-values on arrays of points and, at a point, the values, the Jacobian, or the
-image together with the exact offset of a nearby point's image, each one
-contraction of a dense coefficient matrix with power tables of x and y.  On
-arrays it contracts only the y-power rows that can change a value at the
-points given, which for the small ordinates of a push are the first two to
-four.
+built once per map from its layout (`PlanarSeriesMap.evaluator`, which
+`MapSpec.evaluator` reaches through `to_planar_series`): the values on
+arrays of points and, at a point, the values, the Jacobian, or the image
+together with the exact offset of a nearby point's image, each one
+contraction of the layout with power tables of x and y.  On arrays it
+contracts only the y-power rows that can change a value at the points
+given, which for the small ordinates of a push are the first two to four.
 """
 
 from __future__ import annotations
@@ -147,6 +151,14 @@ def _mul1(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.convolve(a[: n + 1], b[: n + 1])[: n + 1]
 
 
+def _horner(rows: np.ndarray, t: np.ndarray, mul, n: int) -> np.ndarray:
+    """sum_j rows[j] t^j through order n by `mul`, the raw product kernel of their kind."""
+    acc = rows[-1]
+    for row in rows[-2::-1]:
+        acc = mul(acc, t, n) + row
+    return acc
+
+
 class Series1(_Dense):
     """Dense univariate series  c0 + c1 t + ... + c_order t^order.
 
@@ -192,18 +204,23 @@ class Series1(_Dense):
         n = min(self.order, other.order)
         return Series1._wrap(_mul1(self._c, other._c, n), n)
 
-    def compose(self, inner: Series1) -> Series1:
-        """self(inner(t)), Horner at the wider dtype; inner must have zero constant term."""
-        if inner.coeff(0) != 0.0:
-            raise SeriesError(f"composition needs inner(0) = 0, got {inner.coeff(0)!r}")
-        n = min(self.order, inner.order)
-        c, t = self._c, inner._c[: n + 1]
-        acc = np.zeros(n + 1, dtype=np.result_type(self.dtype, inner.dtype))
-        acc[0] = c[n]
-        for k in range(n - 1, -1, -1):
-            acc = _mul1(acc, t, n)
+    def compose(self, inner: S) -> S:
+        """self(inner), Horner at the wider dtype over inner's product kernel
+        from self's highest nonzero coefficient; inner is univariate or
+        bivariate, with zero constant term, and the result is of its kind."""
+        c0 = inner._c[0].item()
+        if c0 != 0.0:
+            raise SeriesError(f"composition needs inner(0) = 0, got {c0!r}")
+        kind, n = type(inner), min(self.order, inner.order)
+        c, top = self._c, n
+        while top and c[top] == 0.0:
+            top -= 1
+        acc = np.zeros(kind._slots(n), dtype=np.result_type(self.dtype, inner.dtype))
+        acc[0] = c[top]
+        for k in range(top - 1, -1, -1):
+            acc = kind._mul(acc, inner._c, n)
             acc[0] += c[k]
-        return Series1._wrap(acc, n)
+        return kind._wrap(acc, n)
 
     def eval(self, x):
         """Horner evaluation; accepts scalars or numpy arrays."""
@@ -283,6 +300,20 @@ def _mul2(a: np.ndarray, b: np.ndarray, n: int, low: int = 0) -> np.ndarray:
     return np.add.reduceat(a.take(left, axis=-1) * b.take(right), starts, axis=-1)
 
 
+def _coef_cube(parts: Sequence[Series2], n: int) -> np.ndarray:
+    """The coefficient layout C[k, j, i]: the x^i y^j coefficient of parts[k]
+    through order n, trimmed to the highest powers of x and of y present in
+    any part, at the parts' common dtype; read-only."""
+    t = _tables(n)
+    arr = np.stack([p._c[: t.ii.size] for p in parts])
+    k, nz = np.nonzero(arr)
+    ii, jj = t.ii[nz], t.jj[nz]
+    cube = np.zeros((len(parts), jj.max(initial=0) + 1, ii.max(initial=0) + 1), dtype=arr.dtype)
+    cube[k, jj, ii] = arr[k, nz]
+    cube.flags.writeable = False
+    return cube
+
+
 class Series2(_Dense):
     """Dense bivariate series truncated at total degree `order`.
 
@@ -291,7 +322,7 @@ class Series2(_Dense):
     canonical sparse view: no zero coefficients, no key beyond the order.
     """
 
-    __slots__ = ("_mat",)  # the `_by_powers` matrix at the series' own order
+    __slots__ = ()
     _mul = staticmethod(_mul2)
 
     @staticmethod
@@ -336,29 +367,9 @@ class Series2(_Dense):
             return 0.0
         return self._c[_index(i, j)].item()
 
-    def terms(self) -> list[tuple[tuple[int, int], float]]:
-        return sorted(self.coeffs.items())
-
     def __mul__(self, other: Series2) -> Series2:
         n = min(self.order, other.order)
         return Series2._wrap(_mul2(self._c, other._c, n), n)
-
-    def _by_powers(self, n: int) -> np.ndarray:
-        """Coefficient matrix C[j, i] of x^i y^j through order n, trimmed to the
-        highest powers present.  At the series' own order it is built once and
-        kept, so repeated substitutions into one series share it."""
-        if n == self.order and hasattr(self, "_mat"):
-            return self._mat
-        t = _tables(n)
-        arr = self._c[: self._slots(n)]
-        nz = np.flatnonzero(arr)
-        ii, jj = t.ii[nz], t.jj[nz]
-        mat = np.zeros((jj.max(initial=0) + 1, ii.max(initial=0) + 1), dtype=arr.dtype)
-        mat[jj, ii] = arr[nz]
-        mat.flags.writeable = False
-        if n == self.order:
-            object.__setattr__(self, "_mat", mat)
-        return mat
 
     def subst(self, sx: S, sy: S) -> S:
         """Substitute x -> sx, y -> sy: both univariate or both bivariate, with
@@ -378,10 +389,12 @@ def substitute(parts: Sequence[Series2], sx: S, sy: S) -> list[S]:
     """Each series of `parts` with x -> sx, y -> sy (zero constant terms).
 
     The substitutes are both univariate or both bivariate, and so is each
-    result.  The powers of sx are formed once for all parts, as the rows of
-    one array; each part is then Horner in y over the linear combinations
-    sum_i c_ij sx^i, on raw arrays, and only the results are wrapped (and
-    the powers of a bivariate sx, which are `Series2` products).  Powers
+    result.  The coefficients of all parts are one layout C[k, j, i]
+    (`_coef_cube`), and the powers of sx are formed once for all parts, as
+    the rows of one array; each part is then Horner in y (`_horner`) over
+    the linear combinations sum_i c_ij sx^i, on raw arrays, and only the
+    results are wrapped (and the powers of a bivariate sx, which are
+    `Series2` products).  Powers
     that start beyond the order are skipped: sx^i once i val(sx) > order,
     sy^j once j val(sy) > order.  They would only add exact zeros.
     """
@@ -399,10 +412,9 @@ def substitute(parts: Sequence[Series2], sx: S, sy: S) -> list[S]:
             f"substitution needs zero constant terms, got x -> {cx!r} and y -> {cy!r}"
         )
     n = min(sx.order, sy.order, *(p.order for p in parts))
-    mats = [p._by_powers(n) for p in parts]
-    dtype = np.result_type(sx.dtype, sy.dtype, *(p.dtype for p in parts))
-    top_x = min(max(m.shape[1] for m in mats) - 1, _reach(sx, n))
-    top_y = _reach(sy, n)
+    cube = _coef_cube(parts, n)
+    dtype = np.result_type(sx.dtype, sy.dtype, cube.dtype)
+    top_x = min(cube.shape[2] - 1, _reach(sx, n))
     table = np.zeros((top_x + 1, kind._slots(n)), dtype=dtype)
     table[0, 0] = 1.0
     for i in range(1, top_x + 1):
@@ -411,15 +423,8 @@ def substitute(parts: Sequence[Series2], sx: S, sy: S) -> list[S]:
         else:  # bivariate powers go through the operator, which the benchmark
             # traces as the layer series.Series2.mul
             table[i] = (Series2._wrap(table[i - 1], n) * sx)._c
-    out = []
-    for mat in mats:
-        mat = mat[: top_y + 1, : top_x + 1]
-        rows = mat @ table[: mat.shape[1]]
-        acc = rows[-1]
-        for row in rows[-2::-1]:
-            acc = kind._mul(acc, sy._c, n) + row
-        out.append(kind._wrap(acc, n))
-    return out
+    rows = cube[:, : _reach(sy, n) + 1, : top_x + 1] @ table
+    return [kind._wrap(_horner(r, sy._c, kind._mul, n), n) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +464,13 @@ def _divided(a: float, pb: list) -> list:
 class MapEvaluator:
     """Values, Jacobian and exact image offsets of a planar polynomial map.
 
-    Built once per map from its two term lists: component k is a dense
-    coefficient matrix C_k[j, i] of x^i y^j, trimmed to the highest powers
-    present.  Every operation is the contraction sum_ij C_k[j, i] u_i v_j
-    over power tables u of x and v of y, one column per sum.  On arrays the
-    columns are the points and the contraction is one matrix product
-    (`_contract`) over the rows y^0 .. y^(r-1) that can change the result
-    (`_rows`).  With S_j = max_k sum_i |C_k[j, i]|, |x| <= 1 and
+    Built once per map from its coefficient layout (`PlanarSeriesMap.coef`):
+    component k is the dense matrix C_k[j, i] of x^i y^j, trimmed to the
+    highest powers present, taken at binary64.  Every operation is the
+    contraction sum_ij C_k[j, i] u_i v_j over power tables u of x and v of
+    y, one column per sum.  On arrays the columns are the points and the
+    contraction is one matrix product (`_contract`) over the rows y^0 ..
+    y^(r-1) that can change the result (`_rows`).  With S_j = max_k sum_i |C_k[j, i]|, |x| <= 1 and
     ymax = max |y| over the points, the rows j >= r add at most
     |y| sum_(j >= r) S_j ymax^(j-1) to a value; r is the smallest r >= 2
     that puts this sum below ROW_CUT = 2^-60, and every row counts where
@@ -484,15 +489,9 @@ class MapEvaluator:
     (`pair_image`), or both columns of the Jacobian (`jacobian`).
     """
 
-    def __init__(self, parts):
-        keys = [k for terms in parts for k, _ in terms]
-        self._nx = max((i for i, _ in keys), default=0)
-        self._ny = max((j for _, j in keys), default=0)
-        coef = np.zeros((2, self._ny + 1, self._nx + 1))
-        for comp, terms in zip(coef, parts):
-            for (i, j), c in terms:
-                comp[j, i] = c
-        self._coef = coef
+    def __init__(self, coef: np.ndarray):
+        self._coef = coef = np.asarray(coef, dtype=np.float64)
+        self._ny, self._nx = coef.shape[1] - 1, coef.shape[2] - 1
         # the array path's matrix: row 2j + k is C_k[j], so the rows of the
         # powers y^0 .. y^(r-1) of both components are its first 2r rows
         self._by_row = coef.transpose(1, 0, 2).reshape(-1, self._nx + 1)
@@ -612,9 +611,15 @@ class PlanarSeriesMap:
         return PlanarSeriesMap(self.fx.astype(dtype), self.fy.astype(dtype), self.order)
 
     @cached_property
+    def coef(self) -> np.ndarray:
+        """The coefficient layout C[k, j, i] of (fx, fy) through the map's
+        order (`_coef_cube`), built on first use."""
+        return _coef_cube((self.fx, self.fy), self.order)
+
+    @cached_property
     def evaluator(self) -> MapEvaluator:
         """The map's evaluator, built on first use."""
-        return MapEvaluator(self.sorted_terms())
+        return MapEvaluator(self.coef)
 
     def eval(self, x, y):
         """(X, Y) at a point or at 1-d arrays of points."""
@@ -622,7 +627,7 @@ class PlanarSeriesMap:
 
     def sorted_terms(self) -> tuple[list, list]:
         """The term lists of both components, as `MapSpec.sorted_terms` gives them."""
-        return self.fx.terms(), self.fy.terms()
+        return sorted(self.fx.coeffs.items()), sorted(self.fy.coeffs.items())
 
 
 def compose_maps(outer: PlanarSeriesMap, inner: PlanarSeriesMap) -> PlanarSeriesMap:
@@ -662,14 +667,9 @@ def invert_map_series(m: PlanarSeriesMap) -> PlanarSeriesMap:
     ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
     n = m.order
 
-    dtype = np.result_type(m.fx.dtype, m.fy.dtype)
-    mats = [f._by_powers(n) for f in (m.fx, m.fy)]
-    ny = max(mat.shape[0] for mat in mats) - 1
-    nx = max(mat.shape[1] for mat in mats) - 1
-    coef = np.zeros((2, ny + 1, nx + 1), dtype=dtype)  # c_ij of h, at [:, j, i]
-    for comp, mat in zip(coef, mats):
-        comp[: mat.shape[0], : mat.shape[1]] = mat
+    coef = m.coef.copy()  # c_ij of h, at [:, j, i]
     coef[:, 0, 1] = coef[:, 1, 0] = 0.0  # L is not part of h
+    ny, nx, dtype = coef.shape[1] - 1, coef.shape[2] - 1, coef.dtype
 
     size = Series2._slots(n)
     powers = np.zeros((nx + 1, size), dtype=dtype)  # P_i at [i]

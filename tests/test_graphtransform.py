@@ -18,6 +18,7 @@ from invcurve import (
     parameterize_manifold,
     pert,
     push_curve,
+    repulsion_check,
     rho_refinement,
     seed_curve,
     solve_manifold,
@@ -67,6 +68,26 @@ class TestGrid:
                 lambda: invariance_residual(canon(), Curve(np.array([0.0, 0.6, 0.8, 1.0]),
                                                            np.zeros(4))),
                 "no positive nodes in (0, x_max/2 = 0.5]",
+            ),
+            (
+                lambda: seed_curve(0.05, 64).eval(np.array([0.01, -0.5, 0.2])),
+                "evaluation outside the curve domain [0, x_max = 0.05]: x = -0.5",
+            ),
+            (
+                lambda: repulsion_check(canon(), seed_curve(0.05, 64), 0.06, 0.0, 3),
+                "x0 outside the sampled curve domain: x0 = 0.06, x_max = 0.05",
+            ),
+            (
+                lambda: repulsion_check(canon(), seed_curve(0.05, 64), 0.04, 0.0, 3),
+                "need 0 < x0 <= delta/2: x0 = 0.04, delta = 0.05",
+            ),
+            (
+                lambda: repulsion_check(canon(), seed_curve(0.05, 64), 0.02, 1e-5, 3),
+                "offset must satisfy |offset| <= x0^3: offset = 1e-05, x0 = 0.02",
+            ),
+            (
+                lambda: tangency_fit(Curve(np.linspace(0.0, 1.0, 6), np.zeros(6))),
+                "need at least 8 samples in the smallest grid decade, got 5",
             ),
         ],
     )
@@ -237,6 +258,7 @@ class TestSolveManifold:
             (dict(m_max=4), "m_max = 4 must be between 0 and 3"),
             (dict(rho_factor=1.0), "rho_factor = 1 must lie in (0, 1)"),
             (dict(max_levels=1), "max_levels = 1 must be at least 2"),
+            (dict(delta=float("inf")), "delta = inf must be finite"),
         ],
     )
     def test_invalid_config_names_its_value(self, overrides, message):

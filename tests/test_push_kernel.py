@@ -38,6 +38,7 @@ from invcurve import (
     rho_refinement,
     seed_curve,
     solve_manifold,
+    to_planar_series,
 )
 from invcurve.graphtransform import (
     PchipInterpolator,
@@ -72,6 +73,24 @@ def test_matrix_evaluator_matches_term_by_term(idx):
                 want, scale = eval_fsum(terms, float(x), float(y))
                 assert abs(at_point - want) <= 32.0 * eps * scale
                 assert abs(in_array[k] - want) <= 32.0 * eps * scale
+
+
+def test_map_evaluates_as_its_series_embedding():
+    # a MapSpec reaches its evaluator through its series embedding, so the
+    # embedding at order 12 evaluates it bit for bit alike, on arrays and at
+    # a point
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    rng = np.random.default_rng(18)
+    for m in BATTERY:
+        ev, emb = m.evaluator, to_planar_series(m, 12).evaluator
+        xs, ys = rng.uniform(-1.2, 1.2, (2, 200))
+        assert bits(ev.values(xs, ys)) == bits(emb.values(xs, ys))
+        for x, y, dx, dy in rng.uniform(-1.2, 1.2, (20, 4)).tolist():
+            for op, args in (("values", (x, y)), ("jacobian", (x, y)),
+                             ("pair_image", (x, y, 1e-9 * dx, 1e-9 * dy))):
+                assert bits(getattr(ev, op)(*args)) == bits(getattr(emb, op)(*args))
 
 
 @contextlib.contextmanager
@@ -115,10 +134,9 @@ def _tables_and_points(draw):
     shape = (2, ny + 1, nx + 1)
     coef = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
     coef[rng.random(shape) < zeros] = 0.0
-    parts = [[((i, j), c) for (j, i), c in np.ndenumerate(comp)] for comp in coef]
     xs = rng.uniform(-1.0, 1.0, size)
     ys = 10.0 ** draw(st.floats(-30.0, 0.0)) * rng.uniform(-1.0, 1.0, size)
-    return parts, xs, ys
+    return coef, xs, ys
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,8 +145,8 @@ def test_row_cut_changes_no_value_it_may_not(case):
     # the dropped rows add less than ROW_CUT |y| to each value, so the cut
     # moves a value by at most twice that, and not at all where the value is
     # 2^-5 |y| or more: half its ulp is then at least 2^-59 |y|
-    parts, xs, ys = case
-    ev = MapEvaluator(parts)
+    coef, xs, ys = case
+    ev = MapEvaluator(coef)
     got = ev.values(xs, ys)
     with every_row():
         want = ev.values(xs, ys)

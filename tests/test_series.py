@@ -335,19 +335,49 @@ def test_dense_product_matches_dict_reference(dtype, a, b, u, v):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @settings(max_examples=30, deadline=None)
-@given(ref_lists, ref_tails, st.booleans())
-def test_univariate_composition_matches_dict_reference(dtype, f, g, wide_outer):
-    # the composition runs at the wider dtype of its two operands
+@given(ref_lists, ref_tails, ref_substitutes, st.booleans())
+def test_univariate_composition_matches_dict_reference(dtype, f, g, h, wide_outer):
+    # the composition runs at the wider dtype of its two operands, into a
+    # univariate or a bivariate inner series, and is of the inner's kind
     narrow = np.float64
     outer = _series1(f, dtype if wide_outer else narrow)
-    inner = _series1((0.0, *g), narrow if wide_outer else dtype)
-    got = outer.compose(inner)
-    assert got.dtype == dtype
-    want = dict_subst(_typed(_on_x(f), dtype), _typed(_on_x((0.0, *g)), dtype), {}, REF_ORDER)
-    bound = dict_subst(
-        _absolute(_on_x(f), dtype), _absolute(_on_x((0.0, *g)), dtype), {}, REF_ORDER
-    )
-    _assert_close(_table(got), want, bound, dtype)
+    inner_dtype = narrow if wide_outer else dtype
+    for inner, table in (
+        (_series1((0.0, *g), inner_dtype), _on_x((0.0, *g))),
+        (Series2(h, REF_ORDER, inner_dtype), h),
+    ):
+        got = outer.compose(inner)
+        assert type(got) is type(inner) and got.dtype == dtype
+        want = dict_subst(_typed(_on_x(f), dtype), _typed(table, dtype), {}, REF_ORDER)
+        bound = dict_subst(_absolute(_on_x(f), dtype), _absolute(table, dtype), {}, REF_ORDER)
+        _assert_close(_table(got), want, bound, dtype)
+
+
+# two series of their own orders, extents and dtypes; longdouble ones carry
+# bits beyond binary64
+cube_parts = st.tuples(
+    st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)), unit_coeffs, max_size=10),
+    st.integers(0, 9),
+    st.sampled_from(DTYPES),
+).map(lambda p: Series2.from_terms(p[0], p[1]).astype(p[2]).scale(1 / p[2](3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cube_parts, cube_parts, st.integers(0, 9))
+def test_coef_cube_is_the_term_by_term_layout(a, b, n):
+    n = min(n, a.order, b.order)
+    cube = series._coef_cube([a, b], n)
+    terms = [s.truncate(n).coeffs for s in (a, b)]
+    keys = [key for table in terms for key in table]
+    top_i = max((i for i, _ in keys), default=0)
+    top_j = max((j for _, j in keys), default=0)
+    want = np.zeros((2, top_j + 1, top_i + 1), dtype=np.result_type(a.dtype, b.dtype))
+    for comp, table in zip(want, terms):
+        for (i, j), c in table.items():
+            comp[j, i] = c
+    assert cube.dtype == want.dtype
+    assert cube.shape == want.shape
+    assert np.array_equal(cube, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

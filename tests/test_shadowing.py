@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from invcurve import (
-    PlanarSeriesMap,
     Point,
     ShadowPair,
     canon,
@@ -18,6 +17,7 @@ from oracles import (
     offset_image_termwise,
     sample_shadow_pair,
 )
+from invcurve.series import MapEvaluator
 
 
 class TestMetric:
@@ -114,19 +114,21 @@ class TestStepCheck:
             assert len(calls) == 1
 
     def test_map_terms_are_read_once_per_map(self, monkeypatch):
+        # the map's evaluator, built from its coefficient layout, is built
+        # on the first step and reused by every later one
         fm = flatten_map(pert(c=0.1), 8)
         calls = []
-        sorted_terms = PlanarSeriesMap.sorted_terms
+        init = MapEvaluator.__init__
 
-        def counted(self):
+        def counted(self, coef):
             calls.append(1)
-            return sorted_terms(self)
+            init(self, coef)
 
-        monkeypatch.setattr(PlanarSeriesMap, "sorted_terms", counted)
+        monkeypatch.setattr(MapEvaluator, "__init__", counted)
         rng = np.random.default_rng(3)
         for _ in range(200):
             shadow_step_check(fm, sample_shadow_pair(rng, 0.05, 8), 8)
-        assert len(calls) <= 1
+        assert len(calls) == 1
 
 
 class TestOrbitExperiment:
