@@ -10,6 +10,15 @@ Output is deterministic: data as CSV with 17 significant digits, reports as
 to that file and the report to stdout; otherwise the CSV itself is stdout
 and the report moves to stderr.  A library warning goes to stderr as one
 `warning: <message>` line.
+
+Each subcommand handler takes the resolved map and the parsed arguments and
+returns a `_Result`: its report pairs, its text lines, an optional CSV and
+an optional verdict.  It writes nothing and computes no exit status.  A flag
+absent from the command line is not passed to the library, so the library's
+defaults apply.  `main` does the rest once: it resolves --map, appends
+`status = PASS` or `status = FAIL` as the last pair when there is a verdict,
+writes the output, and returns EXIT_VERIFY_FAILED exactly when the verdict
+is false.
 """
 
 from __future__ import annotations
@@ -19,14 +28,14 @@ import functools
 import re
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvcurveError
 from .graphtransform import (
-    Curve,
     SolverConfig,
     _decades,
     invariance_residual,
@@ -35,12 +44,7 @@ from .graphtransform import (
 )
 from .mapdef import MapSpec, Point, canon, parse_map_spec, pert
 from .normalform import normalize_map
-from .parameterization import (
-    DEFAULT_CONJUGACY_ORDER,
-    ConjugacyResult,
-    parameterize_manifold,
-    repulsion_check,
-)
+from .parameterization import parameterize_manifold, repulsion_check
 from .shadowing import ShadowPair, orbit_shadow_experiment, shadow_step_check
 
 
@@ -57,11 +61,19 @@ COMPARE_FLOOR = 1e-9
 VERIFY_TOL = 1e-8
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _fmt(v) -> str:
+    """A float with 17 significant digits; any other value as str() gives it."""
+    return f"{float(v):.17g}" if isinstance(v, float) else str(v)
 
 
 _BUILTIN_RE = re.compile(r"^builtin:(\w+)\s*(?:\((.*)\))?$")
+
+# builtin map -> (constructor, parameter -> keyword); an absent parameter
+# keeps the constructor's default
+_BUILTINS = {
+    "CANON": (canon, {"lambda": "lam", "mu": "mu"}),
+    "PERT": (pert, {"lambda": "lam", "mu": "mu", "c": "c"}),
+}
 
 
 def resolve_map(source: str) -> MapSpec:
@@ -82,19 +94,13 @@ def resolve_map(source: str) -> MapSpec:
                     params[key] = float(val)
                 except ValueError as exc:
                     raise InvcurveError(f"{name} parameter {item.strip()!r} is not a number") from exc
-        if name == "CANON":
-            result = canon(lam=params.pop("lambda", 1.0), mu=params.pop("mu", 0.0))
-        elif name == "PERT":
-            result = pert(
-                lam=params.pop("lambda", 1.0),
-                mu=params.pop("mu", 0.0),
-                c=params.pop("c", 0.1),
-            )
-        else:
+        if name not in _BUILTINS:
             raise InvcurveError(f"unknown builtin map {name!r} (expected CANON or PERT)")
-        if params:
-            raise InvcurveError(f"unknown parameter(s) {sorted(params)} for {name}")
-        return result
+        build, keywords = _BUILTINS[name]
+        unknown = sorted(set(params) - set(keywords))
+        if unknown:
+            raise InvcurveError(f"unknown parameter(s) {unknown} for {name}")
+        return build(**{keywords[k]: v for k, v in params.items()})
     try:
         text = Path(source).read_text(encoding="utf-8")
     except OSError as exc:
@@ -102,7 +108,16 @@ def resolve_map(source: str) -> MapSpec:
     return parse_map_spec(text)
 
 
-# command-line flag -> SolverConfig field; an absent flag keeps the field's default
+def _given(args: argparse.Namespace, *flags: str, **renamed: str) -> dict:
+    """Keyword arguments from the flags given on the command line: each of
+    `flags` under its own name, each key of `renamed` under its value.  An
+    absent flag is left out, so the library's default applies."""
+    names = {**dict(zip(flags, flags)), **renamed}
+    given = {kw: getattr(args, flag) for flag, kw in names.items()}
+    return {kw: v for kw, v in given.items() if v is not None}
+
+
+# command-line flag -> SolverConfig field
 _SOLVER_FLAGS = {
     "order": "norm_order",
     "delta": "delta",
@@ -114,9 +129,10 @@ _SOLVER_FLAGS = {
 }
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    given = {field: getattr(args, flag) for flag, field in _SOLVER_FLAGS.items()}
-    return SolverConfig(**{k: v for k, v in given.items() if v is not None})
+def _solver_config(args: argparse.Namespace, *skip: str) -> SolverConfig:
+    """The SolverConfig of the solver flags given, less the flags in `skip`."""
+    flags = {flag: field for flag, field in _SOLVER_FLAGS.items() if flag not in skip}
+    return SolverConfig(**_given(args, **flags))
 
 
 def _emit(csv_text: str | None, report_text: str, out: str | None) -> None:
@@ -135,66 +151,18 @@ def _emit(csv_text: str | None, report_text: str, out: str | None) -> None:
 
 
 def _report(pairs, text_lines=()) -> str:
-    lines = []
-    for key, val in pairs:
-        if isinstance(val, float):
-            lines.append(f"{key} = {_fmt(val)}")
-        else:
-            lines.append(f"{key} = {val}")
+    lines = [f"{key} = {_fmt(val)}" for key, val in pairs]
     if text_lines:
         lines.append("")
         lines.extend(text_lines)
     return "\n".join(lines) + "\n"
 
 
-def _curve_csv(curve: Curve) -> str:
-    rows = ["x,F"]
-    rows.extend(f"{_fmt(x)},{_fmt(f)}" for x, f in zip(curve.xs, curve.fs))
+def _csv(header: str, *columns) -> str:
+    """The header line, then one row per entry of the columns."""
+    rows = [header]
+    rows.extend(",".join(map(_fmt, row)) for row in zip(*columns))
     return "\n".join(rows) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# method comparison
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MethodComparison:
-    xs: np.ndarray
-    diffs: np.ndarray
-    sup_disagreement: float
-    decade_rows: tuple[tuple[float, float, float], ...]
-    gt_a3: float
-    param_a3: float
-    curve: Curve
-    conjugacy: ConjugacyResult
-
-
-def compare_methods(
-    m: MapSpec, cfg: SolverConfig, order: int = DEFAULT_CONJUGACY_ORDER
-) -> MethodComparison:
-    """Run both solvers and measure their disagreement on [smallest decade, delta/2]."""
-    curve, _, _ = solve_manifold(m, cfg)
-    conj = parameterize_manifold(m, order)
-    half = cfg.delta / 2.0
-    if half > curve.x_max:
-        warnings.warn("comparison window clipped to the curve domain", stacklevel=2)
-        half = curve.x_max
-    mask = (curve.xs > 0.0) & (curve.xs <= half)
-    xs = curve.xs[mask]
-    diffs = np.abs(curve.fs[mask] - conj.phi.eval(xs))
-    rows = [(lo, hi, float(diffs[sel].max())) for lo, hi, sel in _decades(xs)]
-    a3_gt, _ = tangency_fit(curve)
-    return MethodComparison(
-        xs=xs,
-        diffs=diffs,
-        sup_disagreement=float(diffs.max()),
-        decade_rows=tuple(rows),
-        gt_a3=float(a3_gt),
-        param_a3=conj.phi.coeff(3),
-        curve=curve,
-        conjugacy=conj,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +170,24 @@ def compare_methods(
 # ---------------------------------------------------------------------------
 
 
-def _cmd_normalize(args) -> int:
-    m = resolve_map(args.map)
-    order = args.order if args.order is not None else 8
-    nf = normalize_map(m, order)
-    pairs = [("order", order), ("series_order", nf.normalized.order)]
-    pairs.extend((f"gamma_{n}", g) for n, g in zip(range(3, order + 1), nf.gammas))
+class _Result(NamedTuple):
+    pairs: list
+    text: Sequence[str] = ()
+    csv: str | None = None
+    ok: bool | None = None  # the verdict of a verifying command
+
+
+def _cmd_normalize(m: MapSpec, args) -> _Result:
+    nf = normalize_map(m, **_given(args, "order"))
+    pairs = [("order", nf.order), ("series_order", nf.normalized.order)]
+    pairs.extend((f"gamma_{n}", g) for n, g in enumerate(nf.gammas, start=3))
     table = ["normalized coefficients (component exp_x exp_y value):"]
     for comp, terms in zip("XY", nf.normalized.sorted_terms()):
         table.extend(f"{comp} {i} {j} {_fmt(c)}" for (i, j), c in terms)
-    _emit(None, _report(pairs, table), args.out)
-    return 0
+    return _Result(pairs, table)
 
 
-def _cmd_manifold_gt(args) -> int:
-    m = resolve_map(args.map)
+def _cmd_manifold_gt(m: MapSpec, args) -> _Result:
     cfg = _solver_config(args)
     curve, cert, diag = solve_manifold(m, cfg)
     a3, _ = tangency_fit(curve)
@@ -249,139 +220,108 @@ def _cmd_manifold_gt(args) -> int:
         "K_m are measured suprema of x^(m-N) |F^(m)| on the final flattened curve.",
         "seed_error_est models the returned level's seed error from the last gap; not a bound.",
     ]
-    _emit(_curve_csv(curve), _report(pairs, text), args.out)
-    return 0
+    return _Result(pairs, text, _csv("x,F", curve.xs, curve.fs))
 
 
-def _cmd_manifold_param(args) -> int:
-    m = resolve_map(args.map)
-    order = args.order if args.order is not None else DEFAULT_CONJUGACY_ORDER
-    conj = parameterize_manifold(m, order)
-    rows = ["k,phi_k"]
-    rows.extend(f"{k},{_fmt(conj.phi.coeff(k))}" for k in range(order + 1))
-    csv_text = "\n".join(rows) + "\n"
+def _cmd_manifold_param(m: MapSpec, args) -> _Result:
+    conj = parameterize_manifold(m, **_given(args, "order"))
+    order = conj.residual_order  # the order the conjugacy was solved through
+    ks = range(order + 1)
     pairs = [
         ("order", order),
         ("d", conj.d),
         ("residual_order", conj.residual_order),
         ("residual_max", conj.residual_max),
     ]
-    pairs.extend((f"K1_{k}", conj.K1.coeff(k)) for k in range(order + 1))
-    pairs.extend((f"K2_{k}", conj.K2.coeff(k)) for k in range(order + 1))
+    pairs.extend((f"K1_{k}", conj.K1.coeff(k)) for k in ks)
+    pairs.extend((f"K2_{k}", conj.K2.coeff(k)) for k in ks)
     text = ["conjugacy solve: phi CSV has columns k,phi_k (graph coefficients)."]
-    _emit(csv_text, _report(pairs, text), args.out)
-    return 0
+    return _Result(pairs, text, _csv("k,phi_k", ks, map(conj.phi.coeff, ks)))
 
 
-def _cmd_verify_invariance(args) -> int:
-    m = resolve_map(args.map)
+def _cmd_verify_invariance(m: MapSpec, args) -> _Result:
     # --tol is the verification tolerance; the solver keeps its own tol_converge
-    cfg = replace(_solver_config(args), tol_converge=SolverConfig().tol_converge)
-    curve, _, _ = solve_manifold(m, cfg)
+    curve, _, _ = solve_manifold(m, _solver_config(args, "tol"))
     tol = args.tol if args.tol is not None else VERIFY_TOL
-    max_res, rep = invariance_residual(m, curve, samples=args.steps or 200)
-    ok = max_res <= tol
+    max_res, rep = invariance_residual(m, curve, **_given(args, steps="samples"))
     pairs = [
         ("max_residual", max_res),
         ("tol", tol),
         ("samples", int(rep.xs.size)),
         ("failures", len(rep.failures)),
-        ("status", "PASS" if ok else "FAIL"),
     ]
-    _emit(None, _report(pairs), args.out)
-    return 0 if ok else EXIT_VERIFY_FAILED
+    return _Result(pairs, ok=max_res <= tol)
 
 
-def _cmd_verify_shadow(args) -> int:
-    m = resolve_map(args.map)
-    n_power = args.order if args.order is not None else 8
-    delta = args.delta if args.delta is not None else 0.05
+def _cmd_verify_shadow(m: MapSpec, args) -> _Result:
+    given = _given(args, "delta", order="n_power")
     if args.x is not None:
-        if args.delta is None:
-            delta = max(delta, args.x)  # widen the gate to the queried point
+        if args.xhat is None:
+            raise InvcurveError("verify-shadow --x needs --xhat")
+        # without --delta the gate 0 < x <= delta admits the queried point
+        given.setdefault("delta", args.x)
         pair = ShadowPair(Point(args.x, args.y or 0.0), Point(args.xhat, args.yhat or 0.0))
-        before, after, ok = shadow_step_check(m, pair, n_power, delta)
-        pairs = [
-            ("before", before),
-            ("after", after),
-            ("status", "PASS" if ok else "FAIL"),
-        ]
-        _emit(None, _report(pairs), args.out)
-        return 0 if ok else EXIT_VERIFY_FAILED
+        before, after, ok = shadow_step_check(m, pair, **given)
+        return _Result([("before", before), ("after", after)], ok=ok)
     if args.x0 is None:
         raise InvcurveError("verify-shadow needs either --x/--xhat or --x0/--offset")
-    trace = orbit_shadow_experiment(
-        m, args.x0, args.offset or 0.0, args.steps or 50, n_power, delta
-    )
-    rows = ["step,x,xhat,metric"]
-    rows.extend(
-        f"{k},{_fmt(x)},{_fmt(xh)},{_fmt(mt)}"
-        for k, (x, xh, mt) in enumerate(zip(trace.xs, trace.xhats, trace.metrics))
-    )
-    csv_text = "\n".join(rows) + "\n"
-    nonexpanding = bool(np.all(np.diff(trace.metrics) <= 0.0))
+    trace = orbit_shadow_experiment(m, args.x0, args.offset or 0.0, args.steps or 50, **given)
     pairs = [
         ("steps", len(trace) - 1),
         ("truncated", trace.truncated),
         ("initial_metric", float(trace.metrics[0])),
         ("final_metric", float(trace.metrics[-1])),
-        ("status", "PASS" if nonexpanding else "FAIL"),
     ]
-    _emit(csv_text, _report(pairs), args.out)
-    return 0 if nonexpanding else EXIT_VERIFY_FAILED
+    csv_text = _csv("step,x,xhat,metric", range(len(trace)), trace.xs, trace.xhats, trace.metrics)
+    return _Result(pairs, csv=csv_text, ok=np.all(np.diff(trace.metrics) <= 0.0))
 
 
-def _cmd_repulsion(args) -> int:
-    m = resolve_map(args.map)
-    order = args.order if args.order is not None else DEFAULT_CONJUGACY_ORDER
-    delta = args.delta if args.delta is not None else 0.05
+def _cmd_repulsion(m: MapSpec, args) -> _Result:
     if args.x0 is None or args.offset is None:
         raise InvcurveError("repulsion needs --x0 and --offset")
-    conj = parameterize_manifold(m, order)
-    trace = repulsion_check(m, conj.phi, args.x0, args.offset, args.steps or 20, delta)
-    rows = ["step,x,deviation"]
-    rows.extend(
-        f"{k},{_fmt(x)},{_fmt(dv)}"
-        for k, (x, dv) in enumerate(zip(trace.xs, trace.deviations))
+    conj = parameterize_manifold(m, **_given(args, "order"))
+    trace = repulsion_check(
+        m, conj.phi, args.x0, args.offset, args.steps or 20, **_given(args, "delta")
     )
-    csv_text = "\n".join(rows) + "\n"
     devs = np.abs(trace.deviations)
     ratio = float(devs[1] / devs[0]) if len(devs) > 1 and devs[0] != 0.0 else float("nan")
     monotone = bool(np.all(np.diff(devs) >= 0.0))
-    ok = monotone and not trace.truncated
     pairs = [
         ("steps", len(trace.xs) - 1),
         ("truncated", trace.truncated),
         ("first_step_ratio", ratio),
         ("monotone_deviation", monotone),
         ("x_final", float(trace.xs[-1])),
-        ("status", "PASS" if ok else "FAIL"),
     ]
-    _emit(csv_text, _report(pairs), args.out)
-    return 0 if ok else EXIT_VERIFY_FAILED
+    csv_text = _csv("step,x,deviation", range(len(trace.xs)), trace.xs, trace.deviations)
+    return _Result(pairs, csv=csv_text, ok=monotone and not trace.truncated)
 
 
-def _cmd_compare(args) -> int:
-    m = resolve_map(args.map)
-    order = args.order if args.order is not None else DEFAULT_CONJUGACY_ORDER
+def _cmd_compare(m: MapSpec, args) -> _Result:
     # --order feeds the conjugacy side; the solver keeps its own default
-    cfg = replace(_solver_config(args), norm_order=8)
-    cmp_res = compare_methods(m, cfg, order)
-    allowed = np.maximum(COMPARE_CUBIC * cmp_res.xs**3, COMPARE_FLOOR)
-    ok = bool(np.all(cmp_res.diffs <= allowed))
-    pairs = [
-        ("sup_disagreement", cmp_res.sup_disagreement),
-        ("gt_a3", cmp_res.gt_a3),
-        ("param_a3", cmp_res.param_a3),
-        ("d", cmp_res.conjugacy.d),
-        ("status", "PASS" if ok else "FAIL"),
-    ]
+    cfg = _solver_config(args, "order")
+    curve, _, _ = solve_manifold(m, cfg)
+    conj = parameterize_manifold(m, **_given(args, "order"))
+    # the disagreement on [smallest decade, delta/2]
+    half = cfg.delta / 2.0
+    if half > curve.x_max:
+        warnings.warn("comparison window clipped to the curve domain")
+        half = curve.x_max
+    mask = (curve.xs > 0.0) & (curve.xs <= half)
+    xs = curve.xs[mask]
+    diffs = np.abs(curve.fs[mask] - conj.phi.eval(xs))
     text = ["per-decade max disagreement (lo hi sup):"]
     text.extend(
-        f"  {_fmt(lo)} {_fmt(hi)} {_fmt(sup)}" for lo, hi, sup in cmp_res.decade_rows
+        f"  {_fmt(lo)} {_fmt(hi)} {_fmt(diffs[sel].max())}" for lo, hi, sel in _decades(xs)
     )
-    _emit(None, _report(pairs, text), args.out)
-    return 0 if ok else EXIT_VERIFY_FAILED
+    pairs = [
+        ("sup_disagreement", float(diffs.max())),
+        ("gt_a3", float(tangency_fit(curve)[0])),
+        ("param_a3", conj.phi.coeff(3)),
+        ("d", conj.d),
+    ]
+    ok = np.all(diffs <= np.maximum(COMPARE_CUBIC * xs**3, COMPARE_FLOOR))
+    return _Result(pairs, text, ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +391,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return args.func(args)
+            result = args.func(resolve_map(args.map), args)
+        pairs = list(result.pairs)
+        if result.ok is not None:
+            pairs.append(("status", "PASS" if result.ok else "FAIL"))
+        _emit(result.csv, _report(pairs, result.text), args.out)
     except InvcurveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0 if result.ok is None or result.ok else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GuardError
 from .mapdef import MapSpec
-from .normalform import NormalFormResult, normalize_map, pullback_curve
+from .normalform import DEFAULT_NORM_ORDER, NormalFormResult, normalize_map, pullback_curve
 from .series import PlanarSeriesMap
 
 GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
@@ -400,7 +400,7 @@ SEED_CAP = 0.5
 
 @dataclass(frozen=True)
 class SolverConfig:
-    norm_order: int = 8  # flattening order N
+    norm_order: int = DEFAULT_NORM_ORDER  # flattening order N
     delta: float = 0.05
     rho0: float | None = None  # None: derived from the error model, see initial_rho
     rho_factor: float = 1.0 / 3.0

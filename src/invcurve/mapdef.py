@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import ConvergenceError, MapFormatError, MapValidationError
+from .errors import ConvergenceError, DomainError, MapFormatError, MapValidationError
 from .series import DEFAULT_ORDER, MapEvaluator, PlanarSeriesMap, Series2
 
 # fixed entries of the quadratic skeleton; (1, 1) entries stay free
@@ -37,7 +37,7 @@ class Point:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("point components must be finite")
+            raise DomainError(f"point components must be finite: ({self.x:g}, {self.y:g})")
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def invert_point(m: MapSpec, target: Point) -> Point:
 def to_planar_series(m: MapSpec, order: int = DEFAULT_ORDER) -> PlanarSeriesMap:
     """Embed the polynomial map as a truncated series pair (exact if order >= degree)."""
     if m.degree > order:
-        raise ValueError(f"map degree {m.degree} exceeds requested order {order}")
+        raise DomainError(f"map degree {m.degree} exceeds requested order {order}")
     fx = Series2.from_terms(m.x_terms, order)
     fy = Series2.from_terms(m.y_terms, order)
     return PlanarSeriesMap(fx, fy, order)

@@ -5,12 +5,13 @@ X' = fx(x, y - s(x)), Y' = fy(x, y - s(x)) + s(X').  The pure-x part
 P(x) = fy(x, -s(x)) + s(fx(x, -s(x))) of Y' holds 2 s_k at x^k and
 otherwise s_3 .. s_(k-1) only, so with s known through k - 1, the shift's
 coefficient gamma_k = s_k is -P_k / 2, for k = 3..N: a solve on raw
-univariate arrays at np.longdouble, rounded to binary64 once.  The map is
-then conjugated once, at binary64, and the pure-x terms of Y through order
-N, left at rounding level, are checked and zeroed.  Both steps read the
-map's coefficient layout (`PlanarSeriesMap.coef`), spread onto the slots of
-the powers of x, run the series module's Horner in y (`series._horner`) and
-take s(X') with `Series1.compose`.  So the x-axis is invariant up to
+univariate arrays at np.longdouble, rounded once to the map's precision
+(binary64, or wider for a wider map).  The map is then conjugated once, at
+that precision, and the pure-x terms of Y through order N, left at rounding
+level, are checked and zeroed.  Both steps read the map's coefficient
+layout (`PlanarSeriesMap.coef`), spread onto the slots of the powers of x,
+run the series module's Horner in y (`series._horner`) and take s(X') with
+`Series1.compose`.  So the x-axis is invariant up to
 O(x^(N+1)), and -s is the N-jet of the map's invariant graph: a curve
 y = F(x) in the new coordinates is y = F(x) - s(x) in the original ones.
 """
@@ -24,6 +25,10 @@ import numpy as np
 from .errors import SeriesError
 from .mapdef import MapSpec, to_planar_series
 from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, _horner, _index, _mul1, _mul2
+
+# the flattening order N when none is given: the solver's, normalize_map's and
+# the hypothesis power of the shadowing check
+DEFAULT_NORM_ORDER = 8
 
 # the conjugated pure-x coefficients of Y through order N must cancel to
 # this, relative to max(1, 2 |gamma_k|), before they are zeroed
@@ -68,17 +73,18 @@ def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
     # of component c, holds each c_ij of the map's layout in the slot of x^i
     size, x_slots = Series2._slots(n), _index(np.arange(n + 1), 0)
     coef = m.coef.swapaxes(0, 1)
-    rows = np.zeros((coef.shape[0], 2, size))
+    dtype = np.result_type(coef.dtype, np.float64)
+    rows = np.zeros((coef.shape[0], 2, size), dtype)
     rows[:, :, x_slots[: coef.shape[2]]] = coef
-    s = _solve_shift(rows[:, :, x_slots[: order + 1]].astype(np.longdouble), order)
-    s = s.astype(np.float64)
-    shift, gammas = Series1.from_coeffs(s, n), tuple(s[3:].tolist())
+    s = np.zeros(n + 1, dtype)
+    s[: order + 1] = _solve_shift(rows[:, :, x_slots[: order + 1]].astype(np.longdouble), order)
+    shift, gammas = Series1._wrap(s, n), tuple(s[3 : order + 1].tolist())
     if not s.any():
         return NormalFormResult(m, gammas, shift, order)
 
-    sy = np.zeros(size)  # y - s(x)
+    sy = np.zeros(size, dtype)  # y - s(x)
     sy[_index(0, 1)] = 1.0
-    sy[x_slots[3 : order + 1]] = -s[3:]
+    sy[x_slots[3 : order + 1]] = -s[3 : order + 1]
     big_x, big_y = _horner(rows, sy, _mul2, n)
     big_y = big_y + shift.compose(Series2._wrap(big_x, n))._c
     for k, gamma in enumerate(gammas, start=3):
@@ -93,7 +99,7 @@ def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
     return NormalFormResult(normalized, gammas, shift, order)
 
 
-def normalize_map(m: MapSpec, order: int) -> NormalFormResult:
+def normalize_map(m: MapSpec, order: int = DEFAULT_NORM_ORDER) -> NormalFormResult:
     """Flatten a polynomial map through `order` at the series order
     max(order + 2, degree, DEFAULT_ORDER): the headroom `normalize_to_order`
     needs, and never below the degree, so the map's own terms are exact."""

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .mapdef import MapSpec, Point
+from .normalform import DEFAULT_NORM_ORDER
 from .series import PlanarSeriesMap
 
 METRIC_Y_POWER = 3
@@ -44,7 +46,7 @@ class ShadowPair:
 
     def __post_init__(self):
         if self.p.x <= 0.0:
-            raise ValueError("the base point needs x > 0")
+            raise DomainError(f"the base point needs x > 0: x = {self.p.x:g}")
 
     @property
     def offset(self) -> tuple[float, float]:
@@ -59,14 +61,14 @@ def shadow_metric(pair: ShadowPair) -> float:
 
 def _metric(x: float, dx: float, dy: float) -> float:
     if x <= 0.0:
-        raise ValueError("metric needs a positive base abscissa")
+        raise DomainError(f"metric needs a positive base abscissa: x = {x:g}")
     return (abs(dx) + abs(dy) / x**METRIC_Y_POWER) / x**METRIC_X_POWER
 
 
 def shadow_step_check(
     m: MapLike,
     pair: ShadowPair,
-    n_power: int,
+    n_power: int = DEFAULT_NORM_ORDER,
     delta: float = 0.05,
 ) -> tuple[float, float, bool]:
     """Apply the map to both points and compare the metric before and after.
@@ -77,13 +79,15 @@ def shadow_step_check(
     """
     x, y = pair.p.x, pair.p.y
     if not 0.0 < x <= delta:
-        raise ValueError(f"hypothesis 0 < x <= delta failed: x = {x}, delta = {delta}")
+        raise DomainError(f"hypothesis 0 < x <= delta failed: x = {x}, delta = {delta}")
     if abs(y) > x**n_power:
-        raise ValueError(f"hypothesis |y| <= x^{n_power} failed: |y| = {abs(y):.3e}")
+        raise DomainError(
+            f"hypothesis |y| <= x^{n_power} failed: |y| = {abs(y):.3e}, x = {x:g}"
+        )
     dx, dy = pair.offset
     before = _metric(x, dx, dy)
     if before > 1.0:
-        raise ValueError(f"hypothesis metric <= 1 failed: metric = {before:.6g}")
+        raise DomainError(f"hypothesis metric <= 1 failed: metric = {before:.6g}")
     xx, yy, ddx, ddy = m.evaluator.pair_image(x, y, dx, dy)
     after = _metric(xx, ddx, ddy)
     return before, after, after <= before
@@ -107,7 +111,7 @@ def orbit_shadow_experiment(
     x0: float,
     ytilde0: float,
     steps: int,
-    n_power: int,
+    n_power: int = DEFAULT_NORM_ORDER,
     delta: float = 0.05,
 ) -> OrbitTrace:
     """Iterate the paired orbits from (x0, 0) and (x0, ytilde0).
@@ -116,9 +120,11 @@ def orbit_shadow_experiment(
     a warning if the base orbit leaves (0, 2*delta].
     """
     if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
+        raise DomainError(f"x0 = {x0:g} must be positive")
     if abs(ytilde0) > x0**n_power:
-        raise ValueError(f"|ytilde0| must not exceed x0^{n_power}")
+        raise DomainError(
+            f"|ytilde0| = {abs(ytilde0):g} must not exceed x0^{n_power} = {x0**n_power:g}"
+        )
     x, y = x0, 0.0
     dx, dy = 0.0, ytilde0
     metrics = [_metric(x, dx, dy)]

@@ -6,6 +6,7 @@ import pytest
 from invcurve import SolverConfig, cli, solve_manifold
 from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
 from invcurve.parameterization import RepulsionTrace
+from invcurve.shadowing import OrbitTrace
 
 FAST = ["--rho0", "0.00625", "--grid", "128"]
 
@@ -33,6 +34,13 @@ def parse_csv(text):
         for h, v in zip(header, ln.split(",")):
             cols[h].append(float(v))
     return {h: np.array(v) for h, v in cols.items()}
+
+
+def _growing_orbit(monkeypatch):
+    """Make the orbit experiment return a trace whose metric grows."""
+    xs = np.array([0.01, 0.0101])
+    growing = OrbitTrace(np.array([1e-9, 2e-9]), xs, xs, np.zeros(2), np.zeros(2), False)
+    monkeypatch.setattr(cli, "orbit_shadow_experiment", lambda *args, **kw: growing)
 
 
 class TestMapResolution:
@@ -254,6 +262,20 @@ class TestVerifyCommands:
         code, _, err = run_cli(capsys, "verify-shadow", "--map", "builtin:CANON")
         assert code == 1 and "--x" in err
 
+    def test_shadow_pair_needs_xhat(self, capsys):
+        code, out, err = run_cli(capsys, "verify-shadow", "--map", "builtin:CANON", "--x", "0.1")
+        assert code == 1 and out == ""
+        assert err == "InvcurveError: verify-shadow --x needs --xhat\n"
+
+    def test_shadow_orbit_fail_exit_status(self, capsys, monkeypatch):
+        _growing_orbit(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "verify-shadow", "--map", "builtin:CANON", "--x0", "0.01", "--offset", "1e-30"
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert parse_csv(out)["metric"].tolist() == [1e-9, 2e-9]
+        assert parse_report(err)["status"] == "FAIL"
+
 
 class TestRepulsion:
     def test_trace_and_ratio(self, capsys):
@@ -353,3 +375,56 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     cli._parser.cache_clear()
     compare_alone = run(compare, "c2")
     assert together == (compare_alone, gt_alone)
+
+
+def _zero_compare_bound(monkeypatch):
+    monkeypatch.setattr(cli, "COMPARE_FLOOR", 0.0)
+    monkeypatch.setattr(cli, "COMPARE_CUBIC", 0.0)
+
+
+# each verdict-bearing path of the CLI, once passing and once failing
+VERDICTS = {
+    "invariance-pass": ("PASS", None, ["verify-invariance", "--map", "builtin:CANON", *FAST]),
+    "invariance-fail": (
+        "FAIL", None, ["verify-invariance", "--map", "builtin:PERT", *FAST, "--tol", "1e-30"]
+    ),
+    "shadow-pair-pass": (
+        "PASS", None,
+        ["verify-shadow", "--map", "builtin:CANON", "--x", "0.1", "--xhat", "0.100000001"],
+    ),
+    "shadow-pair-fail": (
+        "FAIL", None,
+        ["verify-shadow", "--map", "builtin:PERT", "--x", "0.05", "--xhat", "0.05000000002"],
+    ),
+    "shadow-orbit-pass": (
+        "PASS", None,
+        ["verify-shadow", "--map", "builtin:CANON", "--x0", "0.01", "--offset", "1e-30"],
+    ),
+    "shadow-orbit-fail": (
+        "FAIL", _growing_orbit,
+        ["verify-shadow", "--map", "builtin:CANON", "--x0", "0.01", "--offset", "1e-30"],
+    ),
+    "repulsion-pass": (
+        "PASS", None, ["repulsion", "--map", "builtin:PERT", "--x0", "0.02", "--offset", "1e-9"]
+    ),
+    "repulsion-fail": (
+        "FAIL", None,
+        ["repulsion", "--map", "builtin:CANON(lambda=4)", "--x0", "0.5", "--offset", "1e-9",
+         "--delta", "1", "--steps", "5"],
+    ),
+    "compare-pass": ("PASS", None, ["compare", "--map", "builtin:PERT", *FAST]),
+    "compare-fail": ("FAIL", _zero_compare_bound, ["compare", "--map", "builtin:PERT", *FAST]),
+}
+
+
+@pytest.mark.parametrize("case", list(VERDICTS))
+def test_exit_status_is_3_exactly_when_the_report_says_fail(capsys, monkeypatch, case):
+    expected, patch, argv = VERDICTS[case]
+    if patch is not None:
+        patch(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    # the report is stdout when there is no CSV, else stderr after any warning
+    report = [ln for ln in (out if " = " in out else err).splitlines() if " = " in ln]
+    assert report[-1] == f"status = {expected}"
+    assert sum(ln.startswith("status = ") for ln in report) == 1
+    assert code == (EXIT_VERIFY_FAILED if expected == "FAIL" else 0)

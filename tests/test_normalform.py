@@ -60,6 +60,30 @@ class TestShiftSolve:
         for order in range(3, 11):
             assert _identity_gap(m, normalize_to_order(m, order)) <= 1e-10
 
+    def test_longdouble_map_stays_longdouble(self):
+        # the shift and the conjugation run at the map's precision: a cubic
+        # coefficient c = 0.1 + 1/30 in longdouble gives gamma_3 = -c/2 there
+        m = series(pert(c=0.1))
+        x = Series2.x(12).astype(np.longdouble)
+        fy = m.fy.astype(np.longdouble) + (x * x * x).scale(np.longdouble(1) / 30)
+        wide_map = PlanarSeriesMap(m.fx.astype(np.longdouble), fy, 12)
+        wide = normalize_to_order(wide_map, 8)
+        for part in (wide.normalized.fx, wide.normalized.fy, wide.shift):
+            assert part.dtype == np.longdouble
+        assert wide.gammas[0] == -(np.longdouble(0.1) + np.longdouble(1) / 30) / 2
+        if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+            # S m = normalized S to within 2 longdouble ulps of the largest
+            # coefficient; conjugating with the shift rounded to binary64
+            # leaves about 4
+            sy = Series2.y(12).astype(np.longdouble) + wide.shift.compose(x)
+            shear = PlanarSeriesMap(x, sy, 12)
+            left, right = compose_maps(shear, wide_map), compose_maps(wide.normalized, shear)
+            gap = np.max(np.abs(left.fy._c - right.fy._c))
+            assert gap <= 2 * np.finfo(np.longdouble).eps * np.max(np.abs(left.fy._c))
+        narrow = normalize_to_order(m, 8)
+        for part in (narrow.normalized.fx, narrow.normalized.fy, narrow.shift):
+            assert part.dtype == np.float64
+
     def test_order_cap(self):
         with pytest.raises(SeriesError, match="series order 4 too small; need at least 7"):
             normalize_to_order(series(pert(c=0.1), order=4), 5)

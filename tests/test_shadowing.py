@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from invcurve import (
+    DomainError,
     Point,
     ShadowPair,
     canon,
@@ -9,6 +12,7 @@ from invcurve import (
     pert,
     shadow_metric,
     shadow_step_check,
+    to_planar_series,
 )
 from oracles import (
     acceptance_battery,
@@ -18,6 +22,7 @@ from oracles import (
     sample_shadow_pair,
 )
 from invcurve.series import MapEvaluator
+from invcurve.shadowing import _metric
 
 
 class TestMetric:
@@ -158,3 +163,31 @@ class TestOrbitExperiment:
     def test_seed_hypothesis_enforced(self):
         with pytest.raises(ValueError, match="ytilde0"):
             orbit_shadow_experiment(canon(), 0.01, 1.0, 10, 8)
+
+
+def _pair(x, y=0.0, xhat=None, yhat=None):
+    return ShadowPair(Point(x, y), Point(x if xhat is None else xhat, y if yhat is None else yhat))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _pair(0.0), "the base point needs x > 0: x = 0"),
+        (lambda: _metric(-0.1, 0.0, 0.0), "metric needs a positive base abscissa: x = -0.1"),
+        (lambda: shadow_step_check(canon(), _pair(0.2), delta=0.05),
+         "hypothesis 0 < x <= delta failed: x = 0.2, delta = 0.05"),
+        (lambda: shadow_step_check(canon(), _pair(0.01, 1e-3)),
+         "hypothesis |y| <= x^8 failed: |y| = 1.000e-03, x = 0.01"),
+        (lambda: shadow_step_check(canon(), _pair(0.01, xhat=0.011)),
+         "hypothesis metric <= 1 failed: metric = 1e+13"),
+        (lambda: orbit_shadow_experiment(canon(), -0.1, 0.0, 5), "x0 = -0.1 must be positive"),
+        (lambda: orbit_shadow_experiment(canon(), 0.01, 1.0, 5),
+         "|ytilde0| = 1 must not exceed x0^8 = 1e-16"),
+        (lambda: Point(float("inf"), 0.0), "point components must be finite: (inf, 0)"),
+        (lambda: to_planar_series(pert(c=0.1), 2), "map degree 3 exceeds requested order 2"),
+    ],
+)
+def test_argument_errors_are_typed_and_name_their_value(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)) as err:
+        call()
+    assert isinstance(err.value, ValueError)
