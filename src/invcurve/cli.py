@@ -227,12 +227,7 @@ def _cmd_manifold_param(m: MapSpec, args) -> _Result:
     conj = parameterize_manifold(m, **_given(args, "order"))
     order = conj.residual_order  # the order the conjugacy was solved through
     ks = range(order + 1)
-    pairs = [
-        ("order", order),
-        ("d", conj.d),
-        ("residual_order", conj.residual_order),
-        ("residual_max", conj.residual_max),
-    ]
+    pairs = [("order", order), ("d", conj.d), ("residual_max", conj.residual_max)]
     pairs.extend((f"K1_{k}", conj.K1.coeff(k)) for k in ks)
     pairs.extend((f"K2_{k}", conj.K2.coeff(k)) for k in ks)
     text = ["conjugacy solve: phi CSV has columns k,phi_k (graph coefficients)."]
@@ -253,9 +248,20 @@ def _cmd_verify_invariance(m: MapSpec, args) -> _Result:
     return _Result(pairs, ok=max_res <= tol)
 
 
+# the flags only the pair check (--x) or only the orbit trace reads
+_PAIR_FLAGS = ("x", "y", "xhat", "yhat")
+_ORBIT_FLAGS = ("x0", "offset", "steps")
+
+
 def _cmd_verify_shadow(m: MapSpec, args) -> _Result:
     given = _given(args, "delta", order="n_power")
-    if args.x is not None:
+    pair_check = args.x is not None
+    idle = _ORBIT_FLAGS if pair_check else _PAIR_FLAGS
+    ignored = [f"--{flag}" for flag in idle if getattr(args, flag) is not None]
+    if ignored:
+        branch = "--x runs the pair check" if pair_check else "without --x runs the orbit trace"
+        raise InvcurveError(f"verify-shadow {branch}, which ignores {', '.join(ignored)}")
+    if pair_check:
         if args.xhat is None:
             raise InvcurveError("verify-shadow --x needs --xhat")
         # without --delta the gate 0 < x <= delta admits the queried point

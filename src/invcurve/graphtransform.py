@@ -84,7 +84,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GuardError
-from .mapdef import MapSpec
+from .mapdef import DEFAULT_DELTA, MapSpec
 from .normalform import DEFAULT_NORM_ORDER, NormalFormResult, normalize_map, pullback_curve
 from .series import PlanarSeriesMap
 
@@ -401,7 +401,7 @@ SEED_CAP = 0.5
 @dataclass(frozen=True)
 class SolverConfig:
     norm_order: int = DEFAULT_NORM_ORDER  # flattening order N
-    delta: float = 0.05
+    delta: float = DEFAULT_DELTA
     rho0: float | None = None  # None: derived from the error model, see initial_rho
     rho_factor: float = 1.0 / 3.0
     grid_size: int = 512
@@ -645,7 +645,7 @@ def brentq(f, a, b) -> np.ndarray:
     stops where f vanishes or the half-bracket is below delta; an end where
     f vanishes is the root.
 
-    Raises ValueError when f(a) and f(b) have the same sign or f returns
+    Raises DomainError when f(a) and f(b) have the same sign or f returns
     NaN, and ConvergenceError when elements still iterate after ROOT_MAX_ITER
     steps.
     """
@@ -653,7 +653,7 @@ def brentq(f, a, b) -> np.ndarray:
     def values(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         fx = f(x, idx)
         if np.isnan(fx).any():
-            raise ValueError(f"f is NaN at x = {x[np.isnan(fx)][0]:.17g}")
+            raise DomainError(f"f is NaN at x = {x[np.isnan(fx)][0]:.17g}")
         return fx
 
     xpre, xcur = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b))
@@ -664,7 +664,7 @@ def brentq(f, a, b) -> np.ndarray:
     live = (fpre != 0.0) & (fcur != 0.0)
     same = int(np.count_nonzero(live & (np.signbit(fpre) == np.signbit(fcur))))
     if same:
-        raise ValueError(f"f(a) and f(b) have the same sign in {same} of {n} brackets")
+        raise DomainError(f"f(a) and f(b) have the same sign in {same} of {n} brackets")
     idx, xpre, xcur, fpre, fcur = idx[live], xpre[live], xcur[live], fpre[live], fcur[live]
     xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
     for _ in range(ROOT_MAX_ITER):

@@ -25,6 +25,10 @@ from typing import Iterable, Mapping
 from .errors import ConvergenceError, DomainError, MapFormatError, MapValidationError
 from .series import DEFAULT_ORDER, MapEvaluator, PlanarSeriesMap, Series2
 
+# the default working interval 0 < x <= delta of the solver and of the
+# pointwise checks
+DEFAULT_DELTA = 0.05
+
 # fixed entries of the quadratic skeleton; (1, 1) entries stay free
 _X_FIXED = {(0, 0): 0.0, (1, 0): 1.0, (0, 1): 0.0, (2, 0): 1.0, (0, 2): 0.0}
 _Y_FIXED = {(0, 0): 0.0, (1, 0): 0.0, (0, 1): -1.0, (2, 0): 0.0, (0, 2): 0.0}

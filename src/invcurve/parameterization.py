@@ -38,11 +38,12 @@ import numpy as np
 
 from .errors import ConjugacyError, ConvergenceError, DomainError
 from .graphtransform import Curve
-from .mapdef import MapSpec, Point, invert_point, to_planar_series
+from .mapdef import DEFAULT_DELTA, MapSpec, Point, invert_point, to_planar_series
 from .series import (
     PlanarSeriesMap,
     Series1,
     _mul1,
+    _power_column,
     compose_maps,
     invert_map_series,
     reverse_series,
@@ -169,7 +170,7 @@ class _StageResidual:
             self._d, self._model_powers = d, table
         for col in range(self._stale, n + 1):
             pw[:, 1, col] = a[col], b[col]
-            pw[:, 2:, col] = (pw[:, 1:-1, 1:col] @ pw[:, 1, col - 1 : 0 : -1, None])[..., 0]
+            _power_column(pw, col)
         self._stale = n - 1
         _, ny, nx = self._coef.shape
         rows = self._coef @ pw[0, :nx, : n + 1]  # sum_i c_ij P_i, at [:, j]
@@ -200,6 +201,14 @@ def _coeff_scale(psi: PlanarSeriesMap) -> float:
     return max(1.0, float(np.abs(psi.fx._c).max()), float(np.abs(psi.fy._c).max()))
 
 
+def _graph(x_of_t: Series1, y_of_t: Series1, order: int) -> Series1:
+    """The graph y(x^-1) of a parameterized curve through the given order:
+    reverted and composed at longdouble, rounded to binary64 once."""
+    ld = np.longdouble
+    graph = y_of_t.astype(ld).compose(reverse_series(x_of_t.astype(ld)))
+    return graph.truncate(order).astype(np.float64)
+
+
 def solve_conjugacy(
     psi: PlanarSeriesMap, order: int, t2_coefficient: float = 0.0
 ) -> ConjugacyResult:
@@ -213,7 +222,8 @@ def solve_conjugacy(
     sweeps per stage; the second polishes the binary64 increments.  The
     whole residual through the order is computed once at the end, and its
     largest coefficient must stay within 1e-10 max(1, psi's largest
-    coefficient).  The graph function phi = K2(K1^-1) is returned with its
+    coefficient).  The graph function phi = K2(K1^-1), reverted and composed
+    at longdouble and rounded to binary64 once, is returned with its
     sub-cubic coefficients checked against 1e-12 and zeroed.
     """
     if order < 3:
@@ -263,7 +273,7 @@ def solve_conjugacy(
         )
 
     k1, k2 = Series1(tuple(a)), Series1(tuple(b))
-    phi = k2.compose(reverse_series(k1)).truncate(order)
+    phi = _graph(k1, k2, order)
     low = max(abs(c) for c in phi.coeffs[:3])
     if low > _STRUCT_TOL:
         raise ConjugacyError(f"graph function keeps sub-cubic terms ({low:.3e})")
@@ -293,15 +303,18 @@ def graph_invariance_check(m: MapSpec, phi: Series1, order: int) -> GraphInvaria
     """Compare phi with the graph of the inverse image of its own graph.
 
     The image of {(x, phi(x))} under the inverse map is re-expressed as a
-    graph by reverting its first coordinate; coefficient agreement with phi
+    graph by reverting its first coordinate, formed as phi is (at
+    longdouble, rounded to binary64 once); coefficient agreement with phi
     through the requested order certifies invariance, and the image's
     sub-cubic part is reported (it should vanish).  The series run at
     order + 2, and at least at the map's degree so that it embeds exactly.
+    Reversion commutes with truncation, so the report does not depend on
+    the working order.
     """
     work = max(order + 2, m.degree)
     inv = invert_map_series(to_planar_series(m, work))
     x_of_t, y_of_t = substitute([inv.fx, inv.fy], Series1.identity(work), phi.truncate(work))
-    phi_tilde = y_of_t.compose(reverse_series(x_of_t)).truncate(order)
+    phi_tilde = _graph(x_of_t, y_of_t, order)
     diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))
     subcubic = max(abs(phi_tilde.coeff(k)) for k in range(min(3, order + 1)))
     return GraphInvarianceReport(phi_tilde, max(diffs), diffs, subcubic)
@@ -320,7 +333,7 @@ def repulsion_check(
     x0: float,
     offset: float,
     steps: int,
-    delta: float = 0.05,
+    delta: float = DEFAULT_DELTA,
 ) -> RepulsionTrace:
     """Iterate the inverse second iterate from a point displaced off the curve.
 

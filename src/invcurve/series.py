@@ -36,7 +36,12 @@ fixed-point sweep g <- L^-1 (id - h(g)) around the inverted linear part L,
 run online (relaxed, in the sense of van der Hoeven, J. Symb. Comput. 2002):
 the degree-k terms of h(g) need g only through degree k - 1, so sweep k
 computes only degree k of the powers of gx and of the Horner accumulators
-it keeps across sweeps, each product a tail of the pair table.
+it keeps across sweeps, each product a tail of the pair table.  Reversion
+is online too, at longdouble (or wider): a table of the powers of g gains
+one column per coefficient, from one matrix-vector product
+(`_power_column`, the update the conjugacy's stage residual also runs),
+each coefficient of g is set once from the lower ones, and the result is
+rounded to the input's dtype once.  So reversion commutes with truncation.
 
 It also holds the one evaluator of planar polynomial maps, `MapEvaluator`,
 built once per map from its layout (`PlanarSeriesMap.evaluator`, which
@@ -228,22 +233,37 @@ class Series1(_Dense):
         return float(acc) if np.isscalar(x) else acc
 
 
+def _power_column(pw: np.ndarray, col: int) -> None:
+    """Fill column `col` of the power tables pw[..., j, m], the t^m
+    coefficient of g^j with g in row 1, for every j >= 2, from the columns
+    below it: pw[j, col] = pw[j - 1, 1..col-1] . g[col-1..1].  g has no
+    constant term, so the columns below `col` are all it needs."""
+    pw[..., 2:, col] = (pw[..., 1:-1, 1:col] @ pw[..., 1, col - 1 : 0 : -1, None])[..., 0]
+
+
 def reverse_series(s: Series1) -> Series1:
-    """Compositional inverse g with s(g(t)) = t up to the truncation order."""
+    """Compositional inverse g with s(g(t)) = t up to the truncation order.
+
+    Online, at the wider of s's dtype and longdouble: the t^k coefficient of
+    s(g) is a_1 g_k + sum_(j>=2) a_j [g^j]_k, and [g^j]_k needs g only
+    through g_(k-1), so each coefficient g_k is set once, after column k of
+    the table of powers of g is filled (Brent & Kung, J. ACM 1978).  The
+    result is rounded to s's dtype once.
+    """
     if s.coeff(0) != 0.0:
         raise SeriesError(f"series reversion needs s(0) = 0, got s(0) = {s.coeff(0)!r}")
-    a1 = s.coeff(1)
-    if a1 == 0.0:
+    if s.coeff(1) == 0.0:
         raise SeriesError("series reversion needs a nonzero linear coefficient s'(0), got 0")
     n = s.order
-    g = Series1.from_coeffs([0.0, 1.0 / a1], 1)
-    # h = s - a1 t starts at degree 2, so the order-k terms of s(g) need g
-    # only through order k - 1: the sweep that extends g to order k runs at k
+    a = s._c.astype(np.result_type(s.dtype, np.longdouble))
+    pw = np.zeros((n + 1, n + 1), dtype=a.dtype)  # [j, m]: t^m coefficient of g^j
+    pw[0, 0], pw[1, 1] = 1.0, 1.0 / a[1]
     for k in range(2, n + 1):
-        g = g.truncate(k)
-        err = s.compose(g) - Series1.identity(k)
-        g = g - err.scale(1.0 / a1)
-    return g
+        _power_column(pw, k)
+        pw[1, k] = -(a[2 : k + 1] @ pw[2 : k + 1, k]) / a[1]
+    return Series1._wrap(pw[1].astype(s.dtype), n)
+
+
 # ---------------------------------------------------------------------------
 # bivariate series
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .mapdef import MapSpec, Point
+from .mapdef import DEFAULT_DELTA, MapSpec, Point
 from .normalform import DEFAULT_NORM_ORDER
 from .series import PlanarSeriesMap
 
@@ -69,7 +69,7 @@ def shadow_step_check(
     m: MapLike,
     pair: ShadowPair,
     n_power: int = DEFAULT_NORM_ORDER,
-    delta: float = 0.05,
+    delta: float = DEFAULT_DELTA,
 ) -> tuple[float, float, bool]:
     """Apply the map to both points and compare the metric before and after.
 
@@ -112,7 +112,7 @@ def orbit_shadow_experiment(
     ytilde0: float,
     steps: int,
     n_power: int = DEFAULT_NORM_ORDER,
-    delta: float = 0.05,
+    delta: float = DEFAULT_DELTA,
 ) -> OrbitTrace:
     """Iterate the paired orbits from (x0, 0) and (x0, ytilde0).
 

@@ -42,6 +42,23 @@ def _poly_mul(a: list, b: list, order: int) -> list:
     return out
 
 
+def reversion_exact(coeffs) -> list[Fraction]:
+    """Compositional inverse g of s = sum coeffs[k] t^k (coeffs[0] = 0,
+    coeffs[1] != 0) through the same order, in exact rationals.  Sweep k of
+    the fixed point g <- g - (s(g) - t) / s_1 runs Horner through t^k; the
+    lower coefficients are exact by then, so it sets g_k alone."""
+    a = [Fraction(c) for c in coeffs]
+    g = [Fraction(0), 1 / a[1]]
+    for k in range(2, len(a)):
+        g.append(Fraction(0))
+        s_of_g = [a[k]]
+        for c in a[k - 1 :: -1]:
+            s_of_g = _poly_mul(s_of_g, g, k)
+            s_of_g[0] += c
+        g[k] = -s_of_g[k] / a[1]
+    return g
+
+
 def _jet_residual(m: MapSpec, a: list, order: int) -> list:
     """Coefficients of F(X(x, F(x))) - Y(x, F(x)) through x^order, F = sum a_k x^k."""
     one = [Fraction(1)] + [Fraction(0)] * order
@@ -252,12 +269,24 @@ def invert_map_series_sweep(m):
     return PlanarSeriesMap(gx, gy, n)
 
 
+def graph_at_longdouble(x_of_t, y_of_t, order: int):
+    """The graph y(x^-1) through the given order, formed as the library
+    forms phi and phi_tilde: x reverted and y composed at longdouble, the
+    result rounded to binary64 once."""
+    from invcurve import reverse_series
+
+    ld = np.longdouble
+    graph = y_of_t.astype(ld).compose(reverse_series(x_of_t.astype(ld)))
+    return graph.truncate(order).astype(np.float64)
+
+
 def solve_conjugacy_full_residual(psi, order: int, t2_coefficient: float = 0.0):
     """`parameterization.solve_conjugacy` as it was before its stages went
     online: each of the two sweeps of stage n evaluates the whole residual
     Psi(K) - K(R) through order n, reads its t^n coefficient and solves the
-    stage system by minimum-norm least squares."""
-    from invcurve import ConjugacyError, ConjugacyResult, Series1, reverse_series
+    stage system by minimum-norm least squares.  phi is formed from K as the
+    library forms it (`graph_at_longdouble`)."""
+    from invcurve import ConjugacyError, ConjugacyResult, Series1
     from invcurve.parameterization import _STRUCT_TOL, _conjugacy_residual, _stage_matrix
 
     scale = max(1.0, *(abs(v) for s in (psi.fx, psi.fy) for v in s.coeffs.values()))
@@ -286,7 +315,7 @@ def solve_conjugacy_full_residual(psi, order: int, t2_coefficient: float = 0.0):
     if residual_max > 1e-10 * scale:
         raise ConjugacyError(f"conjugacy residual {residual_max:.3e} exceeds tolerance")
     k1, k2 = Series1(tuple(a)), Series1(tuple(b))
-    phi = k2.compose(reverse_series(k1)).truncate(order)
+    phi = graph_at_longdouble(k1, k2, order)
     if max(abs(c) for c in phi.coeffs[:3]) > _STRUCT_TOL:
         raise ConjugacyError("graph function keeps sub-cubic terms")
     phi = Series1((0.0, 0.0, 0.0) + phi.coeffs[3:])
@@ -333,15 +362,10 @@ def conjugacy_residual_magnitude(psi, a, b, d: float) -> tuple:
 def graph_invariance_full_order(m, phi, orders) -> list:
     """`graph_invariance_check` reports at each check order, with the series
     worked at max(order + 2, phi.order), phi's own order, instead of two
-    orders above the reported one.  One reverted graph serves every check
-    order that shares its working order."""
-    from invcurve import (
-        GraphInvarianceReport,
-        Series1,
-        invert_map_series,
-        reverse_series,
-        to_planar_series,
-    )
+    orders above the reported one.  One graph, formed as the library forms
+    phi_tilde (`graph_at_longdouble`), serves every check order that shares
+    its working order."""
+    from invcurve import GraphInvarianceReport, Series1, invert_map_series, to_planar_series
 
     graphs = {}
     reports = []
@@ -351,7 +375,7 @@ def graph_invariance_full_order(m, phi, orders) -> list:
             inv = invert_map_series(to_planar_series(m, work))
             t, phi_w = Series1.identity(work), phi.truncate(work)
             x_of_t, y_of_t = (s.subst(t, phi_w) for s in (inv.fx, inv.fy))
-            graphs[work] = y_of_t.compose(reverse_series(x_of_t))
+            graphs[work] = graph_at_longdouble(x_of_t, y_of_t, work)
         phi_tilde = graphs[work].truncate(order)
         diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))
         subcubic = max(abs(phi_tilde.coeff(k)) for k in range(min(3, order + 1)))

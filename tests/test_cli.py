@@ -203,6 +203,14 @@ class TestManifoldParam:
         assert code == 0
         assert parse_report(err)["d"] == "6"
 
+    def test_report_keys(self, capsys):
+        code, _, err = run_cli(capsys, "manifold-param", "--map", "builtin:PERT", "--order", "6")
+        assert code == 0
+        ks = range(7)
+        want = ["order", "d", "residual_max", *(f"K{c}_{k}" for c in "12" for k in ks)]
+        assert list(parse_report(err)) == want
+        assert parse_report(err)["order"] == "6"
+
 
 class TestVerifyCommands:
     def test_invariance_pass(self, capsys):
@@ -266,6 +274,37 @@ class TestVerifyCommands:
         code, out, err = run_cli(capsys, "verify-shadow", "--map", "builtin:CANON", "--x", "0.1")
         assert code == 1 and out == ""
         assert err == "InvcurveError: verify-shadow --x needs --xhat\n"
+
+    @pytest.mark.parametrize(
+        "extra, ignored",
+        [
+            (["--x0", "0.01"], "--x0"),
+            (["--offset", "1e-30", "--steps", "5"], "--offset, --steps"),
+        ],
+    )
+    def test_shadow_pair_rejects_orbit_flags(self, capsys, extra, ignored):
+        pair = ["--x", "0.1", "--xhat", "0.100000001"]
+        code, out, err = run_cli(capsys, "verify-shadow", "--map", "builtin:CANON", *pair, *extra)
+        assert code == 1 and out == ""
+        assert err == (
+            f"InvcurveError: verify-shadow --x runs the pair check, which ignores {ignored}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "extra, ignored",
+        [
+            (["--xhat", "0.2"], "--xhat"),
+            (["--y", "0", "--yhat", "0"], "--y, --yhat"),
+        ],
+    )
+    def test_shadow_orbit_rejects_pair_flags(self, capsys, extra, ignored):
+        orbit = ["--x0", "0.01", "--offset", "1e-30"]
+        code, out, err = run_cli(capsys, "verify-shadow", "--map", "builtin:CANON", *orbit, *extra)
+        assert code == 1 and out == ""
+        assert err == (
+            "InvcurveError: verify-shadow without --x runs the orbit trace, "
+            f"which ignores {ignored}\n"
+        )
 
     def test_shadow_orbit_fail_exit_status(self, capsys, monkeypatch):
         _growing_orbit(monkeypatch)

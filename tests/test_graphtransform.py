@@ -395,6 +395,12 @@ class TestBrentq:
         with pytest.raises(ValueError, match="same sign in 1 of 2 brackets"):
             brentq(lambda x, idx: x - 0.5, np.array([0.0, 0.6]), np.array([1.0, 1.0]))
 
+    def test_bad_brackets_and_nan_are_domain_errors(self):
+        with pytest.raises(DomainError, match=r"^f\(a\) and f\(b\) have the same sign in 1 of 1 "):
+            brentq(lambda x, idx: x + 1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match=r"^f is NaN at x = 1$"):
+            brentq(lambda x, idx: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
 
 class TestTangencyFit:
     def test_flat_curve(self):

@@ -25,6 +25,7 @@ from oracles import (
     acceptance_battery,
     conjugacy_residual_bivariate,
     conjugacy_residual_magnitude,
+    graph_at_longdouble,
     graph_invariance_full_order,
     manifold_jet,
     pert_jet_closed_form,
@@ -167,7 +168,8 @@ class TestSolveConjugacy:
 
     def test_phi_matches_the_exact_jet_on_the_battery(self):
         # the coefficients through t^9 are pinned at both orders; the worst
-        # measured relative error is 6.2e-13 (map 2)
+        # measured relative error is 4.1e-13 (map 7, t^9), the error of K:
+        # phi is within 9e-16 of the exact graph of its own binary64 K
         for m in acceptance_battery():
             jet = manifold_jet(m, 9)
             for order in (10, 12):
@@ -317,12 +319,17 @@ class TestConjugacyResidual:
                 assert np.all(np.abs(g - w) <= 64 * eps * b), (psi.order, g - w)
 
     def test_solve_matches_the_full_residual_loop(self, battery_solves):
+        # K may differ by an ulp (K2_6 on map 11), which phi formed at
+        # longdouble carries into its top coefficients, so phi is checked
+        # bit for bit against the oracle's phi formation on the solve's own K
         for psi, conj in battery_solves:
             ref = solve_conjugacy_full_residual(psi, psi.order)
-            assert (conj.d, conj.phi, conj.residual_max) == (ref.d, ref.phi, ref.residual_max)
+            assert (conj.d, conj.residual_max) == (ref.d, ref.residual_max)
             for got, want in ((conj.K1, ref.K1), (conj.K2, ref.K2)):
                 got, want = np.array(got.coeffs), np.array(want.coeffs)
                 assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), psi.order
+            phi = graph_at_longdouble(conj.K1, conj.K2, psi.order)
+            assert conj.phi == Series1((0.0, 0.0, 0.0) + phi.coeffs[3:])
 
     def test_online_stage_residual_is_the_full_residual_coefficient(self, battery_solves):
         for psi, conj in battery_solves:
@@ -398,25 +405,20 @@ class TestGraphInvariance:
 
     @pytest.mark.parametrize("order", [10, 12])
     def test_reported_order_matches_the_full_order_rule(self, order):
-        # reversion re-polishes the lower coefficients at the rounding level
-        # in every sweep, so working at phi's order can end an ulp away: a
-        # shift of 1e-6 on every coefficient from t^3 on moves phi_tilde's
-        # t^8 coefficient by one ulp on map 5 at order 12, check order 9
+        # reversion sets each coefficient once, from the lower ones only, so
+        # the graph through the check order does not depend on the working
+        # order: two orders above the check gives the same report, bit for
+        # bit, as phi's own order
         for m in acceptance_battery():
             phi = parameterize_manifold(m, order).phi
             scaled = Series1(tuple(c * (1.0 + 1e-6) for c in phi.coeffs))
             shifted = Series1(tuple(c + 1e-6 * (k >= 3) for k, c in enumerate(phi.coeffs)))
             checks = range(3, order + 1)
-            for f in (phi, scaled):
-                got = [graph_invariance_check(m, f, k) for k in checks]
-                assert got == graph_invariance_full_order(m, f, checks)
-            refs = graph_invariance_full_order(m, shifted, checks)
-            for check, ref in zip(checks, refs):
-                rep = graph_invariance_check(m, shifted, check)
-                assert rep.max_coeff_diff == ref.max_coeff_diff
-                assert rep.subcubic_max == ref.subcubic_max
-                got, want = np.array(rep.phi_tilde.coeffs), np.array(ref.phi_tilde.coeffs)
-                assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+            for f in (phi, scaled, shifted):
+                refs = graph_invariance_full_order(m, f, checks)
+                for check, ref in zip(checks, refs):
+                    rep = graph_invariance_check(m, f, check)
+                    assert rep == ref, (check, rep.phi_tilde.coeffs, ref.phi_tilde.coeffs)
 
 
 class TestRepulsion:

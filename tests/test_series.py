@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from oracles import (
     dict_subst,
     invert_map_series_sweep,
     reverse_series_full,
+    reversion_exact,
 )
 
 CANON_SERIES = to_planar_series(canon(1.0, 0.0), 8)
@@ -179,6 +181,27 @@ class TestReverseSeries:
         with pytest.raises(ValueError):
             reverse_series(Series1.from_coeffs([0, 0, 1], 4))
 
+    def test_battery_within_two_eps_of_the_exact_reversion(self):
+        # the error of g_k against the exact reversion, over its conditioning
+        # scale sum_j |a_j| [|g|^j]_k / |a_1|, the magnitudes the rounding
+        # acts on; measured worst 0.10 eps with the longdouble kernel (x87)
+        # and 0.65 eps with the same kernel at binary64
+        eps = np.finfo(float).eps
+        for s in _battery_k1():
+            g = reverse_series(s)
+            exact = reversion_exact(s.coeffs)
+            scale = _abs_series(s).compose(_abs_series(g)).coeffs
+            for k in range(s.order + 1):
+                err = abs(Fraction(g.coeff(k)) - exact[k])
+                assert err <= Fraction(2.0 * eps * scale[k] / abs(s.coeff(1))), (s.order, k)
+
+    def test_battery_reversion_commutes_with_truncation(self):
+        # each coefficient is set once, from the lower ones alone
+        for s in _battery_k1():
+            g = reverse_series(s)
+            for k in range(1, s.order + 1):
+                assert reverse_series(s.truncate(k)) == g.truncate(k), (s.order, k)
+
 
 @functools.lru_cache(maxsize=None)
 def _battery_k1() -> tuple[Series1, ...]:
@@ -250,6 +273,18 @@ def test_inverse_round_trip(b, c, higher):
         max((abs(v) for v in resid_y.values()), default=0.0),
     )
     assert worst <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.1, 10.0).flatmap(lambda a1: st.sampled_from([a1, -a1])),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+    st.data(),
+)
+def test_reversion_commutes_with_truncation(a1, tail, data):
+    s = Series1([0.0, a1, *tail])
+    k = data.draw(st.integers(1, s.order))
+    assert reverse_series(s.truncate(k)) == reverse_series(s).truncate(k)
 
 
 @settings(max_examples=60, deadline=None)
