@@ -1,7 +1,15 @@
 """Constructive invariant-curve solver: push a seed segment, carry it forward, re-graph.
 
 The engine starts from the horizontal seed [0, rho] x {0}, pushes it forward
-through the flattened map and stops once the curve covers [0, delta].  The
+through F^2, the square of the flattened map F, and stops once the curve
+covers [0, delta].  The curve is the unique invariant graph of F, so it is
+also that of F^2, and one push of F^2 moves x_max as far as two of F: a
+solve takes half the pushes, and the fixed cost of a push dominates it.  The
+flattening runs at two series orders above normalize_map's rule (order 14
+at N = 8; at order 12 the truncation of the square shows at the nodes, about
+2e-16), and F^2 is composed from it with `series.compose_maps` at that
+order; the flattening cut back to normalize_map's order is normalize_map's,
+bit for bit, and it is what `SolveDiagnostics.normal_form` carries.  The
 image of a sampled graph that passes the push guards is again a sampled
 graph, so each push carries the image points forward as the next curve;
 the level re-graphs them onto the graded grid only when the widest
@@ -14,12 +22,12 @@ whose final curve is within tol_converge of the previous level's on
 
 The refinement runs coarse first.  The flat seed is off the curve by about
 C rho^(N+1) in flattened coordinates, so with the default schedule (rho0 =
-delta/2, rho_factor = 1/3) the first level is cheap (about 20 pushes) and
+delta/2, rho_factor = 1/3) the first level is cheap (about 10 pushes) and
 its seed error sits above the interpolation floor: on the acceptance
-battery at N = 8 the first gap is 1.2e-16 to 2.6e-15, 83 to 142 times the
+battery at N = 8 the first gap is 9.8e-17 to 2.2e-15, 69 to 169 times the
 gap between rho = delta/4 and delta/8, so it is evidence that the sequence
 contracts and not round-off.  That gap is far below tol_converge, so the
-solver returns the second level (rho = delta/6, about 100 pushes), whose
+solver returns the second level (rho = delta/6, about 50 pushes), whose
 seed error is the gap times
 r / (1 - r) with the known ratio r = rho_factor^(N+1) (Richardson's step;
 Sidi, Practical Extrapolation Methods, 2003).  That figure,
@@ -56,8 +64,8 @@ reuses heap memory instead of mapping fresh pages every push:
   components with the power table of x, weighted by the power table of y.
   Only the rows of the powers of y that can change a value count, and in
   flattened coordinates the carried ordinate is F = O(x^(N+1)), below 2e-11
-  on the acceptance battery, so a push of an order-12 map uses 2 to 4 of
-  its 13 powers of y (y^0 .. y^2 on most pushes);
+  on the acceptance battery, so a push of the order-14 square uses 2 to 4
+  of its 15 powers of y (y^0 .. y^2 on most pushes);
 * a re-graph's grid is x_max times the unit grid computed once per solve,
   and a level carries raw (xs, fs) arrays, building one `Curve` when it
   ends.
@@ -70,7 +78,14 @@ SciPy's steps, so the module needs NumPy only.
 
 Certificates are measured, not assumed: suprema of x^(m-N) |F^(m)(x)| on the
 grid, the smallest observed dX/dx, and the drift constant
-|X_max - (x_max + x_max^2)| / x_max^3.
+|X_max - (x_max + a_2 x_max^2)| / x_max^3, with a_2 the x^2 coefficient of X
+in the pushed map (1 for a map, 2 for its square).
+
+Independence: `compose_maps` also squares the map for the conjugacy
+(`parameterization.square_map`), so a defect there could move both solvers
+together.  Criterion 04's invariance residual guards against it: it
+evaluates the original polynomial map pointwise, not any series of it.
+Neither solver seeds the other.
 """
 
 from __future__ import annotations
@@ -86,7 +101,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, GuardError
 from .mapdef import DEFAULT_DELTA, MapSpec
 from .normalform import DEFAULT_NORM_ORDER, NormalFormResult, normalize_map, pullback_curve
-from .series import PlanarSeriesMap
+from .series import PlanarSeriesMap, compose_maps
 
 GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
 TANGENCY_POWER = 3
@@ -251,6 +266,8 @@ class _PushKernel:
 
     def __init__(self, m: MapSpec | PlanarSeriesMap, grid_size: int):
         self._ev = m.evaluator
+        # the x^2 coefficient of X: 1 for an admissible map, 2 for its square
+        self._a2 = float(self._ev._coef[0, 0, 2])
         self.unit = graded_grid(1.0, grid_size)
         self._max_ratio = float(self.unit[-1] / self.unit[-2]) ** REGRAPH_SPREAD
 
@@ -269,7 +286,7 @@ class _PushKernel:
             )
         min_slope = float((dx / (xs[1:] - xs[:-1])).min())
         xm = float(xs[-1])
-        drift_c = float(abs(big_x[-1] - (xm + xm * xm)) / xm**3)
+        drift_c = float(abs(big_x[-1] - (xm + self._a2 * xm * xm)) / xm**3)
         if bound_cap is not None:
             # the PCHIP re-graph is monotone between nodes, so the cap on the
             # image nodes also holds for any re-graph of them; X^3 as two
@@ -391,7 +408,7 @@ def push_curve(
 # stop shrinking.  The cap is the binding term at N = 8.  It sits at
 # delta/2, the coarsest seed that calibration covered, so the first level
 # is cheap and the confirming gap shows the seed error above the floor
-# (1.2e-16 to 2.6e-15 on the battery at N = 8); with rho_factor 1/3 the
+# (9.8e-17 to 2.2e-15 on the battery at N = 8); with rho_factor 1/3 the
 # returned level, delta/6, needs fewer pushes than delta/8 did and so
 # collects less round-off.
 SEED_SAFETY = 1e-3
@@ -459,6 +476,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LevelResult:
+    """One rho-level of the push loop.  `nu_bar` and `x_max_trace` count
+    steps of the pushed map, the square of the flattened map in a solve."""
+
     rho: float
     curve: Curve
     nu_bar: int
@@ -479,9 +499,18 @@ class SolveDiagnostics:
     seed_error_est: float  # the returned level's, config.seed_error_est(gaps[-1])
 
 
+# series orders of the flattened map kept above normalize_map's rule for its
+# square, the push map: at two fewer its truncation shows at the nodes
+PUSH_HEADROOM = 2
+
+
 def _prepare(m: MapSpec, cfg: SolverConfig) -> tuple[NormalFormResult, _PushKernel]:
-    nf = normalize_map(m, cfg.norm_order)
-    return nf, _PushKernel(nf.normalized, cfg.grid_size)
+    """normalize_map's flattening F, and the kernel that pushes F^2, composed
+    from the flattening at PUSH_HEADROOM more series orders."""
+    wide = normalize_map(m, cfg.norm_order, headroom=PUSH_HEADROOM)
+    f = wide.normalized
+    nf = wide.truncate(f.order - PUSH_HEADROOM)
+    return nf, _PushKernel(compose_maps(f, f), cfg.grid_size)
 
 
 def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResult:
@@ -494,7 +523,8 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
     margin = math.inf
     regraphs = 0
     # the quadratic drift guarantees termination; the cap only catches stalls
-    cap = int(2.0 / rho) * (int(math.log(cfg.delta / rho)) + 2) + 64
+    # (a difference of logs: for a huge delta the quotient overflows)
+    cap = int(2.0 / rho) * (int(math.log(cfg.delta) - math.log(rho)) + 2) + 64
     while x_max <= cfg.delta:
         if len(trace) > cap:
             raise ConvergenceError(

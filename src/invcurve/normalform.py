@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesError
+from .errors import DomainError, SeriesError
 from .mapdef import MapSpec, to_planar_series
 from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, _horner, _index, _mul1, _mul2
 
@@ -41,6 +41,15 @@ class NormalFormResult:
     gammas: tuple[float, ...]
     shift: Series1
     order: int
+
+    def truncate(self, series_order: int) -> NormalFormResult:
+        """The same flattening with the map and the shift cut to `series_order`."""
+        return NormalFormResult(
+            self.normalized.truncate(series_order),
+            self.gammas,
+            self.shift.truncate(series_order),
+            self.order,
+        )
 
 
 def _solve_shift(coef: np.ndarray, order: int) -> np.ndarray:
@@ -99,11 +108,15 @@ def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
     return NormalFormResult(normalized, gammas, shift, order)
 
 
-def normalize_map(m: MapSpec, order: int = DEFAULT_NORM_ORDER) -> NormalFormResult:
+def normalize_map(
+    m: MapSpec, order: int = DEFAULT_NORM_ORDER, headroom: int = 0
+) -> NormalFormResult:
     """Flatten a polynomial map through `order` at the series order
-    max(order + 2, degree, DEFAULT_ORDER): the headroom `normalize_to_order`
-    needs, and never below the degree, so the map's own terms are exact."""
-    series_order = max(order + 2, m.degree, DEFAULT_ORDER)
+    max(order + 2, degree, DEFAULT_ORDER) + headroom: the headroom
+    `normalize_to_order` needs, and never below the degree, so the map's own
+    terms are exact.  A positive `headroom` keeps that many more orders of
+    the conjugated map, for a caller that composes it with itself."""
+    series_order = max(order + 2, m.degree, DEFAULT_ORDER) + headroom
     return normalize_to_order(to_planar_series(m, series_order), order)
 
 
@@ -120,4 +133,4 @@ def pullback_curve(f_norm, shift: Series1):
 
     if isinstance(f_norm, Curve):
         return Curve(f_norm.xs, f_norm.fs - shift.eval(f_norm.xs))
-    raise TypeError(f"cannot pull back {type(f_norm).__name__}")
+    raise DomainError(f"f_norm must be a Series1 or a Curve, got {type(f_norm).__name__}")

@@ -351,7 +351,7 @@ def repulsion_check(
     elif isinstance(manifold, Series1):
         f = manifold.eval
     else:
-        raise TypeError("manifold must be a Curve or a Series1")
+        raise DomainError(f"manifold must be a Curve or a Series1, got {type(manifold).__name__}")
     if not 0.0 < x0 <= delta / 2.0:
         raise DomainError(f"need 0 < x0 <= delta/2: x0 = {x0:g}, delta = {delta:g}")
     if abs(offset) > x0**3:

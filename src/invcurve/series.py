@@ -500,7 +500,8 @@ class MapEvaluator:
     as from every row, and any value moves by at most about 2^-59 |y|.
     The cut bites where the push runs: in coordinates flattened to order N
     the carried ordinate is F = O(x^(N+1)), below 2e-11 on the acceptance
-    battery, so a push keeps 2 to 4 of the 13 rows of an order-12 map.
+    battery, so a push of the solver's order-14 push map keeps 2 to 4 of
+    its 15 rows.
 
     At a single point NumPy's dispatch costs more than the arithmetic, so
     an operation builds every power list it needs from the point's powers

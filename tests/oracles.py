@@ -122,9 +122,9 @@ def acceptance_battery(seed: int = 1729) -> list[MapSpec]:
     return maps
 
 
-def flatten_map(m: MapSpec, n_power: int = 8):
+def flatten_map(m: MapSpec, n_power: int = 8, headroom: int = 0):
     """The map in flattened coordinates (no pure-x terms in Y through n_power)."""
-    return normalize_map(m, n_power).normalized
+    return normalize_map(m, n_power, headroom).normalized
 
 
 def sample_shadow_pair(rng: np.random.Generator, delta: float, n_power: int):

@@ -187,6 +187,14 @@ class TestManifoldGt:
         assert code == 0
         assert float(parse_report(err)["rho_0"]) == 0.00625
 
+    def test_huge_delta_is_a_guard_error(self, capsys):
+        # delta / rho would overflow in the step cap; the push guards trip
+        args = ["manifold-gt", "--map", "builtin:PERT", "--delta", "1e308"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("GuardError: |F|/x^3 reached ")
+
 
 class TestManifoldParam:
     def test_phi_csv(self, capsys):

@@ -12,6 +12,7 @@ from invcurve import (
     SolverConfig,
     bound_certificate,
     canon,
+    compose_maps,
     graded_grid,
     graphtransform,
     invariance_residual,
@@ -23,8 +24,10 @@ from invcurve import (
     seed_curve,
     solve_manifold,
     tangency_fit,
+    to_planar_series,
 )
 from invcurve.graphtransform import _comparison_grid, brentq
+from invcurve.normalform import normalize_map
 from oracles import acceptance_battery, flatten_map, invariance_residual_per_sample
 
 
@@ -154,6 +157,13 @@ class TestPushCurve:
         assert np.all(out.fs == 0.0)
         assert cert.xmax_drift_c == 0.0
         assert cert.min_dxdx >= 1.0
+
+    def test_square_push_reads_its_own_drift(self):
+        # on the x-axis CANON's square is x + 2x^2 + 2x^3 + x^4: the drift
+        # constant is taken against the pushed map's x + 2x^2, and is 2 + x
+        f = to_planar_series(canon(), 12)
+        _, cert = push_curve(compose_maps(f, f), seed_curve(0.01, 128))
+        assert cert.xmax_drift_c == pytest.approx(2.01, rel=1e-9)
 
     def test_drift_constant_is_reported(self):
         seed = seed_curve(0.02, 128)
@@ -473,8 +483,29 @@ class TestSeedRule:
         # coarse first: delta/2 confirms and delta/6 is returned
         for _, _, diag in battery_solves[1]:
             assert [lv.rho for lv in diag.levels] == [0.025, 0.025 / 3.0]
-            assert sum(lv.nu_bar for lv in diag.levels) <= 130
+            assert sum(lv.nu_bar for lv in diag.levels) <= 70
             assert diag.seed_error_est == diag.config.seed_error_est(diag.gaps[-1])
+
+    def test_normal_form_is_normalize_maps(self, battery_solves):
+        # the push map is the square of a flattening at two more series
+        # orders; cut back, that flattening is normalize_map's, bit for bit
+        for m, (_, _, diag) in zip(*battery_solves):
+            got, want = diag.normal_form, normalize_map(m, diag.config.norm_order)
+            assert got.gammas == want.gammas and got.order == want.order
+            pairs = ((got.normalized.fx, want.normalized.fx),
+                     (got.normalized.fy, want.normalized.fy), (got.shift, want.shift))
+            for a, b in pairs:
+                assert (a.order, a.dtype) == (b.order, b.dtype)
+                assert a._c.tobytes() == b._c.tobytes()
+
+    def test_growth_law_holds_on_every_step_of_the_square(self, battery_solves):
+        # a solve pushes F^2, which moves x_max by about 2 x_max^2 a step
+        # where F moves it by x_max^2; criterion 08's x + x^2/2 holds on each
+        for _, _, diag in battery_solves[1]:
+            for lv in diag.levels:
+                prev, nxt = lv.x_max_trace[:-1], lv.x_max_trace[1:]
+                assert np.all(nxt - prev >= 1.5 * prev**2)
+                assert lv.growth_margin_min >= 0.0
 
     def test_returned_nodes_match_the_determined_jet(self, battery_solves):
         # phi through order 14 from an order-15 solve, so every coefficient

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import invcurve.normalform as normalform
 import invcurve.series as series_mod
 from invcurve import (
+    DomainError,
     MapSpec,
     Series1,
     Series2,
@@ -236,3 +237,7 @@ class TestPullback:
         shift = Series1.from_coeffs([0, 0, 0, -0.05], 6)
         out = pullback_curve(curve, shift)
         np.testing.assert_allclose(out.fs, 0.05 * xs**3, rtol=0, atol=1e-18)
+
+    def test_other_kinds_are_domain_errors(self):
+        with pytest.raises(DomainError, match="f_norm must be a Series1 or a Curve, got list"):
+            pullback_curve([0.0, 0.1], Series1.zero(6))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from invcurve import (
     ConjugacyError,
+    DomainError,
     InvcurveError,
     MapSpec,
     Series1,
@@ -452,3 +453,5 @@ class TestRepulsion:
             repulsion_check(pert(c=0.1), conj.phi, 0.05, 1e-9, 5)
         with pytest.raises(ValueError, match="offset"):
             repulsion_check(pert(c=0.1), conj.phi, 0.02, 1e-3, 5)
+        with pytest.raises(DomainError, match="manifold must be a Curve or a Series1, got tuple"):
+            repulsion_check(pert(c=0.1), conj.phi.coeffs, 0.02, 1e-9, 5)

@@ -48,7 +48,7 @@ from invcurve.graphtransform import (
     _PushKernel,
     _run_level,
 )
-from invcurve.series import ROW_CUT, MapEvaluator
+from invcurve.series import ROW_CUT, MapEvaluator, compose_maps
 from oracles import eval_fsum, flatten_map, run_level_regraph_every_push
 from test_acceptance import BASE_CFG, BATTERY, _gt_solution
 from test_graphtransform import _fast_cfg
@@ -102,8 +102,9 @@ def every_row():
 
 
 def test_row_cut_leaves_the_battery_curves_unchanged():
-    # in flattened coordinates every carried ordinate is tiny, so a push
-    # keeps 2 to 4 of the 13 y-power rows; the curves do not move a bit
+    # in flattened coordinates every carried ordinate is tiny, so a push of
+    # the order-14 square keeps 2 to 4 of its 15 y-power rows; the curves do
+    # not move a bit
     kept = []
     rows = MapEvaluator._rows
 
@@ -115,7 +116,7 @@ def test_row_cut_leaves_the_battery_curves_unchanged():
         cut = [solve_manifold(m, BASE_CFG) for m in BATTERY]
     with every_row():
         full = [solve_manifold(m, BASE_CFG) for m in BATTERY]
-    assert max(r for r, every in kept if every == 13) <= 4
+    assert max(r for r, every in kept if every == 15) <= 4
     for (c_cut, _, d_cut), (c_full, _, d_full) in zip(cut, full):
         assert c_cut.xs.tobytes() == c_full.xs.tobytes()
         assert c_cut.fs.tobytes() == c_full.fs.tobytes()
@@ -302,7 +303,8 @@ def test_push_curve_is_the_first_level_step(m):
     cfg = SolverConfig(delta=rho + 0.5 * rho * rho, rho0=rho, grid_size=size)
     levels, _ = rho_refinement(m, cfg, 1)
     assert levels[0].nu_bar == 1
-    out, cert = push_curve(flatten_map(m, 8), seed_curve(rho, size), n_power=8, m_max=2)
+    f = flatten_map(m, 8, headroom=2)
+    out, cert = push_curve(compose_maps(f, f), seed_curve(rho, size), n_power=8, m_max=2)
     assert np.array_equal(levels[0].curve.xs, out.xs)
     assert np.array_equal(levels[0].curve.fs, out.fs)
     assert levels[0].min_dxdx == cert.min_dxdx
@@ -418,8 +420,8 @@ def test_solve_makes_no_fresh_pages_per_push():
         check=True,
     )
     pushes, faults = map(int, done.stdout.split())
-    assert pushes > 200
-    assert faults < 1000
+    assert pushes > 100
+    assert faults < 5 * pushes
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
