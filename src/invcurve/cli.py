@@ -62,8 +62,8 @@ VERIFY_TOL = 1e-8
 
 
 def _fmt(v) -> str:
-    """A float with 17 significant digits; any other value as str() gives it."""
-    return f"{float(v):.17g}" if isinstance(v, float) else str(v)
+    """A float of any width as binary64 with 17 significant digits; else str()."""
+    return f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
 
 
 _BUILTIN_RE = re.compile(r"^builtin:(\w+)\s*(?:\((.*)\))?$")
@@ -225,7 +225,7 @@ def _cmd_manifold_gt(m: MapSpec, args) -> _Result:
 
 def _cmd_manifold_param(m: MapSpec, args) -> _Result:
     conj = parameterize_manifold(m, **_given(args, "order"))
-    order = conj.residual_order  # the order the conjugacy was solved through
+    order = conj.K1.order  # the order the conjugacy was solved through
     ks = range(order + 1)
     pairs = [("order", order), ("d", conj.d), ("residual_max", conj.residual_max)]
     pairs.extend((f"K1_{k}", conj.K1.coeff(k)) for k in ks)

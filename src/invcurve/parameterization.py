@@ -22,11 +22,12 @@ K's top-order coefficients are therefore only pinned by equations one order
 beyond the requested residual order; the last phi coefficient inherits the
 normalization choice and should be trusted one order below the solve order.
 
-The stages run online: stage n needs only the t^n coefficient of the
-residual, which tables of the powers of K and of R kept across the stages
-give without forming the rest, and its two unknowns come from the 2x2 stage
-matrix in closed form.  The whole residual is formed once, at the end, to
-certify the result.
+The stages run online, at longdouble (or wider) from psi to phi: stage n
+needs only the t^n coefficient of the residual, which tables of the powers
+of K and of R kept across the stages give without forming the rest, and its
+two unknowns come from the 2x2 stage matrix in closed form.  The whole
+residual is formed once, at the end, to certify the result.  Only phi is
+rounded to binary64, once.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ _EPS = float(np.finfo(float).eps)
 class ConjugacyResult:
     K1: Series1
     K2: Series1
-    d: float
+    d: np.floating
     phi: Series1
-    residual_order: int
     residual_max: float
 
     @property
     def model(self) -> Series1:
-        """The cubic one-dimensional model R(t) = t - 2 t^2 + d t^3."""
-        return Series1((0.0, 1.0, -2.0, self.d))
+        """The cubic one-dimensional model R(t) = t - 2 t^2 + d t^3, at d's dtype."""
+        return Series1._wrap(np.array([0.0, 1.0, -2.0, self.d]), 3)
 
 
 def square_map(m: MapSpec, order: int) -> PlanarSeriesMap:
@@ -79,9 +79,8 @@ def square_map(m: MapSpec, order: int) -> PlanarSeriesMap:
 def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
     """Series inverse of the squared map, with its structure asserted.
 
-    Squaring and inversion run at np.longdouble and the result is rounded
-    to binary64 once, so every coefficient of psi is within about half a
-    unit in the last place (binary64 inversion drifts by hundreds).  The
+    Squaring and inversion run at np.longdouble, the dtype psi is returned
+    at, unrounded (binary64 inversion drifts by hundreds of ulps).  The
     pure x^2 coefficient of the first component must be -2 and the xy
     coefficient of the second must be 2*lambda; the squared map's second
     component must carry no pure x^3 term.
@@ -92,47 +91,50 @@ def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
     stray = abs(float(sq.fy.coeff(3, 0)))
     if stray > _STRUCT_TOL:
         raise ConjugacyError(f"squared map has a pure x^3 term in Y ({stray:.3e})")
-    psi = invert_map_series(sq).astype(np.float64)
-    if abs(psi.fx.coeff(2, 0) + 2.0) > _STRUCT_TOL:
+    psi = invert_map_series(sq)
+    x2, xy = float(psi.fx.coeff(2, 0)), float(psi.fy.coeff(1, 1))
+    if abs(x2 + 2.0) > _STRUCT_TOL:
+        raise ConjugacyError(f"x^2 coefficient of the inverted square is {x2!r}, expected -2")
+    if abs(xy - 2.0 * m.lam) > _STRUCT_TOL * max(1.0, m.lam):
         raise ConjugacyError(
-            f"x^2 coefficient of the inverted square is {psi.fx.coeff(2, 0)!r}, expected -2"
-        )
-    if abs(psi.fy.coeff(1, 1) - 2.0 * m.lam) > _STRUCT_TOL * max(1.0, m.lam):
-        raise ConjugacyError(
-            f"xy coefficient of the inverted square is {psi.fy.coeff(1, 1)!r}, "
-            f"expected {2.0 * m.lam}"
+            f"xy coefficient of the inverted square is {xy!r}, expected {2.0 * m.lam}"
         )
     return psi
 
 
 # The residual of Psi(K) - K(R) sums products of inverse-series coefficients
 # that reach 1e5 and cancel to ~1e-10 in binary64, which would drown the
-# certified bound, so it runs at np.longdouble; the stage increments stay
-# binary64.  The stage unknowns enter the order-n residual linearly, with a
-# matrix read off Psi's low coefficients (the cohomological equation; Haro et
-# al., The Parameterization Method, 2016), so a stage sweep needs only the
-# t^n coefficient of the residual.  `_StageResidual` computes just that
-# coefficient from tables kept across the stages.  `_conjugacy_residual`
-# computes the whole residual through psi's order, independently of those
-# tables, and certifies the solve once at its end.  Its substitution
-# multiplies raw arrays with the series core's product kernels and skips the
-# powers a substitute's valuation puts beyond the order: K2 = O(t^3), so its
-# Horner chain takes n // 3 steps, 4 at order 12.
+# certified bound, so it runs at psi's extended dtype, and so do K and d: a
+# K or d rounded to binary64 leaves its rounding in the residual (3.75e-10
+# at order 10 on the battery).  The stage unknowns enter the order-n
+# residual linearly, with a matrix read off Psi's low coefficients (the
+# cohomological equation; Haro et al., The Parameterization Method, 2016),
+# so a stage needs only the t^n coefficient of the residual.
+# `_StageResidual` computes just that coefficient from tables kept across
+# the stages.  `_conjugacy_residual` computes the whole residual through
+# psi's order, independently of those tables, and certifies the solve once
+# at its end.  Its substitution multiplies raw arrays with the series core's
+# product kernels and skips the powers a substitute's valuation puts beyond
+# the order: K2 = O(t^3), so its Horner chain takes n // 3 steps, 4 at
+# order 12.
 
 
-def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of t^0 .. t^order of Psi(K(t)) - K(R(t)), at psi's dtype."""
+def _conjugacy_residual(psi: PlanarSeriesMap, a, b, d) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of t^0 .. t^order of Psi(K(t)) - K(R(t)), with K = (a, b)
+    and R = t - 2 t^2 + d t^3 taken at psi's dtype, unrounded."""
     n, dtype = psi.order, psi.fx.dtype
-    k1, k2 = (Series1.from_coeffs(c, n).astype(dtype) for c in (a, b))
+    k1, k2, model = (
+        Series1._wrap(np.array(c, dtype), len(c) - 1).truncate(n)
+        for c in (a, b, (0.0, 1.0, -2.0, d))
+    )
     lhs = substitute([psi.fx, psi.fy], k1, k2)
-    model = Series1.from_coeffs([0.0, 1.0, -2.0, d], n)
     return tuple(u._c - k.compose(model)._c for u, k in zip(lhs, (k1, k2)))
 
 
 class _StageResidual:
     """The t^n coefficient of Psi(K) - K(R), online over the stages.
 
-    Three longdouble tables live across the stages of one solve: psi's
+    Three tables at psi's dtype live across the stages of one solve: psi's
     coefficients c_ij (of x^i y^j), its layout `PlanarSeriesMap.coef`; the
     powers P_i = K1^i and Q_j = K2^j, through psi's order; and the powers of
     the model, with [k, m] the t^m coefficient of R^k.  Stage n sets only
@@ -143,27 +145,26 @@ class _StageResidual:
 
         r_n = sum_j (sum_i c_ij P_i)[0..n] . Q_j[n..0]  -  sum_k K_k R^k[n].
 
-    The powers of R are rebuilt only when d changes, in the stage-3 sweeps.
-    Calls come with n nondecreasing, and between calls K changes only in
-    its coefficients from t^(n-1) on.
+    The powers of R are rebuilt only once, after stage 3 has set d.  Calls
+    come with n nondecreasing, and between calls K changes only in its
+    coefficients from t^(n-1) on.
     """
 
     def __init__(self, psi: PlanarSeriesMap):
-        self._coef = psi.coef.astype(np.longdouble)  # c_ij at [:, j, i]
+        self._coef = psi.coef  # c_ij at [:, j, i]
         _, ny, nx = self._coef.shape
         # P_i at [0, i], Q_j at [1, j]; row 1 holds K itself
-        self._powers = np.zeros((2, max(nx, ny, 2), psi.order + 1), dtype=np.longdouble)
+        self._powers = np.zeros((2, max(nx, ny, 2), psi.order + 1), dtype=self._coef.dtype)
         self._powers[:, 0, 0] = 1.0
         self._stale = 1  # the first column that is not final
-        self._d = None
-        self._model_powers = None
+        self._d = self._model_powers = None
 
-    def __call__(self, n: int, a, b, d: float) -> np.ndarray:
+    def __call__(self, n: int, a, b, d) -> np.ndarray:
         pw = self._powers
         if d != self._d:
-            model = np.zeros(pw.shape[2], dtype=np.longdouble)
+            model = np.zeros(pw.shape[2], dtype=pw.dtype)
             model[1:4] = 1.0, -2.0, d
-            table = np.zeros((model.size, model.size), dtype=np.longdouble)
+            table = np.zeros((model.size, model.size), dtype=pw.dtype)
             table[0, 0] = 1.0
             for k in range(1, model.size):
                 table[k] = _mul1(table[k - 1], model, model.size - 1)
@@ -179,7 +180,7 @@ class _StageResidual:
 
 
 def _stage_matrix(psi: PlanarSeriesMap, n: int) -> np.ndarray:
-    """Derivative of the order-n residual in the stage unknowns.
+    """Derivative of the order-n residual in the stage unknowns, at psi's dtype.
 
     Order 3 pins d, which enters only through -K1(R) with K1'(0) = 1.  Order
     n >= 4 pins a_(n-1), b_(n-1): with K1 = t + ..., K2 = O(t^3) and
@@ -204,8 +205,7 @@ def _coeff_scale(psi: PlanarSeriesMap) -> float:
 def _graph(x_of_t: Series1, y_of_t: Series1, order: int) -> Series1:
     """The graph y(x^-1) of a parameterized curve through the given order:
     reverted and composed at longdouble, rounded to binary64 once."""
-    ld = np.longdouble
-    graph = y_of_t.astype(ld).compose(reverse_series(x_of_t.astype(ld)))
+    graph = y_of_t.compose(reverse_series(x_of_t.astype(np.longdouble)))
     return graph.truncate(order).astype(np.float64)
 
 
@@ -218,9 +218,10 @@ def solve_conjugacy(
     for the unknowns they pin: d at order three, where the second equation
     must already hold (an error naming |r2[3]| otherwise), then the
     order-(n-1) coefficients of K, by Cramer's rule on the 2x2 stage matrix
-    (a singular one is an error naming the order and its determinant).  Two
-    sweeps per stage; the second polishes the binary64 increments.  The
-    whole residual through the order is computed once at the end, and its
+    (a singular one is an error naming the order and its determinant).  One
+    sweep per stage, with psi, K, d and the stage matrix at the wider of
+    psi's dtype and longdouble, which K1, K2 and d are returned at.  The
+    whole residual of exactly those is computed once at the end, and its
     largest coefficient must stay within 1e-10 max(1, psi's largest
     coefficient).  The graph function phi = K2(K1^-1), reverted and composed
     at longdouble and rounded to binary64 once, is returned with its
@@ -238,47 +239,46 @@ def solve_conjugacy(
     scale = _coeff_scale(psi)
     stage_tol = 1e-9 * scale
 
-    a, b = [0.0] * (order + 1), [0.0] * (order + 1)
-    a[1], a[2] = 1.0, float(t2_coefficient)
-    d = 0.0
+    dtype = np.result_type(psi.fx.dtype, np.longdouble)
+    psi = psi.astype(dtype).truncate(order)
+    a, b = np.zeros(order + 1, dtype), np.zeros(order + 1, dtype)
+    a[1], a[2] = 1.0, t2_coefficient
+    d = dtype.type(0.0)
 
-    psi_ld = psi.astype(np.longdouble).truncate(order)
-    stage_residual = _StageResidual(psi_ld)
+    stage_residual = _StageResidual(psi)
     for n in range(3, order + 1):
-        if n > 3:
-            (m11, m12), (m21, m22) = _stage_matrix(psi, n).tolist()
+        r1, r2 = stage_residual(n, a, b, d)
+        if n == 3:  # the stage matrix is the column (-1, 0)
+            if abs(r2) > stage_tol:
+                raise ConjugacyError(
+                    "order-3 coefficient equations are inconsistent: "
+                    f"|r2[3]| = {abs(r2):.3e} exceeds the tolerance {stage_tol:.3e}"
+                )
+            d += r1
+        else:  # Cramer's rule for the stage matrix times the increments = -(r1, r2)
+            (m11, m12), (m21, m22) = _stage_matrix(psi, n)
             det = m11 * m22 - m12 * m21
             if abs(det) <= _EPS * (abs(m11 * m22) + abs(m12 * m21)):
                 raise ConjugacyError(
                     f"stage matrix at order {n} is singular (determinant {det:.3e})"
                 )
-        for _ in range(2):  # the second sweep polishes the binary64 increments
-            r1, r2 = stage_residual(n, a, b, d).astype(float).tolist()
-            if n == 3:  # the stage matrix is the column (-1, 0)
-                if abs(r2) > stage_tol:
-                    raise ConjugacyError(
-                        "order-3 coefficient equations are inconsistent: "
-                        f"|r2[3]| = {abs(r2):.3e} exceeds the tolerance {stage_tol:.3e}"
-                    )
-                d += r1
-            else:  # Cramer's rule for the stage matrix times the increments = -(r1, r2)
-                a[n - 1] += (m12 * r2 - m22 * r1) / det
-                b[n - 1] += (m21 * r1 - m11 * r2) / det
+            a[n - 1] += (m12 * r2 - m22 * r1) / det
+            b[n - 1] += (m21 * r1 - m11 * r2) / det
 
-    r1, r2 = _conjugacy_residual(psi_ld, a, b, d)
+    r1, r2 = _conjugacy_residual(psi, a, b, d)
     residual_max = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     if residual_max > 1e-10 * scale:
         raise ConjugacyError(
             f"conjugacy residual {residual_max:.3e} exceeds tolerance through order {order}"
         )
 
-    k1, k2 = Series1(tuple(a)), Series1(tuple(b))
+    k1, k2 = Series1._wrap(a, order), Series1._wrap(b, order)
     phi = _graph(k1, k2, order)
     low = max(abs(c) for c in phi.coeffs[:3])
     if low > _STRUCT_TOL:
         raise ConjugacyError(f"graph function keeps sub-cubic terms ({low:.3e})")
     phi = Series1((0.0, 0.0, 0.0) + phi.coeffs[3:])
-    return ConjugacyResult(k1, k2, float(d), phi, order, float(residual_max))
+    return ConjugacyResult(k1, k2, d, phi, residual_max)
 
 
 def parameterize_manifold(m: MapSpec, order: int = DEFAULT_CONJUGACY_ORDER) -> ConjugacyResult:

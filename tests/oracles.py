@@ -281,45 +281,52 @@ def graph_at_longdouble(x_of_t, y_of_t, order: int):
 
 
 def solve_conjugacy_full_residual(psi, order: int, t2_coefficient: float = 0.0):
-    """`parameterization.solve_conjugacy` as it was before its stages went
-    online: each of the two sweeps of stage n evaluates the whole residual
-    Psi(K) - K(R) through order n, reads its t^n coefficient and solves the
-    stage system by minimum-norm least squares.  phi is formed from K as the
-    library forms it (`graph_at_longdouble`)."""
+    """`parameterization.solve_conjugacy` without its online tables: the one
+    sweep of stage n evaluates the whole residual Psi(K) - K(R) through
+    order n, reads its t^n coefficient and solves the stage system by
+    Gaussian elimination with partial pivoting, all at the wider of psi's
+    dtype and longdouble (`np.linalg` takes no longdouble).  phi is formed
+    from K as the library forms it (`graph_at_longdouble`)."""
     from invcurve import ConjugacyError, ConjugacyResult, Series1
     from invcurve.parameterization import _STRUCT_TOL, _conjugacy_residual, _stage_matrix
 
     scale = max(1.0, *(abs(v) for s in (psi.fx, psi.fy) for v in s.coeffs.values()))
     stage_tol = 1e-9 * scale
-    a, b = [0.0] * (order + 1), [0.0] * (order + 1)
-    a[1], a[2] = 1.0, float(t2_coefficient)
-    d = 0.0
-    psi_ld = psi.astype(np.longdouble)
+    dtype = np.result_type(psi.fx.dtype, np.longdouble)
+    a, b = np.zeros(order + 1, dtype), np.zeros(order + 1, dtype)
+    a[1], a[2] = 1.0, t2_coefficient
+    d = dtype.type(0.0)
+    psi_ext = psi.astype(dtype)
     for n in range(3, order + 1):
-        mat = _stage_matrix(psi, n)
-        psi_n = psi_ld.truncate(n)
-        for _ in range(2):
-            r1, r2 = _conjugacy_residual(psi_n, a, b, d)
-            rhs = -np.array([r1[n], r2[n]], dtype=float)
-            sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-            if np.max(np.abs(mat @ sol - rhs)) > stage_tol:
-                raise ConjugacyError(f"rank-deficient coefficient equations at order {n}")
-            if n == 3:
-                d += float(sol[0])
-            else:
-                a[n - 1] += float(sol[0])
-                b[n - 1] += float(sol[1])
+        psi_n = psi_ext.truncate(n)
+        r1, r2 = (r[n] for r in _conjugacy_residual(psi_n, a, b, d))
+        if n == 3:  # the stage matrix is the column (-1, 0)
+            if abs(r2) > stage_tol:
+                raise ConjugacyError("inconsistent coefficient equations at order 3")
+            d += r1
+            continue
+        mat = _stage_matrix(psi_ext, n)
+        rhs = np.array([-r1, -r2], dtype=dtype)
+        if abs(mat[1, 0]) > abs(mat[0, 0]):
+            mat, rhs = mat[::-1], rhs[::-1]
+        factor = mat[1, 0] / mat[0, 0]
+        pivot = mat[1, 1] - factor * mat[0, 1]
+        if abs(pivot) <= stage_tol * abs(mat).max():
+            raise ConjugacyError(f"rank-deficient coefficient equations at order {n}")
+        db = (rhs[1] - factor * rhs[0]) / pivot
+        a[n - 1] += (rhs[0] - mat[0, 1] * db) / mat[0, 0]
+        b[n - 1] += db
 
     r1, r2 = _conjugacy_residual(psi_n, a, b, d)
     residual_max = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     if residual_max > 1e-10 * scale:
         raise ConjugacyError(f"conjugacy residual {residual_max:.3e} exceeds tolerance")
-    k1, k2 = Series1(tuple(a)), Series1(tuple(b))
+    k1, k2 = Series1._wrap(a, order), Series1._wrap(b, order)
     phi = graph_at_longdouble(k1, k2, order)
     if max(abs(c) for c in phi.coeffs[:3]) > _STRUCT_TOL:
         raise ConjugacyError("graph function keeps sub-cubic terms")
     phi = Series1((0.0, 0.0, 0.0) + phi.coeffs[3:])
-    return ConjugacyResult(k1, k2, float(d), phi, order, float(residual_max))
+    return ConjugacyResult(k1, k2, d, phi, residual_max)
 
 
 def _residual_sides(fx, fy, a, b, model) -> tuple[list, list]:

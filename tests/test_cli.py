@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from invcurve import SolverConfig, cli, solve_manifold
+from invcurve import SolverConfig, cli, parameterize_manifold, pert, solve_manifold
 from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
 from invcurve.parameterization import RepulsionTrace
 from invcurve.shadowing import OrbitTrace
@@ -210,6 +210,17 @@ class TestManifoldParam:
         code, _, err = run_cli(capsys, "manifold-param", "--map", "builtin:CANON")
         assert code == 0
         assert parse_report(err)["d"] == "6"
+
+    def test_report_values_are_the_library_values_as_binary64(self, capsys):
+        code, _, err = run_cli(capsys, "manifold-param", "--map", "builtin:PERT", "--order", "6")
+        assert code == 0
+        conj = parameterize_manifold(pert(), 6)
+        want = {"d": conj.d}
+        for name, k in (("K1", conj.K1), ("K2", conj.K2)):
+            want.update((f"{name}_{i}", k.coeff(i)) for i in range(7))
+        report = parse_report(err)
+        for key, value in want.items():
+            assert report[key] == f"{float(value):.17g}", key
 
     def test_report_keys(self, capsys):
         code, _, err = run_cli(capsys, "manifold-param", "--map", "builtin:PERT", "--order", "6")

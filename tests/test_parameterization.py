@@ -35,6 +35,7 @@ from oracles import (
 )
 
 LD_EPS = float(np.finfo(np.longdouble).eps)
+EXTENDED = np.result_type(np.float64, np.longdouble)
 
 
 class TestSquareMap:
@@ -66,6 +67,10 @@ class TestBuildPsi:
         with pytest.raises(ValueError):
             build_psi(canon(), 3)
 
+    def test_psi_stays_at_the_extended_dtype(self):
+        psi = build_psi(pert(1.3, 0.4, 0.25), 8)
+        assert psi.fx.dtype == psi.fy.dtype == EXTENDED
+
 
 class TestSolveConjugacy:
     def test_canonical_graph_is_zero(self):
@@ -74,6 +79,16 @@ class TestSolveConjugacy:
         assert all(c == 0.0 for c in conj.phi.coeffs)
         assert conj.residual_max <= 1e-10
         assert conj.d == pytest.approx(6.0, abs=1e-9)
+
+    def test_result_stays_at_the_extended_dtype(self):
+        # K and d at psi's extended dtype, from a binary64 psi too; phi is binary64
+        psi = build_psi(pert(c=0.1), 8)
+        for given in (psi, psi.astype(np.float64)):
+            conj = solve_conjugacy(given, 8)
+            assert conj.K1.dtype == conj.K2.dtype == conj.model.dtype == EXTENDED
+            assert np.result_type(conj.d) == EXTENDED
+            assert conj.phi.dtype == np.float64
+            assert type(conj.residual_max) is float
 
     def test_model_polynomial_shape(self):
         conj = parameterize_manifold(pert(c=0.1), 10)
@@ -169,14 +184,13 @@ class TestSolveConjugacy:
 
     def test_phi_matches_the_exact_jet_on_the_battery(self):
         # the coefficients through t^9 are pinned at both orders; the worst
-        # measured relative error is 4.1e-13 (map 7, t^9), the error of K:
-        # phi is within 9e-16 of the exact graph of its own binary64 K
+        # measured relative error is 1.5e-15 (x87 longdouble)
         for m in acceptance_battery():
             jet = manifold_jet(m, 9)
             for order in (10, 12):
                 phi = parameterize_manifold(m, order).phi
                 for k, exact in zip(range(3, 10), jet):
-                    assert abs(phi.coeff(k) - exact) <= 1e-12 * max(1.0, abs(exact)), (order, k)
+                    assert abs(phi.coeff(k) - exact) <= 1e-14 * max(1.0, abs(exact)), (order, k)
 
 
 def _finite_difference_stage_matrix(psi, a, b, d, n):
@@ -269,7 +283,7 @@ class TestStageSystems:
 
 
 def _record_stages(psi, order, t2_coefficient=0.0):
-    """Solve, recording each stage sweep's (n, a, b, d) and online r_n."""
+    """Solve, recording each stage's (n, a, b, d) and online r_n."""
     records = []
     online = parameterization._StageResidual.__call__
 
@@ -284,12 +298,12 @@ def _record_stages(psi, order, t2_coefficient=0.0):
 
 
 def _assert_stage_residuals_are_full_coefficients(psi, conj, records):
-    """Every sweep's online r_n is the t^n coefficient of the whole residual
-    at that sweep's K and d, within 64 longdouble eps of the magnitudes its
-    rounding acts on.  The magnitudes are taken at the final K: they only
-    grow as K's coefficients are filled in."""
-    order = conj.residual_order
-    assert [r[0] for r in records] == [n for n in range(3, order + 1) for _ in range(2)]
+    """Each stage makes one call, and its online r_n is the t^n coefficient
+    of the whole residual at that stage's K and d, within 64 longdouble eps
+    of the magnitudes its rounding acts on.  The magnitudes are taken at the
+    final K: they only grow as K's coefficients are filled in."""
+    order = conj.K1.order
+    assert [r[0] for r in records] == list(range(3, order + 1))
     psi_ld = psi.astype(np.longdouble)
     bound = conjugacy_residual_magnitude(
         psi_ld.truncate(order), conj.K1.coeffs, conj.K2.coeffs, conj.d
@@ -320,17 +334,40 @@ class TestConjugacyResidual:
                 assert np.all(np.abs(g - w) <= 64 * eps * b), (psi.order, g - w)
 
     def test_solve_matches_the_full_residual_loop(self, battery_solves):
-        # K may differ by an ulp (K2_6 on map 11), which phi formed at
-        # longdouble carries into its top coefficients, so phi is checked
-        # bit for bit against the oracle's phi formation on the solve's own K
+        # the online tables and the whole residual round differently at
+        # longdouble: K stays within 1024 longdouble ulps of the oracle's
+        # (measured worst 690, K2 on map 6 at order 12; x87), and
+        # residual_max within 2 longdouble eps of the largest magnitude the
+        # residual's rounding acts on (measured worst 0.43 eps).  Each
+        # residual_max is the residual of its own K and d, every coefficient
+        # within 2 longdouble eps of its magnitudes (measured worst 0.92
+        # eps).  phi formed at longdouble carries K's last bits into its top
+        # coefficients, so phi is checked bit for bit against the oracle's
+        # phi formation on the solve's own K
         for psi, conj in battery_solves:
             ref = solve_conjugacy_full_residual(psi, psi.order)
-            assert (conj.d, conj.residual_max) == (ref.d, ref.residual_max)
+            assert conj.d == ref.d
             for got, want in ((conj.K1, ref.K1), (conj.K2, ref.K2)):
                 got, want = np.array(got.coeffs), np.array(want.coeffs)
-                assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), psi.order
+                assert np.all(np.abs(got - want) <= 1024 * np.spacing(np.abs(want))), psi.order
+            largest = 0.0
+            for res in (conj, ref):
+                args = (psi, res.K1.coeffs, res.K2.coeffs, res.d)
+                residual = parameterization._conjugacy_residual(*args)
+                assert res.residual_max == max(np.max(np.abs(r)) for r in residual)
+                for r, mag in zip(residual, conjugacy_residual_magnitude(*args)):
+                    assert np.all(np.abs(r) <= 2 * LD_EPS * mag), psi.order
+                    largest = max(largest, np.max(mag))
+            assert abs(conj.residual_max - ref.residual_max) <= 2 * LD_EPS * largest, psi.order
             phi = graph_at_longdouble(conj.K1, conj.K2, psi.order)
             assert conj.phi == Series1((0.0, 0.0, 0.0) + phi.coeffs[3:])
+
+    def test_battery_residual_at_order_10_stays_at_the_longdouble_floor(self, battery_solves):
+        # regression check beside criterion 07's 1e-10: measured worst
+        # 4.5e-13 (x87 longdouble)
+        for psi, conj in battery_solves:
+            if psi.order == 10:
+                assert conj.residual_max <= 1e-11
 
     def test_online_stage_residual_is_the_full_residual_coefficient(self, battery_solves):
         for psi, conj in battery_solves:
@@ -362,7 +399,7 @@ def test_online_solve_matches_the_full_residual_loop_family_wide(drawn):
     # of such maps a small coefficient of K or phi differs by thousands of
     # its own ulps, while normwise the two stay within 4e-15 of the largest
     # coefficient (worst of 500 surveyed maps).  The online tables
-    # themselves are checked per sweep against the whole residual.
+    # themselves are checked per stage against the whole residual.
     m, order, t2 = drawn
     psi = build_psi(m, order)
     conj, records = _record_stages(psi, order, t2)
@@ -382,7 +419,7 @@ def test_coefficient_scale_matches_the_sparse_view(order):
         psi = build_psi(m, order)
         want = max(1.0, *(abs(v) for s in (psi.fx, psi.fy) for v in s.coeffs.values()))
         got = parameterization._coeff_scale(psi)
-        assert type(got) is float and got == want
+        assert type(got) is float and got == float(want)
 
 
 class TestGraphInvariance:

@@ -162,9 +162,9 @@ class TestReverseSeries:
 
     def test_battery_back_composition_at_rounding_level(self):
         # coefficient k of s(g) - t against coefficient k of |s|(|g|), the
-        # sum of the magnitudes the rounding acts on
-        eps = np.finfo(float).eps
-        for s in _battery_k1():
+        # sum of the magnitudes the rounding acts on, in eps of s's dtype
+        for s in _battery_k1() + _battery_k1(np.longdouble):
+            eps = np.finfo(s.dtype).eps
             g = reverse_series(s)
             resid = s.compose(g) - Series1.identity(s.order)
             scale = _abs_series(s).compose(_abs_series(g))
@@ -184,16 +184,17 @@ class TestReverseSeries:
     def test_battery_within_two_eps_of_the_exact_reversion(self):
         # the error of g_k against the exact reversion, over its conditioning
         # scale sum_j |a_j| [|g|^j]_k / |a_1|, the magnitudes the rounding
-        # acts on; measured worst 0.10 eps with the longdouble kernel (x87)
-        # and 0.65 eps with the same kernel at binary64
-        eps = np.finfo(float).eps
-        for s in _battery_k1():
+        # acts on, in eps of s's dtype; measured worst 0.16 eps at binary64
+        # and 0.87 eps at longdouble (x87), and 0.65 eps with the kernel at
+        # binary64 where longdouble is binary64
+        for s in _battery_k1() + _battery_k1(np.longdouble):
+            eps = np.finfo(s.dtype).eps
             g = reverse_series(s)
-            exact = reversion_exact(s.coeffs)
+            exact = reversion_exact([_exact(c) for c in s.coeffs])
             scale = _abs_series(s).compose(_abs_series(g)).coeffs
             for k in range(s.order + 1):
-                err = abs(Fraction(g.coeff(k)) - exact[k])
-                assert err <= Fraction(2.0 * eps * scale[k] / abs(s.coeff(1))), (s.order, k)
+                err = abs(_exact(g.coeff(k)) - exact[k])
+                assert err <= _exact(2 * eps * scale[k] / abs(s.coeff(1))), (s.dtype, s.order, k)
 
     def test_battery_reversion_commutes_with_truncation(self):
         # each coefficient is set once, from the lower ones alone
@@ -204,13 +205,19 @@ class TestReverseSeries:
 
 
 @functools.lru_cache(maxsize=None)
-def _battery_k1() -> tuple[Series1, ...]:
-    """K1 of the conjugacy solve at orders 10 and 12 on the 12 battery maps."""
+def _battery_k1(dtype=np.float64) -> tuple[Series1, ...]:
+    """K1 of the conjugacy solve at orders 10 and 12 on the 12 battery maps,
+    rounded to `dtype` (the solve keeps K1 at the extended dtype)."""
     return tuple(
-        solve_conjugacy(build_psi(m, n), n).K1
+        solve_conjugacy(build_psi(m, n), n).K1.astype(dtype)
         for m in acceptance_battery(1729)
         for n in (10, 12)
     )
+
+
+def _exact(x) -> Fraction:
+    """The exact value of a binary64 or longdouble number."""
+    return Fraction(*x.as_integer_ratio())
 
 
 def _abs_series(s: Series1) -> Series1:
