@@ -197,9 +197,9 @@ def invert_point(m: MapSpec, target: Point) -> Point:
     at most 40 times) keep the iteration stable near the fixed point, where
     the Jacobian is close to diag(1, -1).  The iteration runs on Python
     floats: every value comes from `eval_map`, the residual is a max-norm
-    over two floats, and the step is Cramer's rule on the Jacobian, one
-    contraction of the map's evaluator at the iterate, computed only when a
-    step is taken.  A singular Jacobian, a non-finite candidate and a
+    over two floats, and the step is Cramer's rule on the Jacobian, which
+    the map's evaluator takes at the iterate from its Horner rows, only when
+    a step is taken.  A singular Jacobian, a non-finite candidate and a
     candidate whose image is not finite are a `ConvergenceError` naming the
     iterate; a residual still above INVERT_TOL after INVERT_MAX_ITER steps
     is one naming the target.

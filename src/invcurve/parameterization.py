@@ -32,6 +32,7 @@ rounded to binary64, once.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -342,6 +343,10 @@ def repulsion_check(
     the manifold).  Backward in this direction the abscissa shrinks while
     the deviation cannot shrink, which is what makes the curve unique.
     """
+    if steps < 0:
+        raise DomainError(f"steps = {steps} must not be negative")
+    if not (0.0 < delta < math.inf):
+        raise DomainError(f"delta = {delta:g} must be finite and positive")
     if isinstance(manifold, Curve):
         if x0 > manifold.x_max:
             raise DomainError(

@@ -46,11 +46,12 @@ rounded to the input's dtype once.  So reversion commutes with truncation.
 It also holds the one evaluator of planar polynomial maps, `MapEvaluator`,
 built once per map from its layout (`PlanarSeriesMap.evaluator`, which
 `MapSpec.evaluator` reaches through `to_planar_series`): the values on
-arrays of points and, at a point, the values, the Jacobian, or the image
-together with the exact offset of a nearby point's image, each one
-contraction of the layout with power tables of x and y.  On arrays it
-contracts only the y-power rows that can change a value at the points
-given, which for the small ordinates of a push are the first two to four.
+arrays of points, one contraction of the layout with power tables of x
+and y, and, at a point, the values, the Jacobian, or the image together
+with the exact offset of a nearby point's image, from Horner chains in x
+over the layout's rows held as Python floats.  Both use only the y-power
+rows that can change a result at the points given, which for the small
+ordinates of a push or a shadowing step are the first two to four.
 """
 
 from __future__ import annotations
@@ -58,10 +59,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, repeat
 from math import isqrt
 from numbers import Integral
-from operator import mul
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -452,14 +451,9 @@ def substitute(parts: Sequence[Series2], sx: S, sy: S) -> list[S]:
 # ---------------------------------------------------------------------------
 
 
-def _powers(v, n: int):
-    """v^0 .. v^n, each power one multiplication from the last.
-
-    A number gives a list of floats (a NumPy call per power would cost more
-    than the power); a 1-d array gives the rows of one preallocated table.
-    """
-    if not isinstance(v, np.ndarray):
-        return list(accumulate(repeat(float(v), n), mul, initial=1.0))
+def _powers(v: np.ndarray, n: int) -> np.ndarray:
+    """The table of v^0 .. v^n for a 1-d array v, one row per power, each
+    one multiplication from the last."""
     table = np.empty((n + 1, v.size))
     table[0] = 1.0
     for d in range(1, n + 1):
@@ -467,18 +461,24 @@ def _powers(v, n: int):
     return table
 
 
-def _slopes(p: list) -> list:
-    """The derivative powers i v^(i-1) from the powers p of v."""
-    return [0.0] + [i * p[i - 1] for i in range(1, len(p))]
+def _cut(ymax: float, droppable: list) -> int:
+    """The smallest r >= 2 with sum_(j >= r) w_j ymax^(j-1) below ROW_CUT,
+    for the pairs (j, w_j) of `droppable`, j = ny .. 2 (a sum that is not
+    finite is never below)."""
+    tail = 0.0
+    for j, w in droppable:
+        tail += w * ymax ** (j - 1)
+        if not tail < ROW_CUT:
+            return j + 1
+    return 2
 
 
-def _divided(a: float, pb: list) -> list:
-    """The divided sums D_0 = 0, D_i = a D_(i-1) + b^(i-1) from the powers pb
-    of b, so that b^i - a^i = (b - a) D_i is an exact multiple of b - a."""
-    out = [0.0]
-    for p in pb[:-1]:
-        out.append(a * out[-1] + p)
-    return out
+def _high_first(row: list) -> list:
+    """A coefficient row c_0 .. c_n as Horner reads it: c_n first, with the
+    zeros above the highest nonzero power dropped."""
+    while row and row[-1] == 0.0:
+        row.pop()
+    return row[::-1]
 
 
 class MapEvaluator:
@@ -486,28 +486,47 @@ class MapEvaluator:
 
     Built once per map from its coefficient layout (`PlanarSeriesMap.coef`):
     component k is the dense matrix C_k[j, i] of x^i y^j, trimmed to the
-    highest powers present, taken at binary64.  Every operation is the
-    contraction sum_ij C_k[j, i] u_i v_j over power tables u of x and v of
-    y, one column per sum.  On arrays the columns are the points and the
-    contraction is one matrix product (`_contract`) over the rows y^0 ..
-    y^(r-1) that can change the result (`_rows`).  With S_j = max_k sum_i |C_k[j, i]|, |x| <= 1 and
-    ymax = max |y| over the points, the rows j >= r add at most
-    |y| sum_(j >= r) S_j ymax^(j-1) to a value; r is the smallest r >= 2
-    that puts this sum below ROW_CUT = 2^-60, and every row counts where
-    max |x| > 1, max |y| > 1 (either one NaN, too) or the sum is not
-    finite.  Each dropped term then adds less than half an ulp to a value
-    of size 2^-5 |y| or more, so such a value comes out with the same bits
-    as from every row, and any value moves by at most about 2^-59 |y|.
-    The cut bites where the push runs: in coordinates flattened to order N
-    the carried ordinate is F = O(x^(N+1)), below 2e-11 on the acceptance
-    battery, so a push of the solver's order-14 push map keeps 2 to 4 of
-    its 15 rows.
+    highest powers present, taken at binary64.  Every operation sums over
+    the rows y^0 .. y^(r-1) that can change its result and drops the rest.
+    With S_j = max_k sum_i |C_k[j, i]|, |x| <= 1 and ymax the largest |y|
+    involved, a dropped row j adds at most S_j ymax^j to a value.
+
+    On arrays the points are columns of power tables of x and y, and an
+    evaluation is one matrix product of the layout with them (`_contract`).
+    Its rule (`_rows`) takes the smallest r >= 2 that puts
+    sum_(j >= r) S_j ymax^(j-1) below ROW_CUT = 2^-60, so the dropped rows
+    move a value by less than 2^-60 |y|: less than half an ulp of a value of
+    size 2^-5 |y| or more, which comes out with the same bits as from every
+    row.  The cut bites where the push runs: in coordinates flattened to
+    order N the carried ordinate is F = O(x^(N+1)), below 2e-11 on the
+    acceptance battery, so a push of the solver's order-14 push map keeps 2
+    to 4 of its 15 rows.
 
     At a single point NumPy's dispatch costs more than the arithmetic, so
-    an operation builds every power list it needs from the point's powers
-    as Python floats and takes all its sums from one contraction
-    (`_at_point`): the image and the exact offset of a nearby point's image
-    (`pair_image`), or both columns of the Jacobian (`jacobian`).
+    the rows are lists of Python floats, highest x power first, and each
+    row is one Horner chain in x: P_j(x) = sum_i C_k[j, i] x^i.  The image
+    and the exact offset of a nearby point's image (`pair_image`) take the
+    x-divided sum Q_j = (P_j(xh) - P_j(x)) / (xh - x) from the same chain,
+    by synthetic division: Q_j is the polynomial whose coefficients are the
+    chain's partial sums at x, evaluated at xh.  The y-divided sum is
+    sum_j P_j(x) E_j with E_j = (yh^j - y^j) / (yh - y), built up as
+    E_(j+1) = y E_j + yh^j.  So the offset of the image of (xh, yh) is
+    dx sum_j Q_j yh^j + dy sum_j P_j(x) E_j, no two images are subtracted,
+    and a separation far below the spacing of doubles keeps every digit.
+    With xh = x and yh = y the same sums are the Jacobian's columns
+    (`jacobian`).  The point rule (`_point_rows`) weights row j by j, since
+    |E_j| <= j ymax^(j-1): it takes the smallest r >= 2 that puts
+    sum_(j >= r) j S_j ymax^(j-1) below ROW_CUT.  With |x|, |xh| <= 1 and nx
+    the highest x power, |Q_j| <= nx S_j, so the dropped rows move a value
+    or an image by less than ROW_CUT |y|, an x-slope by nx ROW_CUT |y|, a
+    y-slope by ROW_CUT, and the two sums of an offset, sum_j Q_j yh^j and
+    sum_j P_j(x) E_j, by nx ymax ROW_CUT and ROW_CUT.  Each sum over the
+    rows adds the dropped rows last, to the float that holds the kept ones,
+    so a sum 2^55 times its bound or more in size (a value of 2^-5 |y| or
+    more) keeps every bit.
+
+    Both rules keep every row where an |x| or an |y| exceeds 1 or is not
+    finite, or where the tail sum is not finite.
     """
 
     def __init__(self, coef: np.ndarray):
@@ -516,27 +535,36 @@ class MapEvaluator:
         # the array path's matrix: row 2j + k is C_k[j], so the rows of the
         # powers y^0 .. y^(r-1) of both components are its first 2r rows
         self._by_row = coef.transpose(1, 0, 2).reshape(-1, self._nx + 1)
-        # (j, S_j) with S_j = max_k sum_i |C_k[j, i]|, for j = ny .. 2
+        # (j, S_j) with S_j = max_k sum_i |C_k[j, i]|, for j = ny .. 2, and
+        # the point rule's (j, j S_j)
         row_sums = np.abs(coef).sum(axis=2).max(axis=0).tolist()
         self._droppable = [(j, row_sums[j]) for j in range(self._ny, 1, -1)]
+        self._weighted = [(j, j * s) for j, s in self._droppable]
+        # the point path's Horner rows: [k][j] is C_k[j], highest power first
+        self._horner = [[_high_first(row) for row in part] for part in coef.tolist()]
 
     def _rows(self, x: np.ndarray, y: np.ndarray) -> int:
         """The number r of y-power rows, from y^0, that can change the
-        values at the points (x, y), by the rule in the class docstring."""
+        values at the points (x, y), by the array rule in the class docstring."""
         every = self._ny + 1
         if every <= 2 or not max(x.max(initial=0.0), -x.min(initial=0.0)) <= 1.0:
             return every
-        # ymax <= 1 keeps the float powers below from overflowing, which
+        # ymax <= 1 keeps the float powers in `_cut` from overflowing, which
         # raises; a NaN fails the test too
         ymax = float(max(y.max(initial=0.0), -y.min(initial=0.0)))
         if not ymax <= 1.0:
             return every
-        tail = 0.0
-        for j, s in self._droppable:
-            tail += s * ymax ** (j - 1)
-            if not tail < ROW_CUT:
-                return j + 1
-        return 2
+        return _cut(ymax, self._droppable)
+
+    def _point_rows(self, x: float, y: float, xh: float, yh: float) -> int:
+        """The number r of y-power rows, from y^0, that can change an
+        operation at the point (x, y) with its partner (xh, yh), by the point
+        rule in the class docstring."""
+        every = self._ny + 1
+        ay, ayh = abs(y), abs(yh)
+        if every <= 2 or not (abs(x) <= 1.0 and abs(xh) <= 1.0 and ay <= 1.0 and ayh <= 1.0):
+            return every
+        return _cut(ay if ay >= ayh else ayh, self._weighted)
 
     def _contract(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The sums of both components for the point columns of the power
@@ -547,10 +575,27 @@ class MapEvaluator:
         acc *= v[:, None]
         return acc.sum(axis=0)
 
-    def _at_point(self, us: list, vs: list) -> list:
-        """The sums of both components for each pair (u, v) of power lists
-        of one point, as [[X sums], [Y sums]] of Python floats."""
-        return np.einsum("kji,ci,cj->kc", self._coef, us, vs).tolist()
+    def _sums(self, x: float, y: float, xh: float, yh: float) -> list:
+        """(sum_j P_j(x) y^j, sum_j Q_j yh^j, sum_j P_j(x) E_j) of each
+        component, over the rows the point rule keeps."""
+        r = self._point_rows(x, y, xh, yh)
+        out = []
+        for part in self._horner:
+            v = a = b = e = 0.0  # e = E_j
+            w = wh = 1.0  # y^j, yh^j
+            for row in part[:r]:
+                p = q = 0.0
+                for c in row:
+                    q = q * xh + p
+                    p = p * x + c
+                v += p * w
+                a += q * wh
+                b += p * e
+                e = e * y + wh
+                w *= y
+                wh *= yh
+            out.append((v, a, b))
+        return out
 
     def values(self, x, y):
         """(X, Y) at a point (floats) or at 1-d arrays of points (arrays)."""
@@ -558,29 +603,33 @@ class MapEvaluator:
             rows = self._rows(x, y)
             out = self._contract(_powers(x, self._nx), _powers(y, rows - 1))
             return out[0], out[1]
-        (big_x,), (big_y,) = self._at_point([_powers(x, self._nx)], [_powers(y, self._ny)])
-        return big_x, big_y
+        x, y = float(x), float(y)
+        r = self._point_rows(x, y, x, y)
+        out = []
+        for part in self._horner:
+            v, w = 0.0, 1.0  # y^j
+            for row in part[:r]:
+                p = 0.0
+                for c in row:
+                    p = p * x + c
+                v += p * w
+                w *= y
+            out.append(v)
+        return out[0], out[1]
 
     def jacobian(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
         """The exact Jacobian ((dX/dx, dX/dy), (dY/dx, dY/dy)) at a point."""
-        px, py = _powers(x, self._nx), _powers(y, self._ny)
-        jx, jy = self._at_point([_slopes(px), px], [py, _slopes(py)])
-        return tuple(jx), tuple(jy)
+        x, y = float(x), float(y)
+        (_, xx, xy), (_, yx, yy) = self._sums(x, y, x, y)
+        return (xx, xy), (yx, yy)
 
     def pair_image(self, x: float, y: float, dx: float, dy: float) -> tuple[float, ...]:
         """(X, Y, dX, dY): the image of (x, y) and the offset from it of the
-        image of (x + dx, y + dy).
-
-        Each monomial difference is dx D_i(x) (y + dy)^j + x^i dy D_j(y), so
-        the images are never subtracted and a separation far below the
-        spacing of doubles around the point keeps every digit.
-        """
-        px, pxh = _powers(x, self._nx), _powers(x + dx, self._nx)
-        py, pyh = _powers(y, self._ny), _powers(y + dy, self._ny)
-        (big_x, sx, tx), (big_y, sy, ty) = self._at_point(
-            [px, _divided(x, pxh), px], [py, pyh, _divided(y, pyh)]
-        )
-        return big_x, big_y, dx * sx + dy * tx, dx * sy + dy * ty
+        image of (x + dx, y + dy), each difference an exact multiple of dx
+        or dy (see the class docstring)."""
+        x, y, dx, dy = float(x), float(y), float(dx), float(dy)
+        (big_x, ax, bx), (big_y, ay, by) = self._sums(x, y, x + dx, y + dy)
+        return big_x, big_y, dx * ax + dy * bx, dx * ay + dy * by
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ is propagated with exact divided differences of the polynomial components:
 the difference of a monomial at the two points splits into terms carrying
 the factors dx and dy, which keeps every digit of a separation of, say,
 1e-40.  The image and its offset come from one call of the map's cached
-evaluator (`series.MapEvaluator.pair_image`), one contraction per step.
+evaluator (`series.MapEvaluator.pair_image`) per step: one Horner chain in x
+per kept y-power row of each component, whose partial sums also give the
+x-divided sums, and one pass over those rows for the y-divided sums.
 """
 
 from __future__ import annotations
@@ -119,6 +121,10 @@ def orbit_shadow_experiment(
     Records the separation metric along the way; the trace is truncated with
     a warning if the base orbit leaves (0, 2*delta].
     """
+    if steps < 0:
+        raise DomainError(f"steps = {steps} must not be negative")
+    if not (0.0 < delta < math.inf):
+        raise DomainError(f"delta = {delta:g} must be finite and positive")
     if x0 <= 0.0:
         raise DomainError(f"x0 = {x0:g} must be positive")
     if abs(ytilde0) > x0**n_power:

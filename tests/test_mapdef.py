@@ -129,7 +129,10 @@ class TestEvaluation:
             for m in (raw, flatten_map(raw, 8)):
                 for x, y in rng.uniform(-1.2, 1.2, (40, 2)):
                     jac = m.evaluator.jacobian(x, y)
+                    # x and y are NumPy scalars; every output is a Python float
                     assert all(type(v) is float for row in jac for v in row)
+                    pair = m.evaluator.pair_image(x, y, 1e-9 * x, 1e-9 * y)
+                    assert all(type(v) is float for v in pair)
                     for terms, row in zip(m.sorted_terms(), jac):
                         for got, (want, scale) in zip(row, jacobian_fsum(terms, x, y)):
                             assert abs(got - want) <= 8.0 * eps * scale, (x, y, got, want)

@@ -2,12 +2,12 @@
 
 The kernel evaluates the map with the map's dense-matrix evaluator and
 re-graphs with the package's one PCHIP, which `Curve.eval` reads too; these
-tests hold the evaluator to the exactly summed terms, its cut of the
-y-power rows to the contraction of every row, and the PCHIP, in the
-re-graph and in `Curve.eval`, to SciPy's bit for bit, check that every push
-path gives the same curves, and hold the level loop, which carries pushed
-points forward, to the loop that re-graphs after every push.  SciPy is the
-test-only oracle here; the package imports no part of SciPy.
+tests hold the evaluator to the exactly summed terms, its cuts of the
+y-power rows, on arrays and at a point, to the sums over every row, and the
+PCHIP, in the re-graph and in `Curve.eval`, to SciPy's bit for bit, check
+that every push path gives the same curves, and hold the level loop, which
+carries pushed points forward, to the loop that re-graphs after every push.
+SciPy is the test-only oracle here; the package imports no part of SciPy.
 """
 
 import contextlib
@@ -68,7 +68,9 @@ def test_matrix_evaluator_matches_term_by_term(idx):
         array = m.evaluator.values(xs, ys)
         for k, (x, y) in enumerate(zip(xs, ys)):
             point = m.evaluator.values(x, y)
+            # NumPy scalars in, Python floats out
             assert all(type(v) is float for v in point)
+            assert all(type(v) is float for v in m.evaluator.pair_image(x, y, 1e-9 * x, 1e-9 * y))
             for terms, at_point, in_array in zip(m.sorted_terms(), point, array):
                 want, scale = eval_fsum(terms, float(x), float(y))
                 assert abs(at_point - want) <= 32.0 * eps * scale
@@ -156,6 +158,61 @@ def test_row_cut_changes_no_value_it_may_not(case):
         assert np.all(np.abs(g - w) <= ROW_CUT * np.abs(ys) * rows)
         exact = np.abs(g) >= 2.0**-5 * np.abs(ys)
         assert np.array_equal(g[exact], w[exact])
+
+
+@contextlib.contextmanager
+def every_point_row():
+    """The evaluator with its point row rule patched to keep every y-power row."""
+    with mock.patch.object(MapEvaluator, "_point_rows", lambda self, *coords: self._ny + 1):
+        yield
+
+
+# the dropped rows move a sum by at most twice its bound, and not at all
+# where the sum is 2^55 times its bound or more (2^-5 |y| for a value)
+def _check_cut(got, want, bound):
+    assert abs(got - want) <= 2.0 * bound
+    if abs(got) >= 2.0**55 * bound:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_and_points(), st.floats(-40.0, 0.0), st.floats(-40.0, 0.0), st.integers(0, 2**32 - 1))
+def test_point_row_cut_changes_no_value_it_may_not(case, dx_exp, dy_exp, seed):
+    # the bounds of the point rule (MapEvaluator docstring): ROW_CUT |y| on
+    # a value or an image, whose partner may lie off both axes, nx ROW_CUT
+    # |y| on an x-slope, ROW_CUT on a y-slope, and on the two parts of an
+    # offset, each checked on an offset along its own axis: nx |dx| ymax
+    # ROW_CUT along x (ymax = |y| there) and |dy| ROW_CUT along y
+    coef, xs, ys = case
+    ev = MapEvaluator(coef)
+    nx, ny = ev._nx, ev._ny
+    sums = np.abs(ev._coef).sum(axis=2).max(axis=0).tolist()  # S_j
+
+    def tail(r, ymax):  # sum_(j >= r) j S_j ymax^(j-1), from the top down
+        return sum(j * sums[j] * ymax ** (j - 1) for j in range(ny, r - 1, -1))
+
+    rng = np.random.default_rng(seed)
+    dxs = 10.0**dx_exp * rng.uniform(-1.0, 1.0, xs.size) * (1.0 - np.abs(xs))
+    dys = 10.0**dy_exp * rng.uniform(-1.0, 1.0, xs.size) * (1.0 - np.abs(ys))
+    for x, y, dx, dy in zip(xs.tolist(), ys.tolist(), dxs.tolist(), dys.tolist()):
+        ops = [("values", (x, y)), ("jacobian", (x, y)), ("pair_image", (x, y, dx, 0.0)),
+               ("pair_image", (x, y, 0.0, dy)), ("pair_image", (x, y, dx, dy))]
+        # the rule keeps the fewest rows, at least 2, whose weighted tail
+        # is below ROW_CUT
+        r = ev._point_rows(x, y, x + dx, y + dy)
+        ymax = max(abs(y), abs(y + dy))
+        assert r == ny + 1 or (tail(r, ymax) < ROW_CUT and (r == 2 or tail(r - 1, ymax) >= ROW_CUT))
+        got = [getattr(ev, op)(*args) for op, args in ops]
+        with every_point_row():
+            want = [getattr(ev, op)(*args) for op, args in ops]
+        for k in range(2):
+            _check_cut(got[0][k], want[0][k], ROW_CUT * abs(y))
+            _check_cut(got[1][k][0], want[1][k][0], nx * ROW_CUT * abs(y))
+            _check_cut(got[1][k][1], want[1][k][1], ROW_CUT)
+            for g, w in zip(got[2:], want[2:]):
+                _check_cut(g[k], w[k], ROW_CUT * abs(y))
+            _check_cut(got[2][2 + k], want[2][2 + k], nx * abs(dx) * abs(y) * ROW_CUT)
+            _check_cut(got[3][2 + k], want[3][2 + k], abs(dy) * ROW_CUT)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from invcurve import (
     DomainError,
     Point,
+    Series1,
     ShadowPair,
     canon,
     orbit_shadow_experiment,
     pert,
+    repulsion_check,
     shadow_metric,
     shadow_step_check,
     to_planar_series,
@@ -100,23 +103,25 @@ class TestStepCheck:
                     want, scale = eval_fsum(terms, x, y)
                     assert abs(image - want) <= 32.0 * eps * scale, (pair, image, want)
 
-    def test_one_step_is_one_contraction(self, monkeypatch):
-        # the image and the offset come from a single product of the
-        # coefficient table with the point's stacked power lists
-        fm = flatten_map(pert(c=0.1), 8)
-        calls = []
-        einsum = np.einsum
+    def test_one_step_keeps_at_most_four_rows(self, monkeypatch):
+        # |y| <= x^8 on the working interval, so a step of a battery map's
+        # order-12 flattening needs at most 4 of its 13 y-power rows (CANON
+        # and PERT flatten to 2 rows, which are all kept)
+        kept = []
+        rows = MapEvaluator._point_rows
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return einsum(*args, **kwargs)
+        def spy(self, *args):
+            kept.append((rows(self, *args), self._ny + 1))
+            return kept[-1][0]
 
-        monkeypatch.setattr(np, "einsum", counted)
+        monkeypatch.setattr(MapEvaluator, "_point_rows", spy)
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            del calls[:]
-            shadow_step_check(fm, sample_shadow_pair(rng, 0.05, 8), 8)
-            assert len(calls) == 1
+        for m in acceptance_battery(1729):
+            fm = flatten_map(m, 8)
+            for _ in range(50):
+                shadow_step_check(fm, sample_shadow_pair(rng, 0.05, 8), 8)
+        assert [every for _, every in kept] == [2] * 100 + [13] * 500
+        assert max(r for r, _ in kept) <= 4
 
     def test_map_terms_are_read_once_per_map(self, monkeypatch):
         # the map's evaluator, built from its coefficient layout, is built
@@ -183,6 +188,17 @@ def _pair(x, y=0.0, xhat=None, yhat=None):
         (lambda: orbit_shadow_experiment(canon(), -0.1, 0.0, 5), "x0 = -0.1 must be positive"),
         (lambda: orbit_shadow_experiment(canon(), 0.01, 1.0, 5),
          "|ytilde0| = 1 must not exceed x0^8 = 1e-16"),
+        (lambda: orbit_shadow_experiment(canon(), 0.01, 1e-30, -3), "steps = -3 must not be negative"),
+        (lambda: orbit_shadow_experiment(canon(), 0.01, 1e-30, 5, delta=-1.0),
+         "delta = -1 must be finite and positive"),
+        (lambda: orbit_shadow_experiment(canon(), 0.01, 1e-30, 5, delta=math.nan),
+         "delta = nan must be finite and positive"),
+        (lambda: orbit_shadow_experiment(canon(), 0.01, 1e-30, 5, delta=math.inf),
+         "delta = inf must be finite and positive"),
+        (lambda: repulsion_check(canon(), Series1([0.0, 0.0]), 0.02, 1e-9, -1),
+         "steps = -1 must not be negative"),
+        (lambda: repulsion_check(canon(), Series1([0.0, 0.0]), 0.02, 1e-9, 5, delta=0.0),
+         "delta = 0 must be finite and positive"),
         (lambda: Point(float("inf"), 0.0), "point components must be finite: (inf, 0)"),
         (lambda: to_planar_series(pert(c=0.1), 2), "map degree 3 exceeds requested order 2"),
     ],
