@@ -43,3 +43,9 @@ class SeriesError(InvcurveError, ValueError):
 class DomainError(InvcurveError, ValueError):
     """An argument lies outside the domain its function accepts; the message
     names the argument and its value."""
+
+
+def power_overflow(name: str, x: float, power: int) -> DomainError:
+    """The error for an argument whose float power overflows (float `**`
+    raises OverflowError there); `name` names the argument."""
+    return DomainError(f"{name} = {x:g} is too large: its power {power} overflows")

@@ -92,9 +92,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -105,6 +107,8 @@ from .series import PlanarSeriesMap, compose_maps
 
 GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
 TANGENCY_POWER = 3
+# the scalars that `Curve.eval` reads as one float, without arrays
+_REAL_SCALARS = (float, int, np.floating, np.integer)
 # a level re-graphs once the widest log-spacing of its carried abscissas
 # exceeds this many log-steps of the unit grid
 REGRAPH_SPREAD = 2.0
@@ -175,6 +179,15 @@ class PchipInterpolator:
         s2 = s * s
         return y0 + d0 * s + c1 * s2 + c0 * (s2 * s)
 
+    def at(self, q: float) -> float:
+        """The value at one float q: the interval from one `bisect_right` on
+        a view of the interior nodes, its column as Python floats, and the
+        cubic of `__call__` in the same order, so the same bits."""
+        x0, y0, d0, c1, c0 = self._cols[:, bisect_right(memoryview(self._inner), q)].tolist()
+        s = q - x0
+        s2 = s * s
+        return y0 + d0 * s + c1 * s2 + c0 * (s2 * s)
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -229,17 +242,39 @@ class Curve:
         if worst > cap:
             raise GuardError(f"|F|/x^3 reached {worst:.3e}, above the cap {cap:.3e}")
 
+    @cached_property
+    def _ends(self) -> tuple[float, float]:
+        """(xs[1], x_max) as floats, for the scalar path of `eval`."""
+        return float(self.xs[1]), self.x_max
+
     def eval(self, x):
         """Interpolated F(x) on [0, x_max].
 
         Below the smallest positive node the scaled ordinate is held
         constant, which preserves the cubic tangency: the PCHIP is read at
-        xs[1], where the cubic at s = 0 returns scaled[0] exactly.  A scalar
-        runs as a 1-element array, so it rounds as the array element does.
+        xs[1], where the cubic at s = 0 returns scaled[0] exactly.
+
+        A real scalar (a Python or NumPy number, or a 0-d array) skips the
+        arrays: the same domain check, clamps and cubic on Python floats
+        (`PchipInterpolator.at`), times x^3 from `np.power`, the ufunc the
+        array path's `arr**3` runs.  Python's `x**3` and `np.float64(x)**3`
+        call the C library's pow, which rounds differently from that ufunc
+        on about 5 % of inputs where NumPy uses its own vector pow, so the
+        cube stays with `np.power` and a scalar returns the bits of the
+        array element.
         """
+        if isinstance(x, _REAL_SCALARS) or (isinstance(x, np.ndarray) and x.ndim == 0):
+            q = float(x)
+            lo, x_max = self._ends
+            # written so that NaN, which fails every comparison, fails the check
+            if not 0.0 <= q <= x_max * (1.0 + 1e-12):
+                raise DomainError(
+                    f"evaluation outside the curve domain [0, x_max = {x_max:g}]: x = {q:g}"
+                )
+            q = min(q, x_max)
+            return float(self._interp.at(max(q, lo)) * np.power(q, TANGENCY_POWER))
         arr = np.array(x, dtype=float, ndmin=1)
-        # written so that NaN, which fails every comparison, fails the check
-        top = self.x_max * (1.0 + 1e-12)
+        top = self.x_max * (1.0 + 1e-12)  # NaN fails the check below too
         if arr.size and not (arr.min() >= 0.0 and arr.max() <= top):
             bad = arr[~((arr >= 0.0) & (arr <= top))][0]
             raise DomainError(
@@ -454,13 +489,20 @@ class SolverConfig:
         return gap * r / (1.0 - r)
 
     def validate(self) -> None:
-        # tolerance and order first: the derived rho0 is computed from them
+        """Raise a `DomainError` naming the first field outside its domain."""
+        for name in ("norm_order", "grid_size", "m_max", "max_levels"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise DomainError(f"{name} = {value!r} must be an integer")
+        # tolerance, order and delta before rho0, which is derived from them
         if not self.tol_converge > 0.0:
             raise DomainError(f"tol_converge = {self.tol_converge:g} must be positive")
         if self.norm_order < 3:
             raise DomainError(f"norm_order = {self.norm_order} must be at least 3")
         if not math.isfinite(self.delta):
             raise DomainError(f"delta = {self.delta:g} must be finite")
+        if not self.delta > 0.0:
+            raise DomainError(f"delta = {self.delta:g} must be positive")
         rho0 = self.initial_rho()
         if not (0.0 < rho0 < self.delta):
             raise DomainError(f"rho0 = {rho0:g} must lie in (0, delta = {self.delta:g})")
@@ -472,6 +514,8 @@ class SolverConfig:
             raise DomainError(f"rho_factor = {self.rho_factor:g} must lie in (0, 1)")
         if self.max_levels < 2:
             raise DomainError(f"max_levels = {self.max_levels} must be at least 2")
+        if not self.bound_cap > 0.0:  # NaN fails it too
+            raise DomainError(f"bound_cap = {self.bound_cap:g} must be positive")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import ConvergenceError, DomainError, MapFormatError, MapValidationError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    MapFormatError,
+    MapValidationError,
+    power_overflow,
+)
 from .series import DEFAULT_ORDER, MapEvaluator, PlanarSeriesMap, Series2
 
 # the default working interval 0 < x <= delta of the solver and of the
@@ -202,10 +208,15 @@ def invert_point(m: MapSpec, target: Point) -> Point:
     a step is taken.  A singular Jacobian, a non-finite candidate and a
     candidate whose image is not finite are a `ConvergenceError` naming the
     iterate; a residual still above INVERT_TOL after INVERT_MAX_ITER steps
-    is one naming the target.
+    is one naming the target.  A target whose x^2 overflows is a
+    `DomainError`.
     """
     tx, ty = target.x, target.y
-    p = Point(tx - tx**2, -ty)
+    try:
+        start = tx - tx**2
+    except OverflowError:
+        raise power_overflow("target x", tx, 2) from None
+    p = Point(start, -ty)
     image = eval_map(m, p)
     rx, ry = image.x - tx, image.y - ty
     res_norm = max(abs(rx), abs(ry))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConjugacyError, ConvergenceError, DomainError
+from .errors import ConjugacyError, ConvergenceError, DomainError, power_overflow
 from .graphtransform import Curve
 from .mapdef import DEFAULT_DELTA, MapSpec, Point, invert_point, to_planar_series
 from .series import (
@@ -359,7 +359,11 @@ def repulsion_check(
         raise DomainError(f"manifold must be a Curve or a Series1, got {type(manifold).__name__}")
     if not 0.0 < x0 <= delta / 2.0:
         raise DomainError(f"need 0 < x0 <= delta/2: x0 = {x0:g}, delta = {delta:g}")
-    if abs(offset) > x0**3:
+    try:
+        bound = x0**3
+    except OverflowError:
+        raise power_overflow("x0", x0, 3) from None
+    if abs(offset) > bound:
         raise DomainError(
             f"offset must satisfy |offset| <= x0^3: offset = {offset:g}, x0 = {x0:g}"
         )

@@ -59,7 +59,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import inf, isqrt
 from numbers import Integral
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -71,6 +71,13 @@ DEFAULT_ORDER = 12
 # the array evaluator drops the y-power rows whose terms add up to less than
 # ROW_CUT |y|, too little to change a value of size 2^-5 |y| or more
 ROW_CUT = 2.0**-60
+# the fast exit of the row rule (`_cut`) settles a test only where it clears
+# ROW_CUT by this relative margin, and only for weights summing to at most
+# CUT_FAST_WEIGHT, which keeps the rounding of underflowed powers below it
+CUT_MARGIN = 1e-9
+CUT_FAST_WEIGHT = 2.0**512
+_CUT_BELOW = ROW_CUT / (1.0 + CUT_MARGIN)
+_CUT_ABOVE = ROW_CUT * (1.0 + CUT_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +468,62 @@ def _powers(v: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _cut(ymax: float, droppable: list) -> int:
+def _fast_table(droppable: list) -> tuple | None:
+    """The fast exit's table for the pairs (j, w_j) of `droppable`, j = ny .. 2:
+    (every_from, ny + 1, rows).  every_from = (ROW_CUT (1 + CUT_MARGIN) /
+    w_ny)^(1/(ny-1)) is the ymax from which the top row's term alone clears
+    ROW_CUT by the margin (infinite where w_ny is 0); rows holds
+    (r, w_r, W_(r+1), w_(r-1)) for r = 2 .. ny + 1, with the suffix sums
+    W_r = sum_(j >= r) w_j, w_(ny+1) = 0 and w_1 infinite (the rule never
+    drops row 1).  None where W_2 is above CUT_FAST_WEIGHT or not finite."""
+    table, above, rest = [], 0.0, 0.0  # w_(j+1), W_(j+2)
+    for j, w in droppable:
+        table.append((j + 1, above, rest, w))
+        rest += above
+        above = w
+    table.append((2, above, rest, inf))
+    if not rest + above <= CUT_FAST_WEIGHT:
+        return None
+    top, w_top = droppable[0] if droppable else (1, 0.0)
+    every_from = (_CUT_ABOVE / w_top) ** (1.0 / (top - 1)) if w_top > 0.0 else inf
+    return every_from, top + 1, tuple(reversed(table))
+
+
+def _cut(ymax: float, droppable: list, fast: tuple | None) -> int:
     """The smallest r >= 2 with sum_(j >= r) w_j ymax^(j-1) below ROW_CUT,
-    for the pairs (j, w_j) of `droppable`, j = ny .. 2 (a sum that is not
-    finite is never below)."""
+    for the pairs (j, w_j) of `droppable`, j = ny .. 2, and 0 <= ymax <= 1
+    (a sum that is not finite is never below).
+
+    The fast exit reads `fast`, the table `_fast_table` made of
+    `droppable`.  From the ymax at which the top row's term w_ny ymax^(ny-1)
+    alone clears ROW_CUT by the relative margin CUT_MARGIN, every row
+    counts.  Below it, the exit reads the table from r = 2 up.  With
+    ymax <= 1 the tail at r is at most w_r ymax^(r-1) + W_(r+1) ymax^r, W
+    the suffix sums of the weights, so the first r whose bound is below
+    ROW_CUT by the margin cuts there, provided the single term
+    w_(r-1) ymax^(r-2) is at least ROW_CUT by the same margin, so that
+    r - 1 rows would not do.  The margin is far above the rounding of the
+    float sums and powers (and, with the weights summing to at most
+    CUT_FAST_WEIGHT, of powers that underflow), so each test settles which
+    side of ROW_CUT the float tail of the walk below falls.  Where a test
+    is inconclusive (a tail within the margin of ROW_CUT, or a zero weight
+    w_(r-1)), the walk over the rows from j = ny down decides, so every
+    call returns the walk's r: one comparison where every row counts and a
+    few products where the ordinates are small, in place of one power per
+    droppable row.
+    """
+    if fast is not None:
+        every_from, every, rows = fast
+        if ymax >= every_from:
+            return every
+        low, high = ymax, 1.0  # ymax^(r-1), ymax^(r-2)
+        for r, w, rest, below in rows:
+            nxt = low * ymax
+            if w * low + rest * nxt < _CUT_BELOW:
+                if below * high >= _CUT_ABOVE:
+                    return r
+                break
+            high, low = low, nxt
     tail = 0.0
     for j, w in droppable:
         tail += w * ymax ** (j - 1)
@@ -526,7 +585,15 @@ class MapEvaluator:
     more) keeps every bit.
 
     Both rules keep every row where an |x| or an |y| exceeds 1 or is not
-    finite, or where the tail sum is not finite.
+    finite, or where the tail sum is not finite.  Both find r the same way
+    (`_cut`): a fast exit from the suffix sums W_r of the row weights,
+    precomputed here for both weightings, keeps every row in one
+    comparison where the top row alone reaches ROW_CUT (the ordinates of a
+    raw map's Newton steps), and otherwise bounds the tail at r by
+    w_r ymax^(r-1) + W_(r+1) ymax^r and reads r off the first bound below
+    ROW_CUT in a few products from r = 2, where the small ordinates of a
+    push or a shadowing step put it; where that is inconclusive, a walk
+    over the rows from the top settles it, so the two give the same r.
     """
 
     def __init__(self, coef: np.ndarray):
@@ -540,6 +607,9 @@ class MapEvaluator:
         row_sums = np.abs(coef).sum(axis=2).max(axis=0).tolist()
         self._droppable = [(j, row_sums[j]) for j in range(self._ny, 1, -1)]
         self._weighted = [(j, j * s) for j, s in self._droppable]
+        # their suffix sums, for the fast exit of `_cut`
+        self._droppable_fast = _fast_table(self._droppable)
+        self._weighted_fast = _fast_table(self._weighted)
         # the point path's Horner rows: [k][j] is C_k[j], highest power first
         self._horner = [[_high_first(row) for row in part] for part in coef.tolist()]
 
@@ -554,7 +624,7 @@ class MapEvaluator:
         ymax = float(max(y.max(initial=0.0), -y.min(initial=0.0)))
         if not ymax <= 1.0:
             return every
-        return _cut(ymax, self._droppable)
+        return _cut(ymax, self._droppable, self._droppable_fast)
 
     def _point_rows(self, x: float, y: float, xh: float, yh: float) -> int:
         """The number r of y-power rows, from y^0, that can change an
@@ -564,7 +634,7 @@ class MapEvaluator:
         ay, ayh = abs(y), abs(yh)
         if every <= 2 or not (abs(x) <= 1.0 and abs(xh) <= 1.0 and ay <= 1.0 and ayh <= 1.0):
             return every
-        return _cut(ay if ay >= ayh else ayh, self._weighted)
+        return _cut(ay if ay >= ayh else ayh, self._weighted, self._weighted_fast)
 
     def _contract(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The sums of both components for the point columns of the power

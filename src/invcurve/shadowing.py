@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, power_overflow
 from .mapdef import DEFAULT_DELTA, MapSpec, Point
 from .normalform import DEFAULT_NORM_ORDER
 from .series import PlanarSeriesMap
@@ -37,6 +37,9 @@ METRIC_X_POWER = 8
 # in Y below the hypothesis power); on raw maps the check still runs and
 # simply reports what it finds.
 MapLike = MapSpec | PlanarSeriesMap
+
+# how errors name a pair's base abscissa p.x
+_BASE = "the pair's base abscissa x"
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,21 @@ class ShadowPair:
 def shadow_metric(pair: ShadowPair) -> float:
     """(|x - xh| + x^-3 |y - yh|) / x^8 for the pair."""
     dx, dy = pair.offset
-    return _metric(pair.p.x, dx, dy)
+    return _metric(pair.p.x, dx, dy, _BASE)
 
 
-def _metric(x: float, dx: float, dy: float) -> float:
+def _metric(x: float, dx: float, dy: float, name: str) -> float:
+    """The metric at base abscissa x, `name` naming x in its errors."""
     if x <= 0.0:
         raise DomainError(f"metric needs a positive base abscissa: x = {x:g}")
-    return (abs(dx) + abs(dy) / x**METRIC_Y_POWER) / x**METRIC_X_POWER
+    try:
+        return (abs(dx) + abs(dy) / x**METRIC_Y_POWER) / x**METRIC_X_POWER
+    except OverflowError:
+        raise power_overflow(name, x, METRIC_X_POWER) from None
+    except ZeroDivisionError:  # x^8, or x^3 too, underflowed to 0
+        raise DomainError(
+            f"{name} = {x:g} is too small: its power {METRIC_X_POWER} underflows to 0"
+        ) from None
 
 
 def shadow_step_check(
@@ -82,16 +93,20 @@ def shadow_step_check(
     x, y = pair.p.x, pair.p.y
     if not 0.0 < x <= delta:
         raise DomainError(f"hypothesis 0 < x <= delta failed: x = {x}, delta = {delta}")
-    if abs(y) > x**n_power:
+    try:
+        bound = x**n_power
+    except OverflowError:
+        raise power_overflow(_BASE, x, n_power) from None
+    if abs(y) > bound:
         raise DomainError(
             f"hypothesis |y| <= x^{n_power} failed: |y| = {abs(y):.3e}, x = {x:g}"
         )
     dx, dy = pair.offset
-    before = _metric(x, dx, dy)
+    before = _metric(x, dx, dy, _BASE)
     if before > 1.0:
         raise DomainError(f"hypothesis metric <= 1 failed: metric = {before:.6g}")
     xx, yy, ddx, ddy = m.evaluator.pair_image(x, y, dx, dy)
-    after = _metric(xx, ddx, ddy)
+    after = _metric(xx, ddx, ddy, "the image abscissa X")
     return before, after, after <= before
 
 
@@ -127,13 +142,17 @@ def orbit_shadow_experiment(
         raise DomainError(f"delta = {delta:g} must be finite and positive")
     if x0 <= 0.0:
         raise DomainError(f"x0 = {x0:g} must be positive")
-    if abs(ytilde0) > x0**n_power:
+    try:
+        bound = x0**n_power
+    except OverflowError:
+        raise power_overflow("x0", x0, n_power) from None
+    if abs(ytilde0) > bound:
         raise DomainError(
-            f"|ytilde0| = {abs(ytilde0):g} must not exceed x0^{n_power} = {x0**n_power:g}"
+            f"|ytilde0| = {abs(ytilde0):g} must not exceed x0^{n_power} = {bound:g}"
         )
     x, y = x0, 0.0
     dx, dy = 0.0, ytilde0
-    metrics = [_metric(x, dx, dy)]
+    metrics = [_metric(x, dx, dy, "x0")]
     xs = [x]
     dxs = [dx]
     dys = [dy]
@@ -147,7 +166,7 @@ def orbit_shadow_experiment(
                 stacklevel=2,
             )
             break
-        metrics.append(_metric(x, dx, dy))
+        metrics.append(_metric(x, dx, dy, "the orbit's abscissa x"))
         xs.append(x)
         dxs.append(dx)
         dys.append(dy)

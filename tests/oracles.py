@@ -22,6 +22,7 @@ import numpy as np
 from invcurve import ConvergenceError, MapSpec
 from invcurve.mapdef import INVERT_MAX_ITER, INVERT_TOL, Point, eval_map
 from invcurve.normalform import normalize_map
+from invcurve.series import ROW_CUT
 
 
 def pert_jet_closed_form(lam: float, c: float) -> tuple[float, float, float]:
@@ -437,6 +438,19 @@ def invariance_residual_per_sample(m, c, samples: int):
         xs.append(float(xbar))
         res.append(abs(c.eval(xbar) - ev.values(xhat, c.eval(xhat))[1]))
     return np.array(xs), np.array(res), tuple(failures)
+
+
+def row_cut_tail_loop(ymax: float, droppable: list) -> int:
+    """The row rule as a plain walk over the rows: for the pairs (j, w_j) of
+    `droppable`, j = ny .. 2, the smallest r >= 2 whose float tail
+    sum_(j >= r) w_j ymax^(j-1), summed from the top down, is below ROW_CUT
+    (a tail that is not finite is never below)."""
+    tail = 0.0
+    for j, w in droppable:
+        tail += w * ymax ** (j - 1)
+        if not tail < ROW_CUT:
+            return j + 1
+    return 2
 
 
 def eval_fsum(terms, x: float, y: float) -> tuple[float, float]:

@@ -325,6 +325,21 @@ class TestVerifyCommands:
             f"which ignores {ignored}\n"
         )
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--x", "1e100", "--xhat", "1e100"],
+             "the pair's base abscissa x = 1e+100 is too large: its power 8 overflows"),
+            (["--x0", "1e100", "--offset", "0"], "x0 = 1e+100 is too large: its power 8 overflows"),
+        ],
+    )
+    def test_shadow_overflow_is_a_domain_error(self, capsys, flags, message):
+        code, out, err = run_cli(
+            capsys, "verify-shadow", "--map", "builtin:PERT", *flags, "--delta", "1e300"
+        )
+        assert code == 1 and out == ""
+        assert err == f"DomainError: {message}\n"
+
     def test_shadow_orbit_fail_exit_status(self, capsys, monkeypatch):
         _growing_orbit(monkeypatch)
         code, out, err = run_cli(

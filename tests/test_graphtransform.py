@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -136,16 +137,28 @@ class TestCurveEvalOnTheBattery:
             assert c.eval(x).tobytes() == (c.scaled[0] * x**3).tobytes()
 
     def test_scalar_call_is_the_array_element(self, battery_curves):
+        # the scalar path (Python floats and np.power) against the array
+        # path, bit for bit, for float, np.float64 and 0-d inputs at every
+        # node, the domain's ends, below the first node and at random points
         rng = np.random.default_rng(4)
         for c in battery_curves[1]:
             x = np.concatenate((
-                [0.0, c.xs[1], c.x_max, c.x_max * (1.0 + 1e-12)],
+                c.xs,
+                [0.0, c.x_max, c.x_max * (1.0 + 1e-13), c.x_max * (1.0 + 1e-12)],
                 c.xs[1] * rng.uniform(0.0, 1.0, 20),
-                rng.uniform(0.0, c.x_max, 40),
+                rng.uniform(0.0, c.x_max, 2000),
                 np.geomspace(c.xs[1], c.x_max, 40),
             ))
-            scalars = np.array([c.eval(float(v)) for v in x])
-            assert scalars.tobytes() == c.eval(x).tobytes()
+            want = c.eval(x).tobytes()
+            for kind in (float, np.float64, np.array):
+                assert np.array([c.eval(kind(v)) for v in x.tolist()]).tobytes() == want, kind
+            assert c.eval(0) == 0.0 and type(c.eval(np.array(0.01))) is float
+            for bad in (1, -1e-300, c.x_max * 1.01, math.nan, math.inf):
+                with pytest.raises(DomainError) as scalar:
+                    c.eval(bad)
+                with pytest.raises(DomainError) as array:
+                    c.eval(np.array([bad]))
+                assert str(scalar.value) == str(array.value)
 
 
 class TestPushCurve:
@@ -261,7 +274,7 @@ class TestSolveManifold:
         "overrides, message",
         [
             (dict(rho0=0.06), "rho0 = 0.06 must lie in (0, delta = 0.05)"),
-            (dict(delta=-0.05), "rho0 = -0.025 must lie in (0, delta = -0.05)"),
+            (dict(rho0=-0.01), "rho0 = -0.01 must lie in (0, delta = 0.05)"),
             (dict(tol_converge=0.0), "tol_converge = 0 must be positive"),
             (dict(norm_order=2), "norm_order = 2 must be at least 3"),
             (dict(grid_size=32), "grid_size = 32 must be at least 64"),
@@ -269,11 +282,31 @@ class TestSolveManifold:
             (dict(rho_factor=1.0), "rho_factor = 1 must lie in (0, 1)"),
             (dict(max_levels=1), "max_levels = 1 must be at least 2"),
             (dict(delta=float("inf")), "delta = inf must be finite"),
+            (dict(delta=-0.05), "delta = -0.05 must be positive"),
+            (dict(delta=0.0), "delta = 0 must be positive"),
+            (dict(bound_cap=-1.0), "bound_cap = -1 must be positive"),
+            (dict(bound_cap=float("nan")), "bound_cap = nan must be positive"),
+            (dict(grid_size=64.5), "grid_size = 64.5 must be an integer"),
+            (dict(norm_order=8.5), "norm_order = 8.5 must be an integer"),
+            (dict(m_max=1.5), "m_max = 1.5 must be an integer"),
+            (dict(max_levels=2.5), "max_levels = 2.5 must be an integer"),
         ],
     )
     def test_invalid_config_names_its_value(self, overrides, message):
-        with pytest.raises(DomainError, match=re.escape(message)):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SolverConfig(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(bound_cap=-1.0), "bound_cap = -1 must be positive"),
+            (dict(grid_size=64.5), "grid_size = 64.5 must be an integer"),
+            (dict(norm_order=8.5), "norm_order = 8.5 must be an integer"),
+        ],
+    )
+    def test_solve_rejects_the_field_before_any_push(self, overrides, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            solve_manifold(pert(c=0.1), SolverConfig(**overrides))
 
 
 def _fast_cfg(**overrides) -> SolverConfig:
@@ -476,7 +509,7 @@ class TestSeedRule:
 
     def test_validate_accepts_the_derived_seed(self):
         SolverConfig().validate()
-        with pytest.raises(ValueError, match="rho0"):
+        with pytest.raises(ValueError, match="^delta = -0.05 must be positive$"):
             SolverConfig(delta=-0.05).validate()
 
     def test_default_schedule_is_coarse_first(self, battery_solves):

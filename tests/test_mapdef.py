@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from invcurve import (
     ConvergenceError,
+    DomainError,
     MapFormatError,
     MapSpec,
     MapValidationError,
@@ -194,6 +197,12 @@ class TestInvertPoint:
         monkeypatch.setattr(m.evaluator, "jacobian", lambda x, y: ((det, 0.0), (0.0, 1.0)))
         with pytest.raises(ConvergenceError, match=message):
             invert_point(m, Point(0.5, 0.0))
+
+    @pytest.mark.parametrize("x", [1e200, -1e200])
+    def test_a_target_whose_start_overflows_is_a_domain_error(self, x):
+        message = f"target x = {x:g} is too large: its power 2 overflows"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            invert_point(pert(), Point(x, 0.0))
 
     def test_preimages_match_the_linalg_oracle_on_repulsion_inputs(self, monkeypatch):
         # the targets repulsion_check inverts on each battery map (x0 = 0.02,

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator as ScipyPchip
 
@@ -48,8 +48,14 @@ from invcurve.graphtransform import (
     _PushKernel,
     _run_level,
 )
-from invcurve.series import ROW_CUT, MapEvaluator, compose_maps
-from oracles import eval_fsum, flatten_map, run_level_regraph_every_push
+from invcurve.series import ROW_CUT, MapEvaluator, _cut, _fast_table, compose_maps
+from oracles import (
+    eval_fsum,
+    flatten_map,
+    row_cut_tail_loop,
+    run_level_regraph_every_push,
+    sample_shadow_pair,
+)
 from test_acceptance import BASE_CFG, BATTERY, _gt_solution
 from test_graphtransform import _fast_cfg
 
@@ -213,6 +219,70 @@ def test_point_row_cut_changes_no_value_it_may_not(case, dx_exp, dy_exp, seed):
                 _check_cut(g[k], w[k], ROW_CUT * abs(y))
             _check_cut(got[2][2 + k], want[2][2 + k], nx * abs(dx) * abs(y) * ROW_CUT)
             _check_cut(got[3][2 + k], want[3][2 + k], abs(dy) * ROW_CUT)
+
+
+# weight lists w_2 .. w_ny for ny = 2 .. 15, zero weights allowed and sizes
+# up to 1e300 (past the fast exit's weight limit), with ymax 0, 1, any value
+# in [0, 1], one whose powers underflow, or one where the tail at some row
+# lies within a few ulps of ROW_CUT
+@st.composite
+def _weights_and_ymax(draw):
+    ny = draw(st.integers(2, 15))
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(0.0, 1e300))
+    ws = draw(st.lists(weight, min_size=ny - 1, max_size=ny - 1))
+    kind = draw(st.sampled_from(["zero", "one", "any", "underflow", "edge"]))
+    if kind == "zero":
+        ymax = 0.0
+    elif kind == "one":
+        ymax = 1.0
+    elif kind == "any":
+        ymax = draw(st.floats(0.0, 1.0))
+    elif kind == "underflow":
+        ymax = 10.0 ** draw(st.floats(-320.0, -20.0))
+    else:  # row j's term at ROW_CUT give or take ulps, the rows above it zero
+        j = draw(st.integers(2, ny))
+        ymax = 10.0 ** draw(st.floats(-12.0, 0.0))
+        w = ROW_CUT / ymax ** (j - 1)
+        for _ in range(abs(step := draw(st.integers(-3, 3)))):
+            w = math.nextafter(w, math.inf if step > 0 else 0.0)
+        ws = [v if k < j else w if k == j else 0.0 for k, v in enumerate(ws, start=2)]
+    return ymax, [(j, ws[j - 2]) for j in range(ny, 1, -1)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_weights_and_ymax())
+# tails an ulp or two from ROW_CUT, where ymax^(j-1) by repeated products
+# and by `**` round to different sides: only the margin keeps the fast
+# exit from deciding them
+@example((9.043574673668495e-06, [(4, 0.0011726809585032951), (3, 1.0), (2, 1.0)]))
+@example((1.3049650012619626e-12, [(6, 2.2919542226718853e41), (5, 1.0), (4, 1.0), (3, 1.0), (2, 1.0)]))
+# w_2 = 0: the bound at r = 2 rests on W_3 ymax^2 alone
+@example((2.914149330986018e-07, [(5, 1.0), (4, 1.0), (3, 0.556531079511385), (2, 0.0)]))
+# weights above CUT_FAST_WEIGHT with ymax^3 subnormal: the products, `**`
+# and the threshold's root round past the margin, so the walk must decide
+@example((3.959055983870231e-107, [(4, 1.3977222240168368e301), (3, 1.0), (2, 1.0)]))
+@example((2.691004553730898e-107, [(4, 4.4508963677518725e301), (3, 4.4508963677518725e301), (2, 0.0)]))
+def test_row_rule_returns_the_tail_loops_rows(case):
+    ymax, droppable = case
+    assert _cut(ymax, droppable, _fast_table(droppable)) == row_cut_tail_loop(ymax, droppable)
+
+
+class _Unread(list):
+    def __iter__(self):
+        raise AssertionError("the row walk ran")
+
+
+def test_row_rule_settles_the_shadow_steps_by_its_fast_exit():
+    # on the certify workload's kind of step (a flattened battery map, a
+    # pair in the hypotheses' box) the suffix sums decide r without a walk
+    rng = np.random.default_rng(5)
+    for m in BATTERY[2:5]:
+        ev = flatten_map(m, 8).evaluator
+        for _ in range(50):
+            pair = sample_shadow_pair(rng, 0.05, 8)
+            ymax = max(abs(pair.p.y), abs(pair.q.y))
+            want = row_cut_tail_loop(ymax, ev._weighted)
+            assert _cut(ymax, _Unread(), ev._weighted_fast) == want < ev._ny + 1
 
 
 @pytest.mark.parametrize(

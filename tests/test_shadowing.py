@@ -178,7 +178,7 @@ def _pair(x, y=0.0, xhat=None, yhat=None):
     "call, message",
     [
         (lambda: _pair(0.0), "the base point needs x > 0: x = 0"),
-        (lambda: _metric(-0.1, 0.0, 0.0), "metric needs a positive base abscissa: x = -0.1"),
+        (lambda: _metric(-0.1, 0.0, 0.0, "x"), "metric needs a positive base abscissa: x = -0.1"),
         (lambda: shadow_step_check(canon(), _pair(0.2), delta=0.05),
          "hypothesis 0 < x <= delta failed: x = 0.2, delta = 0.05"),
         (lambda: shadow_step_check(canon(), _pair(0.01, 1e-3)),
@@ -207,3 +207,37 @@ def test_argument_errors_are_typed_and_name_their_value(call, message):
     with pytest.raises(DomainError, match=re.escape(message)) as err:
         call()
     assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: shadow_step_check(pert(), _pair(1e100), delta=1e300),
+         "the pair's base abscissa x = 1e+100 is too large: its power 8 overflows"),
+        # x^3 fits, the metric's x^8 does not
+        (lambda: shadow_step_check(pert(), _pair(1e50), 3, delta=1e300),
+         "the pair's base abscissa x = 1e+50 is too large: its power 8 overflows"),
+        # the pair fits, the image's x^8 does not
+        (lambda: shadow_step_check(pert(), _pair(1e37), delta=1e300),
+         "the image abscissa X = 1e+74 is too large: its power 8 overflows"),
+        (lambda: orbit_shadow_experiment(pert(), 1e100, 1e-30, 5, delta=1e300),
+         "x0 = 1e+100 is too large: its power 8 overflows"),
+        (lambda: orbit_shadow_experiment(pert(), 1e30, 0.0, 5, delta=1e300),
+         "the orbit's abscissa x = 1e+60 is too large: its power 8 overflows"),
+        (lambda: repulsion_check(pert(), Series1([0.0, 0.0]), 1e200, 0.0, 5, delta=1e300),
+         "x0 = 1e+200 is too large: its power 3 overflows"),
+        (lambda: shadow_metric(_pair(1e50)),
+         "the pair's base abscissa x = 1e+50 is too large: its power 8 overflows"),
+        # x^3 and x^8 underflow to 0
+        (lambda: shadow_step_check(pert(), _pair(1e-120)),
+         "the pair's base abscissa x = 1e-120 is too small: its power 8 underflows to 0"),
+        (lambda: orbit_shadow_experiment(pert(), 1e-200, 0.0, 5),
+         "x0 = 1e-200 is too small: its power 8 underflows to 0"),
+        # x^3 is a float, x^8 underflows to 0
+        (lambda: shadow_metric(_pair(1e-50)),
+         "the pair's base abscissa x = 1e-50 is too small: its power 8 underflows to 0"),
+    ],
+)
+def test_powers_that_overflow_or_underflow_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
