@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class InvcurveError(Exception):
     """Base class for package-specific failures."""
@@ -43,6 +45,14 @@ class SeriesError(InvcurveError, ValueError):
 class DomainError(InvcurveError, ValueError):
     """An argument lies outside the domain its function accepts; the message
     names the argument and its value."""
+
+
+def require_integers(**values) -> None:
+    """Raise a `DomainError` naming the first of `values`, given as argument
+    name = value, that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, Integral):
+            raise DomainError(f"{name} = {value!r} must be an integer")
 
 
 def power_overflow(name: str, x: float, power: int) -> DomainError:

@@ -96,11 +96,10 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GuardError
+from .errors import ConvergenceError, DomainError, GuardError, require_integers
 from .mapdef import DEFAULT_DELTA, MapSpec
 from .normalform import DEFAULT_NORM_ORDER, NormalFormResult, normalize_map, pullback_curve
 from .series import PlanarSeriesMap, compose_maps
@@ -124,6 +123,7 @@ def graded_grid(x_max: float, size: int) -> np.ndarray:
 
     The grid is x_max times graded_grid(1.0, size), bit for bit.
     """
+    require_integers(size=size)
     if not (0.0 < x_max < math.inf):  # NaN fails it too
         raise DomainError(f"x_max = {x_max} must be positive and finite")
     if size < 8:
@@ -391,6 +391,7 @@ def _grid_derivative(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.n
 
 def bound_certificate(c: Curve, n_power: int, m_max: int) -> BoundCertificate:
     """Measure the derivative envelopes K_m = sup x^(m-N) |F^(m)(x)|."""
+    require_integers(m_max=m_max)
     if not 0 <= m_max <= 3:
         raise DomainError(f"m_max = {m_max} must be between 0 and 3")
     if c.xs.size < 8 * max(m_max, 1):
@@ -490,10 +491,12 @@ class SolverConfig:
 
     def validate(self) -> None:
         """Raise a `DomainError` naming the first field outside its domain."""
-        for name in ("norm_order", "grid_size", "m_max", "max_levels"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise DomainError(f"{name} = {value!r} must be an integer")
+        require_integers(
+            norm_order=self.norm_order,
+            grid_size=self.grid_size,
+            m_max=self.m_max,
+            max_levels=self.max_levels,
+        )
         # tolerance, order and delta before rho0, which is derived from them
         if not self.tol_converge > 0.0:
             raise DomainError(f"tol_converge = {self.tol_converge:g} must be positive")
@@ -634,6 +637,7 @@ def rho_refinement(
     Returns the per-level results (curves in flattened coordinates) and the
     sup-norm gaps between successive final curves on [0, delta/2].
     """
+    require_integers(levels=levels)
     cfg.validate()
     _, kernel = _prepare(m, cfg)
     results: list[LevelResult] = []
@@ -799,6 +803,7 @@ def invariance_residual(
     from the maximum, reported and warned about.  One `brentq` call solves
     every other sample at once, to 4 eps relative.
     """
+    require_integers(samples=samples)
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples}")
     half = c.x_max / 2.0

@@ -28,6 +28,7 @@ from .errors import (
     MapFormatError,
     MapValidationError,
     power_overflow,
+    require_integers,
 )
 from .series import DEFAULT_ORDER, MapEvaluator, PlanarSeriesMap, Series2
 
@@ -267,6 +268,7 @@ def invert_point(m: MapSpec, target: Point) -> Point:
 
 def to_planar_series(m: MapSpec, order: int = DEFAULT_ORDER) -> PlanarSeriesMap:
     """Embed the polynomial map as a truncated series pair (exact if order >= degree)."""
+    require_integers(order=order)
     if m.degree > order:
         raise DomainError(f"map degree {m.degree} exceeds requested order {order}")
     fx = Series2.from_terms(m.x_terms, order)

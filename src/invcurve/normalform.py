@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SeriesError
+from .errors import DomainError, SeriesError, require_integers
 from .mapdef import MapSpec, to_planar_series
 from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, _horner, _index, _mul1, _mul2
 
@@ -116,6 +116,7 @@ def normalize_map(
     `normalize_to_order` needs, and never below the degree, so the map's own
     terms are exact.  A positive `headroom` keeps that many more orders of
     the conjugated map, for a caller that composes it with itself."""
+    require_integers(order=order, headroom=headroom)
     series_order = max(order + 2, m.degree, DEFAULT_ORDER) + headroom
     return normalize_to_order(to_planar_series(m, series_order), order)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConjugacyError, ConvergenceError, DomainError, power_overflow
+from .errors import ConjugacyError, ConvergenceError, DomainError, power_overflow, require_integers
 from .graphtransform import Curve
 from .mapdef import DEFAULT_DELTA, MapSpec, Point, invert_point, to_planar_series
 from .series import (
@@ -86,6 +86,7 @@ def build_psi(m: MapSpec, order: int) -> PlanarSeriesMap:
     coefficient of the second must be 2*lambda; the squared map's second
     component must carry no pure x^3 term.
     """
+    require_integers(order=order)
     if order < 4:
         raise ConjugacyError(f"psi needs order at least 4, got {order}")
     sq = square_map(m, order)
@@ -312,6 +313,7 @@ def graph_invariance_check(m: MapSpec, phi: Series1, order: int) -> GraphInvaria
     Reversion commutes with truncation, so the report does not depend on
     the working order.
     """
+    require_integers(order=order)
     work = max(order + 2, m.degree)
     inv = invert_map_series(to_planar_series(m, work))
     x_of_t, y_of_t = substitute([inv.fx, inv.fy], Series1.identity(work), phi.truncate(work))
@@ -343,6 +345,7 @@ def repulsion_check(
     the manifold).  Backward in this direction the abscissa shrinks while
     the deviation cannot shrink, which is what makes the curve unique.
     """
+    require_integers(steps=steps)
     if steps < 0:
         raise DomainError(f"steps = {steps} must not be negative")
     if not (0.0 < delta < math.inf):

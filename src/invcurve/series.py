@@ -50,8 +50,11 @@ arrays of points, one contraction of the layout with power tables of x
 and y, and, at a point, the values, the Jacobian, or the image together
 with the exact offset of a nearby point's image, from Horner chains in x
 over the layout's rows held as Python floats.  Both use only the y-power
-rows that can change a result at the points given, which for the small
-ordinates of a push or a shadowing step are the first two to four.
+rows that can change a result at the points given, by one rule: it weights
+each row, keeps one table of the weights and their suffix sums per
+evaluator, and cuts at the first row where a bound on the weighted tail
+falls below ROW_CUT.  For the small ordinates of a push or a shadowing
+step that keeps the first two to four rows.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import inf, isqrt
+from math import isqrt
 from numbers import Integral
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -68,16 +71,14 @@ import numpy as np
 from .errors import SeriesError
 
 DEFAULT_ORDER = 12
-# the array evaluator drops the y-power rows whose terms add up to less than
-# ROW_CUT |y|, too little to change a value of size 2^-5 |y| or more
+# the evaluator drops the y-power rows whose weighted tail is below ROW_CUT:
+# they move a value by less than ROW_CUT |y|, too little to change one of
+# size 2^-5 |y| or more
 ROW_CUT = 2.0**-60
-# the fast exit of the row rule (`_cut`) settles a test only where it clears
-# ROW_CUT by this relative margin, and only for weights summing to at most
-# CUT_FAST_WEIGHT, which keeps the rounding of underflowed powers below it
-CUT_MARGIN = 1e-9
-CUT_FAST_WEIGHT = 2.0**512
-_CUT_BELOW = ROW_CUT / (1.0 + CUT_MARGIN)
-_CUT_ABOVE = ROW_CUT * (1.0 + CUT_MARGIN)
+# an evaluator whose row weights sum above CUT_WEIGHT keeps every row: below
+# it, the powers that underflow in the row rule's bound move it by less than
+# 2^-560, far below ROW_CUT
+CUT_WEIGHT = 2.0**512
 
 
 # ---------------------------------------------------------------------------
@@ -468,68 +469,43 @@ def _powers(v: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _fast_table(droppable: list) -> tuple | None:
-    """The fast exit's table for the pairs (j, w_j) of `droppable`, j = ny .. 2:
-    (every_from, ny + 1, rows).  every_from = (ROW_CUT (1 + CUT_MARGIN) /
-    w_ny)^(1/(ny-1)) is the ymax from which the top row's term alone clears
-    ROW_CUT by the margin (infinite where w_ny is 0); rows holds
-    (r, w_r, W_(r+1), w_(r-1)) for r = 2 .. ny + 1, with the suffix sums
-    W_r = sum_(j >= r) w_j, w_(ny+1) = 0 and w_1 infinite (the rule never
-    drops row 1).  None where W_2 is above CUT_FAST_WEIGHT or not finite."""
-    table, above, rest = [], 0.0, 0.0  # w_(j+1), W_(j+2)
-    for j, w in droppable:
-        table.append((j + 1, above, rest, w))
-        rest += above
-        above = w
-    table.append((2, above, rest, inf))
-    if not rest + above <= CUT_FAST_WEIGHT:
-        return None
-    top, w_top = droppable[0] if droppable else (1, 0.0)
-    every_from = (_CUT_ABOVE / w_top) ** (1.0 / (top - 1)) if w_top > 0.0 else inf
-    return every_from, top + 1, tuple(reversed(table))
+def _cut_table(weights: list) -> list | None:
+    """The row rule's table for the row weights w_0 .. w_ny: (r, w_r,
+    W_(r+1)) for r = 2 .. ny, with W_r = sum_(j >= r) w_j summed from the
+    top row down.  None where fewer than 3 rows are held, or where W_2 is
+    above CUT_WEIGHT or not finite: the rule then keeps every row."""
+    table, rest = [], 0.0
+    for r in range(len(weights) - 1, 1, -1):
+        table.append((r, weights[r], rest))
+        rest += weights[r]
+    return table[::-1] if table and rest <= CUT_WEIGHT else None
 
 
-def _cut(ymax: float, droppable: list, fast: tuple | None) -> int:
-    """The smallest r >= 2 with sum_(j >= r) w_j ymax^(j-1) below ROW_CUT,
-    for the pairs (j, w_j) of `droppable`, j = ny .. 2, and 0 <= ymax <= 1
-    (a sum that is not finite is never below).
-
-    The fast exit reads `fast`, the table `_fast_table` made of
-    `droppable`.  From the ymax at which the top row's term w_ny ymax^(ny-1)
-    alone clears ROW_CUT by the relative margin CUT_MARGIN, every row
-    counts.  Below it, the exit reads the table from r = 2 up.  With
-    ymax <= 1 the tail at r is at most w_r ymax^(r-1) + W_(r+1) ymax^r, W
-    the suffix sums of the weights, so the first r whose bound is below
-    ROW_CUT by the margin cuts there, provided the single term
-    w_(r-1) ymax^(r-2) is at least ROW_CUT by the same margin, so that
-    r - 1 rows would not do.  The margin is far above the rounding of the
-    float sums and powers (and, with the weights summing to at most
-    CUT_FAST_WEIGHT, of powers that underflow), so each test settles which
-    side of ROW_CUT the float tail of the walk below falls.  Where a test
-    is inconclusive (a tail within the margin of ROW_CUT, or a zero weight
-    w_(r-1)), the walk over the rows from j = ny down decides, so every
-    call returns the walk's r: one comparison where every row counts and a
-    few products where the ordinates are small, in place of one power per
-    droppable row.
+def _cut(ymax: float, table: list | None, every: int) -> int:
+    """The number of y-power rows to keep, for 0 <= ymax <= 1 and the table
+    `_cut_table` made of the row weights w_j: the smallest r = 2 .. ny whose
+    bound w_r ymax^(r-1) + W_(r+1) ymax^r is below ROW_CUT, and `every`
+    (ny + 1) where none is, where the table is None, or where the top
+    row's term w_ny ymax^(ny-1) alone reaches ROW_CUT (one test for the
+    large ordinates of a raw map's Newton steps).  With ymax <= 1 the
+    bound is at least the tail sum_(j >= r) w_j ymax^(j-1), so the rows
+    from r on add less than ROW_CUT.  The powers are `**`, not repeated
+    products, so that where rows r and r + 1 alone are nonzero the bound
+    rounds as the tail itself does, and an ulp cannot put it below ROW_CUT
+    where the tail is not.
     """
-    if fast is not None:
-        every_from, every, rows = fast
-        if ymax >= every_from:
-            return every
-        low, high = ymax, 1.0  # ymax^(r-1), ymax^(r-2)
-        for r, w, rest, below in rows:
-            nxt = low * ymax
-            if w * low + rest * nxt < _CUT_BELOW:
-                if below * high >= _CUT_ABOVE:
-                    return r
-                break
-            high, low = low, nxt
-    tail = 0.0
-    for j, w in droppable:
-        tail += w * ymax ** (j - 1)
-        if not tail < ROW_CUT:
-            return j + 1
-    return 2
+    if table is None:
+        return every
+    top, w_top, _ = table[-1]
+    if w_top * ymax ** (top - 1) >= ROW_CUT:
+        return every
+    low = ymax  # ymax^(r-1)
+    for r, w, rest in table:
+        high = ymax**r
+        if w * low + rest * high < ROW_CUT:
+            return r
+        low = high
+    return every
 
 
 def _high_first(row: list) -> list:
@@ -550,16 +526,25 @@ class MapEvaluator:
     With S_j = max_k sum_i |C_k[j, i]|, |x| <= 1 and ymax the largest |y|
     involved, a dropped row j adds at most S_j ymax^j to a value.
 
+    One rule (`_cut`) sets r for every operation.  It weights row j by
+    w_j = j S_j and takes the smallest r >= 2 whose bound
+    w_r ymax^(r-1) + W_(r+1) ymax^r is below ROW_CUT = 2^-60, with W_r the
+    suffix sums of the weights, read from a table built here
+    (`_cut_table`).  With ymax <= 1 the bound is at least the tail
+    sum_(j >= r) j S_j ymax^(j-1), so the dropped rows move a value by less
+    than 2^-60 |y|: less than half an ulp of a value of size 2^-5 |y| or
+    more, which comes out with the same bits as from every row.  The rule
+    keeps every row where an |x| or an |y| exceeds 1 or is not finite,
+    where the weights sum above CUT_WEIGHT, or where the top row's term
+    w_ny ymax^(ny-1) alone reaches ROW_CUT (the ordinates of a raw map's
+    Newton steps).  The cut bites where the push runs: in coordinates
+    flattened to order N the carried ordinate is F = O(x^(N+1)), below
+    2e-11 on the acceptance battery, so a push of the solver's order-14
+    push map keeps 2 to 4 of its 15 rows.
+
     On arrays the points are columns of power tables of x and y, and an
-    evaluation is one matrix product of the layout with them (`_contract`).
-    Its rule (`_rows`) takes the smallest r >= 2 that puts
-    sum_(j >= r) S_j ymax^(j-1) below ROW_CUT = 2^-60, so the dropped rows
-    move a value by less than 2^-60 |y|: less than half an ulp of a value of
-    size 2^-5 |y| or more, which comes out with the same bits as from every
-    row.  The cut bites where the push runs: in coordinates flattened to
-    order N the carried ordinate is F = O(x^(N+1)), below 2e-11 on the
-    acceptance battery, so a push of the solver's order-14 push map keeps 2
-    to 4 of its 15 rows.
+    evaluation is one matrix product of the layout with them (`_contract`),
+    over the rows `_rows` keeps.
 
     At a single point NumPy's dispatch costs more than the arithmetic, so
     the rows are lists of Python floats, highest x power first, and each
@@ -573,27 +558,15 @@ class MapEvaluator:
     dx sum_j Q_j yh^j + dy sum_j P_j(x) E_j, no two images are subtracted,
     and a separation far below the spacing of doubles keeps every digit.
     With xh = x and yh = y the same sums are the Jacobian's columns
-    (`jacobian`).  The point rule (`_point_rows`) weights row j by j, since
-    |E_j| <= j ymax^(j-1): it takes the smallest r >= 2 that puts
-    sum_(j >= r) j S_j ymax^(j-1) below ROW_CUT.  With |x|, |xh| <= 1 and nx
-    the highest x power, |Q_j| <= nx S_j, so the dropped rows move a value
-    or an image by less than ROW_CUT |y|, an x-slope by nx ROW_CUT |y|, a
+    (`jacobian`).  The rule's weight j bounds these sums too, since
+    |E_j| <= j ymax^(j-1): with |x|, |xh| <= 1 and nx the highest x power,
+    |Q_j| <= nx S_j, so the rows `_point_rows` drops move a value or an
+    image by less than ROW_CUT |y|, an x-slope by nx ROW_CUT |y|, a
     y-slope by ROW_CUT, and the two sums of an offset, sum_j Q_j yh^j and
     sum_j P_j(x) E_j, by nx ymax ROW_CUT and ROW_CUT.  Each sum over the
     rows adds the dropped rows last, to the float that holds the kept ones,
     so a sum 2^55 times its bound or more in size (a value of 2^-5 |y| or
     more) keeps every bit.
-
-    Both rules keep every row where an |x| or an |y| exceeds 1 or is not
-    finite, or where the tail sum is not finite.  Both find r the same way
-    (`_cut`): a fast exit from the suffix sums W_r of the row weights,
-    precomputed here for both weightings, keeps every row in one
-    comparison where the top row alone reaches ROW_CUT (the ordinates of a
-    raw map's Newton steps), and otherwise bounds the tail at r by
-    w_r ymax^(r-1) + W_(r+1) ymax^r and reads r off the first bound below
-    ROW_CUT in a few products from r = 2, where the small ordinates of a
-    push or a shadowing step put it; where that is inconclusive, a walk
-    over the rows from the top settles it, so the two give the same r.
     """
 
     def __init__(self, coef: np.ndarray):
@@ -602,39 +575,33 @@ class MapEvaluator:
         # the array path's matrix: row 2j + k is C_k[j], so the rows of the
         # powers y^0 .. y^(r-1) of both components are its first 2r rows
         self._by_row = coef.transpose(1, 0, 2).reshape(-1, self._nx + 1)
-        # (j, S_j) with S_j = max_k sum_i |C_k[j, i]|, for j = ny .. 2, and
-        # the point rule's (j, j S_j)
+        # the row rule's table of the weights w_j = j S_j
         row_sums = np.abs(coef).sum(axis=2).max(axis=0).tolist()
-        self._droppable = [(j, row_sums[j]) for j in range(self._ny, 1, -1)]
-        self._weighted = [(j, j * s) for j, s in self._droppable]
-        # their suffix sums, for the fast exit of `_cut`
-        self._droppable_fast = _fast_table(self._droppable)
-        self._weighted_fast = _fast_table(self._weighted)
+        self._cut_table = _cut_table([j * s for j, s in enumerate(row_sums)])
         # the point path's Horner rows: [k][j] is C_k[j], highest power first
         self._horner = [[_high_first(row) for row in part] for part in coef.tolist()]
 
     def _rows(self, x: np.ndarray, y: np.ndarray) -> int:
         """The number r of y-power rows, from y^0, that can change the
-        values at the points (x, y), by the array rule in the class docstring."""
+        values at the points (x, y), by the rule in the class docstring."""
         every = self._ny + 1
-        if every <= 2 or not max(x.max(initial=0.0), -x.min(initial=0.0)) <= 1.0:
+        if not max(x.max(initial=0.0), -x.min(initial=0.0)) <= 1.0:
             return every
         # ymax <= 1 keeps the float powers in `_cut` from overflowing, which
         # raises; a NaN fails the test too
         ymax = float(max(y.max(initial=0.0), -y.min(initial=0.0)))
         if not ymax <= 1.0:
             return every
-        return _cut(ymax, self._droppable, self._droppable_fast)
+        return _cut(ymax, self._cut_table, every)
 
     def _point_rows(self, x: float, y: float, xh: float, yh: float) -> int:
         """The number r of y-power rows, from y^0, that can change an
-        operation at the point (x, y) with its partner (xh, yh), by the point
-        rule in the class docstring."""
-        every = self._ny + 1
+        operation at the point (x, y) with its partner (xh, yh), by the rule
+        in the class docstring."""
         ay, ayh = abs(y), abs(yh)
-        if every <= 2 or not (abs(x) <= 1.0 and abs(xh) <= 1.0 and ay <= 1.0 and ayh <= 1.0):
-            return every
-        return _cut(ay if ay >= ayh else ayh, self._weighted, self._weighted_fast)
+        if not (abs(x) <= 1.0 and abs(xh) <= 1.0 and ay <= 1.0 and ayh <= 1.0):
+            return self._ny + 1
+        return _cut(ay if ay >= ayh else ayh, self._cut_table, self._ny + 1)
 
     def _contract(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The sums of both components for the point columns of the power

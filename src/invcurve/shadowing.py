@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, power_overflow
+from .errors import DomainError, power_overflow, require_integers
 from .mapdef import DEFAULT_DELTA, MapSpec, Point
 from .normalform import DEFAULT_NORM_ORDER
 from .series import PlanarSeriesMap
@@ -136,6 +136,7 @@ def orbit_shadow_experiment(
     Records the separation metric along the way; the trace is truncated with
     a warning if the base orbit leaves (0, 2*delta].
     """
+    require_integers(steps=steps)
     if steps < 0:
         raise DomainError(f"steps = {steps} must not be negative")
     if not (0.0 < delta < math.inf):

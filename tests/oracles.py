@@ -22,7 +22,7 @@ import numpy as np
 from invcurve import ConvergenceError, MapSpec
 from invcurve.mapdef import INVERT_MAX_ITER, INVERT_TOL, Point, eval_map
 from invcurve.normalform import normalize_map
-from invcurve.series import ROW_CUT
+from invcurve.series import CUT_WEIGHT, ROW_CUT
 
 
 def pert_jet_closed_form(lam: float, c: float) -> tuple[float, float, float]:
@@ -440,17 +440,38 @@ def invariance_residual_per_sample(m, c, samples: int):
     return np.array(xs), np.array(res), tuple(failures)
 
 
+def row_weights(ev) -> list:
+    """The row weights w_j = j S_j, j = 0 .. ny, of an evaluator, with S_j
+    the larger sum of |coefficients| of y^j of its two components."""
+    return [j * s for j, s in enumerate(np.abs(ev._coef).sum(axis=2).max(axis=0).tolist())]
+
+
 def row_cut_tail_loop(ymax: float, droppable: list) -> int:
-    """The row rule as a plain walk over the rows: for the pairs (j, w_j) of
-    `droppable`, j = ny .. 2, the smallest r >= 2 whose float tail
-    sum_(j >= r) w_j ymax^(j-1), summed from the top down, is below ROW_CUT
-    (a tail that is not finite is never below)."""
+    """The fewest rows a cut may keep, as a plain walk over the rows: for
+    the pairs (j, w_j) of `droppable`, j = ny .. 2, the smallest r >= 2
+    whose float tail sum_(j >= r) w_j ymax^(j-1), summed from the top down,
+    is below ROW_CUT (a tail that is not finite is never below)."""
     tail = 0.0
     for j, w in droppable:
         tail += w * ymax ** (j - 1)
         if not tail < ROW_CUT:
             return j + 1
     return 2
+
+
+def row_cut_bound_loop(ymax: float, weights: list) -> int:
+    """The row rule as a plain loop over its bound: for the row weights
+    w_0 .. w_ny, the smallest r = 2 .. ny with
+    w_r ymax^(r-1) + (w_ny + ... + w_(r+1)) ymax^r below ROW_CUT, and
+    ny + 1 where none is or where w_ny + ... + w_2 is above CUT_WEIGHT or
+    not finite; the sums run from the top row down."""
+    ny = len(weights) - 1
+    if ny < 2 or not sum(weights[:1:-1]) <= CUT_WEIGHT:
+        return ny + 1
+    for r in range(2, ny + 1):
+        if weights[r] * ymax ** (r - 1) + sum(weights[:r:-1]) * ymax**r < ROW_CUT:
+            return r
+    return ny + 1
 
 
 def eval_fsum(terms, x: float, y: float) -> tuple[float, float]:

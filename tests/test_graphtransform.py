@@ -10,13 +10,17 @@ from invcurve import (
     Curve,
     DomainError,
     GuardError,
+    Series1,
     SolverConfig,
     bound_certificate,
+    build_psi,
     canon,
     compose_maps,
     graded_grid,
+    graph_invariance_check,
     graphtransform,
     invariance_residual,
+    orbit_shadow_experiment,
     parameterize_manifold,
     pert,
     push_curve,
@@ -307,6 +311,48 @@ class TestSolveManifold:
     def test_solve_rejects_the_field_before_any_push(self, overrides, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             solve_manifold(pert(c=0.1), SolverConfig(**overrides))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: graded_grid(1.0, 64.5), "size = 64.5", id="graded_grid"),
+        pytest.param(
+            lambda: bound_certificate(seed_curve(0.05, 64), 8, 2.5), "m_max = 2.5",
+            id="bound_certificate",
+        ),
+        pytest.param(
+            lambda: invariance_residual(pert(), seed_curve(0.05, 64), samples=2.5),
+            "samples = 2.5", id="invariance_residual",
+        ),
+        pytest.param(lambda: to_planar_series(pert(), 12.5), "order = 12.5", id="to_planar_series"),
+        pytest.param(lambda: build_psi(pert(), 6.5), "order = 6.5", id="build_psi"),
+        pytest.param(
+            lambda: parameterize_manifold(pert(), 10.5), "order = 10.5", id="parameterize_manifold"
+        ),
+        pytest.param(
+            lambda: graph_invariance_check(pert(), Series1.identity(), 2.5), "order = 2.5",
+            id="graph_invariance_check",
+        ),
+        pytest.param(lambda: normalize_map(pert(), 8.5), "order = 8.5", id="normalize_map"),
+        pytest.param(
+            lambda: orbit_shadow_experiment(pert(), 0.01, 0.0, steps=2.5), "steps = 2.5",
+            id="orbit_shadow_experiment",
+        ),
+        pytest.param(
+            lambda: repulsion_check(canon(), seed_curve(0.05, 64), 0.02, 0.0, steps=2.5),
+            "steps = 2.5", id="repulsion_check",
+        ),
+        pytest.param(
+            lambda: rho_refinement(pert(), SolverConfig(), 2.5), "levels = 2.5", id="rho_refinement"
+        ),
+    ],
+)
+def test_non_integer_orders_and_counts_are_typed_errors(call, message):
+    # each names its argument and the value passed, before NumPy, `range`
+    # or a slice can fail on it
+    with pytest.raises(DomainError, match=f"^{re.escape(message)} must be an integer$"):
+        call()
 
 
 def _fast_cfg(**overrides) -> SolverConfig:

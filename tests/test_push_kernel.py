@@ -48,11 +48,13 @@ from invcurve.graphtransform import (
     _PushKernel,
     _run_level,
 )
-from invcurve.series import ROW_CUT, MapEvaluator, _cut, _fast_table, compose_maps
+from invcurve.series import CUT_WEIGHT, ROW_CUT, MapEvaluator, _cut, _cut_table, compose_maps
 from oracles import (
     eval_fsum,
     flatten_map,
+    row_cut_bound_loop,
     row_cut_tail_loop,
+    row_weights,
     run_level_regraph_every_push,
     sample_shadow_pair,
 )
@@ -192,10 +194,10 @@ def test_point_row_cut_changes_no_value_it_may_not(case, dx_exp, dy_exp, seed):
     coef, xs, ys = case
     ev = MapEvaluator(coef)
     nx, ny = ev._nx, ev._ny
-    sums = np.abs(ev._coef).sum(axis=2).max(axis=0).tolist()  # S_j
+    weights = row_weights(ev)
 
     def tail(r, ymax):  # sum_(j >= r) j S_j ymax^(j-1), from the top down
-        return sum(j * sums[j] * ymax ** (j - 1) for j in range(ny, r - 1, -1))
+        return sum(weights[j] * ymax ** (j - 1) for j in range(ny, r - 1, -1))
 
     rng = np.random.default_rng(seed)
     dxs = 10.0**dx_exp * rng.uniform(-1.0, 1.0, xs.size) * (1.0 - np.abs(xs))
@@ -203,11 +205,12 @@ def test_point_row_cut_changes_no_value_it_may_not(case, dx_exp, dy_exp, seed):
     for x, y, dx, dy in zip(xs.tolist(), ys.tolist(), dxs.tolist(), dys.tolist()):
         ops = [("values", (x, y)), ("jacobian", (x, y)), ("pair_image", (x, y, dx, 0.0)),
                ("pair_image", (x, y, 0.0, dy)), ("pair_image", (x, y, dx, dy))]
-        # the rule keeps the fewest rows, at least 2, whose weighted tail
-        # is below ROW_CUT
+        # the rule keeps the fewest rows, at least 2, whose bound is below
+        # ROW_CUT, and the weighted tail of the rows it drops is below it
         r = ev._point_rows(x, y, x + dx, y + dy)
         ymax = max(abs(y), abs(y + dy))
-        assert r == ny + 1 or (tail(r, ymax) < ROW_CUT and (r == 2 or tail(r - 1, ymax) >= ROW_CUT))
+        assert r == row_cut_bound_loop(ymax, weights)
+        assert r == ny + 1 or tail(r, ymax) < ROW_CUT
         got = [getattr(ev, op)(*args) for op, args in ops]
         with every_point_row():
             want = [getattr(ev, op)(*args) for op, args in ops]
@@ -222,9 +225,9 @@ def test_point_row_cut_changes_no_value_it_may_not(case, dx_exp, dy_exp, seed):
 
 
 # weight lists w_2 .. w_ny for ny = 2 .. 15, zero weights allowed and sizes
-# up to 1e300 (past the fast exit's weight limit), with ymax 0, 1, any value
-# in [0, 1], one whose powers underflow, or one where the tail at some row
-# lies within a few ulps of ROW_CUT
+# up to 1e300 (past CUT_WEIGHT), with ymax 0, 1, any value in [0, 1], one
+# whose powers underflow, or one where the tail at some row lies within a
+# few ulps of ROW_CUT
 @st.composite
 def _weights_and_ymax(draw):
     ny = draw(st.integers(2, 15))
@@ -252,37 +255,58 @@ def _weights_and_ymax(draw):
 @settings(max_examples=500, deadline=None)
 @given(_weights_and_ymax())
 # tails an ulp or two from ROW_CUT, where ymax^(j-1) by repeated products
-# and by `**` round to different sides: only the margin keeps the fast
-# exit from deciding them
+# and by `**` round to different sides
 @example((9.043574673668495e-06, [(4, 0.0011726809585032951), (3, 1.0), (2, 1.0)]))
 @example((1.3049650012619626e-12, [(6, 2.2919542226718853e41), (5, 1.0), (4, 1.0), (3, 1.0), (2, 1.0)]))
 # w_2 = 0: the bound at r = 2 rests on W_3 ymax^2 alone
 @example((2.914149330986018e-07, [(5, 1.0), (4, 1.0), (3, 0.556531079511385), (2, 0.0)]))
-# weights above CUT_FAST_WEIGHT with ymax^3 subnormal: the products, `**`
-# and the threshold's root round past the margin, so the walk must decide
+# weights above CUT_WEIGHT with ymax^3 subnormal, where an underflowed power
+# could hide a tail above ROW_CUT: every row counts
 @example((3.959055983870231e-107, [(4, 1.3977222240168368e301), (3, 1.0), (2, 1.0)]))
 @example((2.691004553730898e-107, [(4, 4.4508963677518725e301), (3, 4.4508963677518725e301), (2, 0.0)]))
-def test_row_rule_returns_the_tail_loops_rows(case):
+def test_row_rule_keeps_at_least_the_tail_loops_rows(case):
+    # the rule is its bound loop, and the bound is above the tail, so it
+    # never keeps fewer rows than the walk over the float tail
     ymax, droppable = case
-    assert _cut(ymax, droppable, _fast_table(droppable)) == row_cut_tail_loop(ymax, droppable)
+    weights = [0.0, 0.0] + [w for _, w in reversed(droppable)]
+    every = len(weights)
+    r = _cut(ymax, _cut_table(weights), every)
+    assert r == row_cut_bound_loop(ymax, weights)
+    assert r >= row_cut_tail_loop(ymax, droppable)
+    if not sum(weights) <= CUT_WEIGHT:
+        assert r == every
 
 
-class _Unread(list):
-    def __iter__(self):
-        raise AssertionError("the row walk ran")
+def test_row_rule_chooses_the_walks_rows_on_the_solver_traffic():
+    # on the pushes of the battery solves, and on the certify workload's
+    # kind of shadowing step (a flattened battery map, a pair in the
+    # hypotheses' box), the bound cuts exactly where the walk over the float
+    # tail does
+    seen = []
+    rows = MapEvaluator._rows
 
+    def spy(self, x, y):
+        seen.append((self, float(np.abs(x).max()), float(np.abs(y).max()), rows(self, x, y)))
+        return seen[-1][-1]
 
-def test_row_rule_settles_the_shadow_steps_by_its_fast_exit():
-    # on the certify workload's kind of step (a flattened battery map, a
-    # pair in the hypotheses' box) the suffix sums decide r without a walk
+    with mock.patch.object(MapEvaluator, "_rows", spy):
+        for m in BATTERY:
+            solve_manifold(m, BASE_CFG)
+    cut = 0
+    for ev, xmax, ymax, r in seen:
+        droppable = list(enumerate(row_weights(ev)))[:1:-1]
+        want = row_cut_tail_loop(ymax, droppable) if xmax <= 1.0 and ymax <= 1.0 else ev._ny + 1
+        assert r == want
+        cut += r < ev._ny + 1
+    assert cut > len(seen) // 2
     rng = np.random.default_rng(5)
     for m in BATTERY[2:5]:
         ev = flatten_map(m, 8).evaluator
+        droppable = list(enumerate(row_weights(ev)))[:1:-1]
         for _ in range(50):
-            pair = sample_shadow_pair(rng, 0.05, 8)
-            ymax = max(abs(pair.p.y), abs(pair.q.y))
-            want = row_cut_tail_loop(ymax, ev._weighted)
-            assert _cut(ymax, _Unread(), ev._weighted_fast) == want < ev._ny + 1
+            p, q = (pair := sample_shadow_pair(rng, 0.05, 8)).p, pair.q
+            r = ev._point_rows(p.x, p.y, q.x, q.y)
+            assert r == row_cut_tail_loop(max(abs(p.y), abs(q.y)), droppable) < ev._ny + 1
 
 
 @pytest.mark.parametrize(
@@ -293,6 +317,18 @@ def test_row_rule_settles_the_shadow_steps_by_its_fast_exit():
 def test_row_cut_keeps_every_row_outside_its_bound(x_far, y_bad):
     m = flatten_map(BATTERY[2], 8)
     ev = m.evaluator
+    # at a point, the value in any of x, xh, y and yh
+    bad = x_far if x_far > 1.0 else y_bad
+    point = [0.05, 5e-17, 0.05, 5e-17]
+    assert ev._point_rows(*point) < ev._ny + 1
+    for k in range(4):
+        x, y, xh, yh = coords = point[:k] + [bad] + point[k + 1 :]
+        assert ev._point_rows(*coords) == ev._ny + 1
+        got = ev.pair_image(x, y, xh - x, yh - y)
+        with every_point_row():
+            want = ev.pair_image(x, y, xh - x, yh - y)
+        np.testing.assert_array_equal(got, want)
+    # on arrays
     xs = np.linspace(0.0, 0.05, 8)
     ys = 1e-15 * xs
     assert ev._rows(xs, ys) == 3 < ev._ny + 1
