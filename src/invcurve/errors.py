@@ -51,7 +51,8 @@ def require_integers(**values) -> None:
     """Raise a `DomainError` naming the first of `values`, given as argument
     name = value, that is not an integer."""
     for name, value in values.items():
-        if not isinstance(value, Integral):
+        # a plain int skips the ABC check, which is slow; series constructors call this
+        if type(value) is not int and not isinstance(value, Integral):
             raise DomainError(f"{name} = {value!r} must be an integer")
 
 

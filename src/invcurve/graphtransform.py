@@ -72,9 +72,10 @@ reuses heap memory instead of mapping fresh pages every push:
 
 One monotone cubic (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980),
 `PchipInterpolator`, serves both the re-graph and `Curve.eval`, the certify
-and query path, which caches one per curve.  The invariance check solves
-every sample at once with `brentq`, Brent-Dekker bracketing on arrays with
-SciPy's steps, so the module needs NumPy only.
+and query path, which caches one per curve.  The invariance check reads
+forward: one array call of the original map's evaluator takes every sample
+(x, F(x)) to (X, Y), and the defect is |F(X) - Y|, so it needs no root find
+and skips no sample.  The module needs NumPy only.
 
 Certificates are measured, not assumed: suprema of x^(m-N) |F^(m)(x)| on the
 grid, the smallest observed dX/dx, and the drift constant
@@ -83,15 +84,17 @@ in the pushed map (1 for a map, 2 for its square).
 
 Independence: `compose_maps` also squares the map for the conjugacy
 (`parameterization.square_map`), so a defect there could move both solvers
-together.  Criterion 04's invariance residual guards against it: it
-evaluates the original polynomial map pointwise, not any series of it.
-Neither solver seeds the other.
+together.  Criterion 04's invariance residual evaluates the original
+polynomial map, not any series of it, but it does not catch such a defect:
+a 1e-9 or a 1e-12 change planted in one coefficient of `compose_maps`'
+output passes all ten acceptance criteria.  The test that catches it is
+`test_phi_matches_the_exact_jet_on_the_battery`, which holds phi to the
+exact jet solved from the original map.  Neither solver seeds the other.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -287,6 +290,7 @@ class Curve:
 
 def seed_curve(rho: float, grid_size: int) -> Curve:
     """The flat seed segment [0, rho] x {0} on the graded grid."""
+    require_integers(grid_size=grid_size)
     return Curve(graded_grid(rho, grid_size), np.zeros(grid_size))
 
 
@@ -312,7 +316,9 @@ class _PushKernel:
         """Image points (X, Y), smallest secant dX/dx, drift constant."""
         big_x, big_y = self._ev.values(xs, fs)
         if big_x[0] != 0.0 or big_y[0] != 0.0:
-            raise GuardError("image of the origin moved off the origin")
+            raise GuardError(
+                f"image of the origin moved off the origin, to ({big_x[0]:.6g}, {big_y[0]:.6g})"
+            )
         dx = big_x[1:] - big_x[:-1]
         if not dx.min() > 0.0:  # a NaN fails it too
             bad = int(np.argmin(dx > 0.0))
@@ -345,7 +351,10 @@ class _PushKernel:
         new_xs = float(big_x[-1]) * self.unit
         pos = big_x[1:]
         if not (pos[0] <= new_xs[1] and new_xs[-1] <= pos[-1]):
-            raise GuardError("re-graph interpolation left the image range")
+            raise GuardError(
+                f"re-graph interpolation left the image range: grid [{new_xs[1]:.6g}, "
+                f"{new_xs[-1]:.6g}], image abscissas [{pos[0]:.6g}, {pos[-1]:.6g}]"
+            )
         finite = np.isfinite(big_y)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -353,8 +362,13 @@ class _PushKernel:
                 f"image ordinate Y = {big_y[bad]} is not finite at X = {big_x[bad]:.3g}"
             )
         new_scaled = PchipInterpolator(pos, big_y[1:] / pos**TANGENCY_POWER)(new_xs[1:])
-        if not np.all(np.isfinite(new_scaled)):
-            raise GuardError("re-graph interpolation of Y/X^3 is not finite")
+        finite = np.isfinite(new_scaled)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise GuardError(
+                f"re-graph interpolation of Y/X^3 is not finite: "
+                f"{new_scaled[bad]} at X = {new_xs[bad + 1]:.3g}"
+            )
         new_fs = np.empty_like(new_xs)
         new_fs[0] = 0.0
         np.multiply(new_scaled, new_xs[1:] ** TANGENCY_POWER, out=new_fs[1:])
@@ -582,7 +596,10 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
         xs, fs, slope, drift = kernel.image(xs, fs, cfg.bound_cap)
         x_max = float(xs[-1])
         if x_max <= prev:
-            raise GuardError("x_max failed to increase during a push")
+            raise GuardError(
+                f"x_max failed to increase during a push at rho={rho:g}: "
+                f"{x_max!r} after {prev!r}"
+            )
         # the image is carried as the next curve; the level's last one is
         # always re-graphed, so every level curve lies on the graded grid
         if x_max > cfg.delta or kernel.spread_doubled(xs):
@@ -701,12 +718,20 @@ def solve_manifold(
 
 @dataclass(frozen=True)
 class InvarianceReport:
+    """The invariance defect of a curve, sample by sample.
+
+    `xs` holds the sample abscissas xhat and `residuals` the defects
+    |F(X) - Y| of their images (X, Y) = m(xhat, F(xhat)).
+    """
+
     max_residual: float
     xs: np.ndarray
     residuals: np.ndarray
-    failures: tuple[float, ...]
+    # always (): only the benchmark's certify check reads it; ROADMAP item 12 removes it
+    failures: tuple[float, ...] = ()
 
 
+# unused here; the benchmark's tracer binds it by name until ROADMAP item 12
 def brentq(f, a, b) -> np.ndarray:
     """Roots of f in the brackets [a, b], one Brent-Dekker iteration per element.
 
@@ -793,15 +818,13 @@ def brentq(f, a, b) -> np.ndarray:
 def invariance_residual(
     m: MapSpec, c: Curve, samples: int = 200
 ) -> tuple[float, InvarianceReport]:
-    """Defect of the invariance identity on [0, x_max/2].
+    """Defect of the invariance identity on [0, x_max/2], read forward.
 
-    For each sample abscissa xbar, finds xhat in [0, xbar] with the X image
-    of (xhat, F(xhat)) equal to xbar and measures |F(xbar) - Y image|.  The
-    image abscissa is monotone on [0, xbar] and 0 at 0, so a sample has a
-    preimage exactly when its image X(xbar, F(xbar)) is not below xbar.
-    One array sign test finds the samples without one; they are excluded
-    from the maximum, reported and warned about.  One `brentq` call solves
-    every other sample at once, to 4 eps relative.
+    At up to `samples` nodes xhat of the curve in (0, x_max/2], spread
+    evenly over the node indices, maps (xhat, F(xhat)) once with the map's
+    own evaluator, not any series of it, and measures |F(X) - Y| at the
+    image (X, Y).  An image abscissa X outside [0, x_max], or NaN, is a
+    `DomainError` naming the sample and X; no sample is skipped.
     """
     require_integers(samples=samples)
     if samples < 1:
@@ -813,24 +836,17 @@ def invariance_residual(
     if nodes.size > samples:
         idx = np.unique(np.linspace(0, nodes.size - 1, samples).astype(int))
         nodes = nodes[idx]
-    ev = m.evaluator
-    f_nodes = c.eval(nodes)
-    ok = ev.values(nodes, f_nodes)[0] >= nodes  # False for a NaN image too
-    xs_ok = nodes[ok]
-    failures = tuple(nodes[~ok].tolist())
-    if failures:
-        warnings.warn(
-            f"{len(failures)} invariance samples had no preimage and were skipped",
-            stacklevel=2,
+    big_x, big_y = m.evaluator.values(nodes, c.eval(nodes))
+    inside = (big_x >= 0.0) & (big_x <= c.x_max)  # False for a NaN image too
+    if not inside.all():
+        bad = int(np.argmin(inside))
+        raise DomainError(
+            f"invariance sample x = {nodes[bad]:.6g} maps to X = {big_x[bad]:.6g}, "
+            f"outside the curve domain [0, x_max = {c.x_max:g}]"
         )
-
-    def image_x(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return ev.values(t, c.eval(t))[0] - xs_ok[idx]
-
-    xhat = brentq(image_x, 0.0, xs_ok)
-    res = np.abs(f_nodes[ok] - ev.values(xhat, c.eval(xhat))[1])
-    max_res = float(res.max()) if res.size else math.nan
-    return max_res, InvarianceReport(max_res, xs_ok, res, failures)
+    res = np.abs(c.eval(big_x) - big_y)
+    max_res = float(res.max())
+    return max_res, InvarianceReport(max_res, nodes, res)
 
 
 def _decades(xs: np.ndarray) -> Iterator[tuple[float, float, np.ndarray]]:

@@ -229,14 +229,21 @@ def solve_conjugacy(
     at longdouble and rounded to binary64 once, is returned with its
     sub-cubic coefficients checked against 1e-12 and zeroed.
     """
+    require_integers(order=order)
     if order < 3:
         raise ConjugacyError(f"conjugacy order must be at least 3, got {order}")
     if psi.order < order:
         raise ConjugacyError(f"psi order {psi.order} is below the requested order {order}")
     if psi.fx.coeff(2, 0) >= 0.0:
-        raise ConjugacyError("sign condition failed: x^2 coefficient of psi1 not negative")
+        raise ConjugacyError(
+            f"sign condition failed: x^2 coefficient of psi1 = {psi.fx.coeff(2, 0):g} "
+            "is not negative"
+        )
     if psi.fy.coeff(1, 1) <= 0.0:
-        raise ConjugacyError("sign condition failed: xy coefficient of psi2 not positive")
+        raise ConjugacyError(
+            f"sign condition failed: xy coefficient of psi2 = {psi.fy.coeff(1, 1):g} "
+            "is not positive"
+        )
 
     scale = _coeff_scale(psi)
     stage_tol = 1e-9 * scale

@@ -68,7 +68,7 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import SeriesError
+from .errors import SeriesError, require_integers
 
 DEFAULT_ORDER = 12
 # the evaluator drops the y-power rows whose weighted tail is below ROW_CUT:
@@ -114,10 +114,12 @@ class _Dense:
 
     @classmethod
     def zero(cls: type[S], order: int = DEFAULT_ORDER, dtype=np.float64) -> S:
+        require_integers(order=order)
         return cls._wrap(np.zeros(cls._slots(order), dtype=dtype), order)
 
     @classmethod
     def constant(cls: type[S], value: float, order: int = DEFAULT_ORDER, dtype=np.float64) -> S:
+        require_integers(order=order)
         arr = np.zeros(cls._slots(order), dtype=dtype)
         arr[0] = value
         return cls._wrap(arr, order)
@@ -130,6 +132,7 @@ class _Dense:
         return self._wrap(self._c.astype(dtype), self.order)
 
     def truncate(self: S, order: int) -> S:
+        require_integers(order=order)
         arr = np.zeros(self._slots(order), dtype=self.dtype)
         arr[: self._c.size] = self._c[: arr.size]  # the shorter prefix of the two
         return self._wrap(arr, order)
@@ -202,6 +205,7 @@ class Series1(_Dense):
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[float], order: int) -> Series1:
+        require_integers(order=order)
         c = [float(v) for v in coeffs][: order + 1]
         return cls(c + [0.0] * (order + 1 - len(c)))
 
@@ -361,6 +365,7 @@ class Series2(_Dense):
         return (isqrt(8 * slot + 1) - 1) // 2
 
     def __new__(cls, coeffs: Mapping[tuple[int, int], float], order: int, dtype=np.float64):
+        require_integers(order=order)
         arr = np.zeros(cls._slots(order), dtype=dtype)
         for (i, j), val in coeffs.items():
             if not isinstance(i, Integral) or not isinstance(j, Integral):

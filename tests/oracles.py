@@ -412,11 +412,13 @@ def run_level_regraph_every_push(kernel, rho: float, cfg):
 
 
 def invariance_residual_per_sample(m, c, samples: int):
-    """`graphtransform.invariance_residual` as one scalar SciPy brentq per sample.
+    """The invariance defect read backward, one scalar SciPy brentq per sample.
 
-    Same samples, same bracket [0, xbar] and tolerances (4 eps relative),
-    same skip rule (SciPy's sign test on the bracket, or a NaN image).
-    Returns (xs, residuals, failures).
+    At each sample xbar (the samples of `graphtransform.invariance_residual`)
+    solves X(xhat, F(xhat)) = xbar for xhat in [0, xbar], to 4 eps relative,
+    and measures |F(xbar) - Y(xhat, F(xhat))|.  A sample without a preimage
+    (SciPy's sign test on the bracket fails, or the image is NaN) is skipped
+    and listed.  Returns (xs, residuals, failures).
     """
     from scipy.optimize import brentq
 
@@ -438,6 +440,24 @@ def invariance_residual_per_sample(m, c, samples: int):
         xs.append(float(xbar))
         res.append(abs(c.eval(xbar) - ev.values(xhat, c.eval(xhat))[1]))
     return np.array(xs), np.array(res), tuple(failures)
+
+
+def invariance_residual_forward_per_sample(m, c, samples: int):
+    """`graphtransform.invariance_residual` one sample at a time: the same
+    samples xhat, each mapped by `eval_map` from (xhat, F(xhat)) with the
+    scalar `Curve.eval`, and |F(X) - Y| read with the scalar `Curve.eval`
+    too.  Returns (xs, residuals)."""
+    from invcurve import Point, eval_map
+
+    half = c.x_max / 2.0
+    nodes = c.xs[(c.xs > 0.0) & (c.xs <= half)]
+    if nodes.size > samples:
+        nodes = nodes[np.unique(np.linspace(0, nodes.size - 1, samples).astype(int))]
+    res = []
+    for xhat in nodes.tolist():
+        image = eval_map(m, Point(xhat, c.eval(xhat)))
+        res.append(abs(c.eval(image.x) - image.y))
+    return nodes, np.array(res)
 
 
 def row_weights(ev) -> list:

@@ -3,10 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from invcurve import SolverConfig, cli, parameterize_manifold, pert, solve_manifold
+from invcurve import (
+    SolverConfig,
+    cli,
+    format_map_spec,
+    invariance_residual,
+    parameterize_manifold,
+    pert,
+    solve_manifold,
+)
 from invcurve.cli import EXIT_VERIFY_FAILED, main, resolve_map
 from invcurve.parameterization import RepulsionTrace
 from invcurve.shadowing import OrbitTrace
+from oracles import acceptance_battery
 
 FAST = ["--rho0", "0.00625", "--grid", "128"]
 
@@ -249,6 +258,22 @@ class TestVerifyCommands:
         rep = parse_report(out)
         assert rep["status"] == "FAIL"
         assert float(rep["max_residual"]) > 1e-30
+
+    @pytest.mark.parametrize(
+        "tol, code, status", [(None, 0, "PASS"), ("1e-30", EXIT_VERIFY_FAILED, "FAIL")]
+    )
+    def test_invariance_on_a_battery_map(self, tmp_path, capsys, tol, code, status):
+        m = acceptance_battery(1729)[2]
+        path = tmp_path / "battery2.map"
+        path.write_text(format_map_spec(m), encoding="utf-8")
+        argv = ["verify-invariance", "--map", str(path), *FAST]
+        got, out, err = run_cli(capsys, *argv, *(["--tol", tol] if tol else []))
+        rep = parse_report(out)
+        assert (got, rep["status"], err) == (code, status, "")
+        curve, _, _ = solve_manifold(m, SolverConfig(rho0=0.00625, grid_size=128))
+        max_res, lib = invariance_residual(m, curve)
+        assert rep["max_residual"] == f"{max_res:.17g}"
+        assert rep["samples"] == str(lib.xs.size) and rep["failures"] == "0"
 
     def test_shadow_pair_example(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,10 @@ from invcurve import (
     Curve,
     DomainError,
     GuardError,
+    MapSpec,
+    PlanarSeriesMap,
     Series1,
+    Series2,
     SolverConfig,
     bound_certificate,
     build_psi,
@@ -27,13 +31,19 @@ from invcurve import (
     repulsion_check,
     rho_refinement,
     seed_curve,
+    solve_conjugacy,
     solve_manifold,
     tangency_fit,
     to_planar_series,
 )
 from invcurve.graphtransform import _comparison_grid, brentq
 from invcurve.normalform import normalize_map
-from oracles import acceptance_battery, flatten_map, invariance_residual_per_sample
+from oracles import (
+    acceptance_battery,
+    flatten_map,
+    invariance_residual_forward_per_sample,
+    invariance_residual_per_sample,
+)
 
 
 class TestGrid:
@@ -346,6 +356,25 @@ class TestSolveManifold:
         pytest.param(
             lambda: rho_refinement(pert(), SolverConfig(), 2.5), "levels = 2.5", id="rho_refinement"
         ),
+        pytest.param(
+            lambda: solve_conjugacy(build_psi(pert(), 10), 8.5), "order = 8.5",
+            id="solve_conjugacy",
+        ),
+        pytest.param(lambda: Series1.identity(6.5), "order = 6.5", id="Series1.identity"),
+        pytest.param(lambda: Series2.x(12.5), "order = 12.5", id="Series2.x"),
+        pytest.param(
+            lambda: PlanarSeriesMap.identity(6.5), "order = 6.5", id="PlanarSeriesMap.identity"
+        ),
+        pytest.param(
+            lambda: to_planar_series(pert(), 12).truncate(6.5), "order = 6.5",
+            id="PlanarSeriesMap.truncate",
+        ),
+        pytest.param(lambda: Series1.zero(6.5), "order = 6.5", id="Series1.zero"),
+        pytest.param(lambda: Series2.constant(1.0, 6.5), "order = 6.5", id="Series2.constant"),
+        pytest.param(
+            lambda: Series1.from_coeffs([1.0], 6.5), "order = 6.5", id="Series1.from_coeffs"
+        ),
+        pytest.param(lambda: seed_curve(0.05, 64.5), "grid_size = 64.5", id="seed_curve"),
     ],
 )
 def test_non_integer_orders_and_counts_are_typed_errors(call, message):
@@ -374,36 +403,70 @@ class TestInvarianceResidual:
         assert not rep.failures
 
     def test_seed_segment_defect_matches_construction(self):
-        # the flat seed is not invariant: the defect at xbar is c * xhat^3
+        # the flat seed is not invariant: (x, 0) maps to (x + x^2, c x^3),
+        # where the seed reads 0, so the defect at the sample x is c x^3
         m = pert(c=0.1)
         seed = seed_curve(0.05, 256)
         max_res, rep = invariance_residual(m, seed, samples=50)
-        for xbar, res in zip(rep.xs, rep.residuals):
-            xhat = (np.sqrt(1.0 + 4.0 * xbar) - 1.0) / 2.0
-            assert res == pytest.approx(0.1 * xhat**3, rel=1e-8)
-        assert max_res > 0.0
+        assert rep.xs.size == 50
+        for x, res in zip(rep.xs, rep.residuals):
+            assert res == pytest.approx(0.1 * x**3, rel=1e-15)
+        assert max_res == float(rep.residuals.max()) > 0.0
 
     @pytest.mark.parametrize("idx, shift", [(5, 1.05), (9, 0.9)])
-    def test_skips_exactly_the_samples_whose_image_falls_short(self, battery_curves, idx, shift):
+    def test_measures_every_sample_of_a_spoiled_curve(self, battery_curves, idx, shift):
         # F - (shift/mu) x pulls the image abscissa x + x^2 + mu x F + ...
-        # below x wherever the cubic terms do not make up for it
+        # below x at some samples, which the backward form had to skip; the
+        # forward form measures each one, without a warning
         m, c = battery_curves[0][idx], battery_curves[1][idx]
         spoiled = Curve(c.xs, c.fs - (shift / m.mu) * c.xs)
-        with pytest.warns(UserWarning, match="no preimage"):
-            _, rep = invariance_residual(m, spoiled, samples=150)
-        sampled = np.sort(np.concatenate((rep.xs, rep.failures)))
-        short = [x for x in sampled if m.evaluator.values(x, spoiled.eval(x))[0] < x]
-        assert 0 < len(rep.failures) < sampled.size
-        assert list(rep.failures) == short
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            max_res, rep = invariance_residual(m, spoiled, samples=150)
+        xs, res = invariance_residual_forward_per_sample(m, spoiled, 150)
+        assert rep.xs.tolist() == xs.tolist() and rep.failures == ()
+        short = m.evaluator.values(xs, spoiled.eval(xs))[0] < xs
+        assert 0 < np.count_nonzero(short) < xs.size
+        assert np.all(np.abs(rep.residuals - res) <= 1e-12 * res)
+        assert max_res == float(rep.residuals.max()) > 1e-8
 
-    def test_matches_the_scalar_solve_on_the_battery(self, battery_curves):
-        for m, c in zip(*battery_curves):
+    def test_matches_the_scalar_reading_on_the_battery(self, battery_curves):
+        for i, (m, c) in enumerate(zip(*battery_curves)):
             max_res, rep = invariance_residual(m, c, samples=150)
-            xs, res, failures = invariance_residual_per_sample(m, c, 150)
+            xs, res = invariance_residual_forward_per_sample(m, c, 150)
             assert rep.xs.tolist() == xs.tolist()
-            assert rep.failures == failures == ()
+            assert rep.failures == ()
             assert np.max(np.abs(rep.residuals - res)) <= 1e-18
             assert max_res == float(rep.residuals.max())
+            # the same identity read backward, at the images' abscissas,
+            # by the kept root-finding oracle: 1.06 to 1.30 times apart here
+            _, back, failures = invariance_residual_per_sample(m, c, 150)
+            assert failures == ()
+            if i == 0:  # CANON: the x-axis is exactly invariant
+                assert max_res == float(back.max()) == 0.0
+            else:
+                assert 0.5 <= max_res / float(back.max()) <= 2.0, f"map {i}"
+
+    @pytest.mark.parametrize(
+        "m, slope, message",
+        [
+            # under mu = 1 the image abscissa of (x, s x) is x + (1 + s) x^2
+            (canon(mu=1.0), 100.0, "x = 0.0205056 maps to X = 0.0629742"),
+            (canon(mu=1.0), -3000.0, "x = 0.000371482 maps to X = -4.23766e-05"),
+            # x y^2 - x y^3 overflows to inf - inf
+            (
+                MapSpec({(1, 0): 1.0, (2, 0): 1.0, (1, 2): 1.0, (1, 3): -1.0},
+                        {(0, 1): -1.0, (1, 1): 1.0}),
+                1e200, "x = 5e-08 maps to X = nan",
+            ),
+        ],
+    )
+    def test_an_image_outside_the_domain_names_its_sample(self, m, slope, message):
+        xs = graded_grid(0.05, 64)
+        c = Curve(xs, slope * xs)
+        want = f"invariance sample {message}, outside the curve domain [0, x_max = 0.05]"
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            invariance_residual(m, c, samples=64)
 
 
 EPS = np.finfo(float).eps

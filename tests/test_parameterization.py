@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -125,16 +126,21 @@ class TestSolveConjugacy:
         for k in range(10):  # K's top order inherits the section choice; skip it
             assert abs(pinned.phi.coeff(k) - shifted.phi.coeff(k)) <= 1e-9
 
-    def test_sign_condition_rejection(self):
-        from invcurve import PlanarSeriesMap, Series2
-
-        bad = PlanarSeriesMap(
-            Series2.from_terms({(1, 0): 1.0, (2, 0): 2.0}, 6),
-            Series2.from_terms({(0, 1): 1.0, (1, 1): 2.0}, 6),
+    @pytest.mark.parametrize(
+        "x2, xy, message",
+        [
+            (2.0, 2.0, "x^2 coefficient of psi1 = 2 is not negative"),
+            (-2.0, -0.5, "xy coefficient of psi2 = -0.5 is not positive"),
+        ],
+    )
+    def test_sign_condition_rejection(self, x2, xy, message):
+        psi = PlanarSeriesMap(
+            Series2.from_terms({(1, 0): 1.0, (2, 0): x2}, 6),
+            Series2.from_terms({(0, 1): 1.0, (1, 1): xy}, 6),
             6,
         )
-        with pytest.raises(ConjugacyError, match="sign condition"):
-            solve_conjugacy(bad, 6)
+        with pytest.raises(ConjugacyError, match=f"^sign condition failed: {re.escape(message)}$"):
+            solve_conjugacy(psi, 6)
 
     def test_order_exceeding_psi_rejected(self):
         psi = build_psi(canon(), 6)

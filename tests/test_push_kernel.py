@@ -13,6 +13,7 @@ SciPy is the test-only oracle here; the package imports no part of SciPy.
 import contextlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,8 @@ import invcurve
 from invcurve import (
     GuardError,
     MapSpec,
+    PlanarSeriesMap,
+    Series2,
     SolverConfig,
     format_map_spec,
     graded_grid,
@@ -440,6 +443,65 @@ def test_image_guards_trip_on_nan(monkeypatch):
     monkeypatch.setattr(kernel, "_ev", SimpleNamespace(values=lambda x, y: (big_x, big_y)))
     with pytest.raises(GuardError, match=r"\|F\|/x\^3 reached nan after the push"):
         kernel.image(xs, fs, 100.0)
+
+
+def _origin_moved(monkeypatch):
+    kernel = _PushKernel(pert(), 64)
+    xs = 0.01 * kernel.unit
+    big_x, big_y = kernel._ev.values(xs, 0.0 * xs)
+    monkeypatch.setattr(kernel, "_ev", SimpleNamespace(values=lambda x, y: (big_x + 1e-3, big_y)))
+    kernel.image(xs, 0.0 * xs, 100.0)
+
+
+def _regraph_short(monkeypatch):
+    # without the first positive image node the grid starts below the data
+    kernel = _PushKernel(pert(), 64)
+    big_x = 0.01 * kernel.unit
+    kernel.regraph(np.delete(big_x, 1), np.delete(0.1 * big_x**3, 1))
+
+
+def _regraph_not_finite(monkeypatch):
+    # finite ordinates whose scaled secants overflow in the interpolant
+    kernel = _PushKernel(pert(), 64)
+    big_x = 0.01 * kernel.unit
+    with np.errstate(all="ignore"):
+        kernel.regraph(big_x, 1e300 * big_x**3 * np.where(np.arange(64) % 2, 1.0, -1.0))
+
+
+def _x_max_stalls(monkeypatch):
+    # X = x - x^2 is monotone on the seed but moves x_max back
+    fx = Series2.from_terms({(1, 0): 1.0, (2, 0): -1.0}, 4)
+    kernel = _PushKernel(PlanarSeriesMap(fx, -Series2.y(4), 4), 64)
+    _run_level(kernel, 0.01, SolverConfig())
+
+
+@pytest.mark.parametrize(
+    "trip, message",
+    [
+        pytest.param(
+            _origin_moved, "image of the origin moved off the origin, to (0.001, 0)", id="origin"
+        ),
+        pytest.param(
+            _regraph_short,
+            "re-graph interpolation left the image range: grid [1e-08, 0.01], "
+            "image abscissas [1.24961e-08, 0.01]",
+            id="image-range",
+        ),
+        pytest.param(
+            _regraph_not_finite,
+            "re-graph interpolation of Y/X^3 is not finite: nan at X = 1e-08",
+            id="regraph-not-finite",
+        ),
+        pytest.param(
+            _x_max_stalls,
+            "x_max failed to increase during a push at rho=0.01: 0.0099 after 0.01",
+            id="x-max",
+        ),
+    ],
+)
+def test_guard_messages_name_their_values(monkeypatch, trip, message):
+    with pytest.raises(GuardError, match=f"^{re.escape(message)}$"):
+        trip(monkeypatch)
 
 
 def test_regraph_and_curve_eval_build_the_module_interpolator(monkeypatch):
