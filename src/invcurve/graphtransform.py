@@ -836,7 +836,9 @@ def invariance_residual(
     if nodes.size > samples:
         idx = np.unique(np.linspace(0, nodes.size - 1, samples).astype(int))
         nodes = nodes[idx]
-    big_x, big_y = m.evaluator.values(nodes, c.eval(nodes))
+    ys = c.eval(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # the domain test below names the sample
+        big_x, big_y = m.evaluator.values(nodes, ys)
     inside = (big_x >= 0.0) & (big_x <= c.x_max)  # False for a NaN image too
     if not inside.all():
         bad = int(np.argmin(inside))

@@ -403,11 +403,6 @@ class Series2(_Dense):
         n = min(self.order, other.order)
         return Series2._wrap(_mul2(self._c, other._c, n), n)
 
-    def subst(self, sx: S, sy: S) -> S:
-        """Substitute x -> sx, y -> sy: both univariate or both bivariate, with
-        zero constant terms; the result is of their kind."""
-        return substitute([self], sx, sy)[0]
-
 
 def _reach(s: _Dense, n: int) -> int:
     """The highest power of s (zero constant term) that is nonzero through

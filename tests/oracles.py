@@ -272,8 +272,8 @@ def invert_map_series_sweep(m):
 
 def graph_at_longdouble(x_of_t, y_of_t, order: int):
     """The graph y(x^-1) through the given order, formed as the library
-    forms phi and phi_tilde: x reverted and y composed at longdouble, the
-    result rounded to binary64 once."""
+    forms phi: x reverted and y composed at longdouble, the result rounded
+    to binary64 once."""
     from invcurve import reverse_series
 
     ld = np.longdouble
@@ -367,28 +367,21 @@ def conjugacy_residual_magnitude(psi, a, b, d: float) -> tuple:
     return tuple(u + v for u, v in zip(lhs, rhs))
 
 
-def graph_invariance_full_order(m, phi, orders) -> list:
-    """`graph_invariance_check` reports at each check order, with the series
-    worked at max(order + 2, phi.order), phi's own order, instead of two
-    orders above the reported one.  One graph, formed as the library forms
-    phi_tilde (`graph_at_longdouble`), serves every check order that shares
-    its working order."""
+def graph_invariance_backward(m, phi, order: int):
+    """`graph_invariance_check` as it read the invariance identity backward:
+    the graph of phi pushed through the series inverse of the map, its image
+    re-expressed as a graph phi_tilde by reverting the image's abscissa
+    (`graph_at_longdouble`), and |phi - phi_tilde| reported coefficient by
+    coefficient.  The series run at max(order + 2, the map's degree)."""
     from invcurve import GraphInvarianceReport, Series1, invert_map_series, to_planar_series
+    from invcurve.series import substitute
 
-    graphs = {}
-    reports = []
-    for order in orders:
-        work = max(order + 2, phi.order)
-        if work not in graphs:
-            inv = invert_map_series(to_planar_series(m, work))
-            t, phi_w = Series1.identity(work), phi.truncate(work)
-            x_of_t, y_of_t = (s.subst(t, phi_w) for s in (inv.fx, inv.fy))
-            graphs[work] = graph_at_longdouble(x_of_t, y_of_t, work)
-        phi_tilde = graphs[work].truncate(order)
-        diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))
-        subcubic = max(abs(phi_tilde.coeff(k)) for k in range(min(3, order + 1)))
-        reports.append(GraphInvarianceReport(phi_tilde, max(diffs), diffs, subcubic))
-    return reports
+    work = max(order + 2, m.degree)
+    inv = invert_map_series(to_planar_series(m, work))
+    x_of_t, y_of_t = substitute([inv.fx, inv.fy], Series1.identity(work), phi.truncate(work))
+    phi_tilde = graph_at_longdouble(x_of_t, y_of_t, order)
+    diffs = tuple(abs(phi.coeff(k) - phi_tilde.coeff(k)) for k in range(order + 1))
+    return GraphInvarianceReport(max(diffs), diffs)
 
 
 def run_level_regraph_every_push(kernel, rho: float, cfg):

@@ -107,6 +107,10 @@ class TestGrid:
                 lambda: tangency_fit(Curve(np.linspace(0.0, 1.0, 6), np.zeros(6))),
                 "need at least 8 samples in the smallest grid decade, got 5",
             ),
+            (
+                lambda: graph_invariance_check(pert(), Series1.identity(), -1),
+                "order = -1 must not be negative",
+            ),
         ],
     )
     def test_argument_errors_are_typed_and_name_their_value(self, call, message):
@@ -465,7 +469,7 @@ class TestInvarianceResidual:
         xs = graded_grid(0.05, 64)
         c = Curve(xs, slope * xs)
         want = f"invariance sample {message}, outside the curve domain [0, x_max = 0.05]"
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
             invariance_residual(m, c, samples=64)
 
 

@@ -431,8 +431,8 @@ def test_coef_cube_is_the_term_by_term_layout(a, b, n):
 @example({(1, 0): 1.0, (0, 1): -0.5, (1, 1): 2.0}, {(2, 0): 1.0}, {(1, 0): 1.0}, 7, 7)
 def test_horner_substitution_matches_dict_reference(dtype, f, sx, sy, vx, vy):
     sx, sy = _from_degree(vx, sx), _from_degree(vy, sy)
-    got = Series2(f, REF_ORDER, dtype).subst(
-        Series2(sx, REF_ORDER, dtype), Series2(sy, REF_ORDER, dtype)
+    (got,) = substitute(
+        [Series2(f, REF_ORDER, dtype)], Series2(sx, REF_ORDER, dtype), Series2(sy, REF_ORDER, dtype)
     )
     assert got.dtype == dtype
     want = dict_subst(_typed(f, dtype), _typed(sx, dtype), _typed(sy, dtype), REF_ORDER)
@@ -453,8 +453,8 @@ def test_series_evaluation_matches_dict_reference(dtype, f, sx, sy, vx, vy):
     sx, sy = (
         [c if k >= v else 0.0 for k, c in enumerate((0.0, *s))] for s, v in ((sx, vx), (sy, vy))
     )
-    got = Series2(f, REF_ORDER, dtype).subst(
-        Series1(sx).astype(dtype), Series1(sy).astype(dtype)
+    (got,) = substitute(
+        [Series2(f, REF_ORDER, dtype)], Series1(sx).astype(dtype), Series1(sy).astype(dtype)
     )
     assert got.dtype == dtype
     want = dict_subst(
@@ -621,17 +621,21 @@ def test_tables_are_built_lazily_per_order():
             r"singular \(determinant 0",
         ),
         (
-            lambda: Series2.x(4).subst(Series2.x(4) + Series2.constant(0.5, 4), Series2.y(4)),
+            lambda: substitute(
+                [Series2.x(4)], Series2.x(4) + Series2.constant(0.5, 4), Series2.y(4)
+            ),
             r"zero constant terms, got x -> 0.5",
         ),
         (
-            lambda: Series2({(1, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0}, 4).subst(
-                Series1.identity(4), Series2.y(4)
+            lambda: substitute(
+                [Series2({(1, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0}, 4)],
+                Series1.identity(4),
+                Series2.y(4),
             ),
             r"two univariate or two bivariate substitutes, got x -> Series1 and y -> Series2",
         ),
         (
-            lambda: Series2.x(4).subst(Series2.x(4), Series1.identity(4)),
+            lambda: substitute([Series2.x(4)], Series2.x(4), Series1.identity(4)),
             r"got x -> Series2 and y -> Series1",
         ),
         (
