@@ -261,17 +261,19 @@ def _cmd_verify_shadow(m: MapSpec, args) -> _Result:
     if ignored:
         branch = "--x runs the pair check" if pair_check else "without --x runs the orbit trace"
         raise InvcurveError(f"verify-shadow {branch}, which ignores {', '.join(ignored)}")
+    # both checks are about the map flattened to the hypothesis power N (--order)
+    flat = normalize_map(m, **_given(args, "order")).normalized
     if pair_check:
         if args.xhat is None:
             raise InvcurveError("verify-shadow --x needs --xhat")
         # without --delta the gate 0 < x <= delta admits the queried point
         given.setdefault("delta", args.x)
         pair = ShadowPair(Point(args.x, args.y or 0.0), Point(args.xhat, args.yhat or 0.0))
-        before, after, ok = shadow_step_check(m, pair, **given)
+        before, after, ok = shadow_step_check(flat, pair, **given)
         return _Result([("before", before), ("after", after)], ok=ok)
     if args.x0 is None:
         raise InvcurveError("verify-shadow needs either --x/--xhat or --x0/--offset")
-    trace = orbit_shadow_experiment(m, args.x0, args.offset or 0.0, args.steps or 50, **given)
+    trace = orbit_shadow_experiment(flat, args.x0, args.offset or 0.0, args.steps or 50, **given)
     pairs = [
         ("steps", len(trace) - 1),
         ("truncated", trace.truncated),
@@ -308,12 +310,8 @@ def _cmd_compare(m: MapSpec, args) -> _Result:
     cfg = _solver_config(args, "order")
     curve, _, _ = solve_manifold(m, cfg)
     conj = parameterize_manifold(m, **_given(args, "order"))
-    # the disagreement on [smallest decade, delta/2]
-    half = cfg.delta / 2.0
-    if half > curve.x_max:
-        warnings.warn("comparison window clipped to the curve domain")
-        half = curve.x_max
-    mask = (curve.xs > 0.0) & (curve.xs <= half)
+    # the disagreement on [smallest decade, delta/2]; the solved curve reaches past delta
+    mask = (curve.xs > 0.0) & (curve.xs <= cfg.delta / 2.0)
     xs = curve.xs[mask]
     diffs = np.abs(curve.fs[mask] - conj.phi.eval(xs))
     text = ["per-decade max disagreement (lo hi sup):"]

@@ -109,6 +109,9 @@ from .series import PlanarSeriesMap, compose_maps
 
 GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
 TANGENCY_POWER = 3
+BOUND_CAP = 100.0  # the tangency cap on |F|/x^3, at every image node and on the returned curve
+MAX_LEVELS = 8  # the most rho-levels a solve runs
+COMPARE_SPAN = 1e-5  # two levels are compared on [COMPARE_SPAN * delta, delta/2]
 # the scalars that `Curve.eval` reads as one float, without arrays
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 # a level re-graphs once the widest log-spacing of its carried abscissas
@@ -121,6 +124,13 @@ ROOT_RTOL = 4.0 * np.finfo(float).eps
 ROOT_MAX_ITER = 100
 
 
+def _require_normal(name: str, value: float, node: float, what: str) -> None:
+    """Raise a `DomainError` naming `name` unless `node`, spelt `what`, is a
+    normal float: below the smallest one, grid nodes lose bits or vanish."""
+    if not node >= np.finfo(float).tiny:
+        raise DomainError(f"{name} = {value} is too small: {what} = {node:g} is not a normal float")
+
+
 def graded_grid(x_max: float, size: int) -> np.ndarray:
     """Geometric grid on [0, x_max]: zero plus size-1 nodes down to GRID_SPAN*x_max.
 
@@ -129,6 +139,7 @@ def graded_grid(x_max: float, size: int) -> np.ndarray:
     require_integers(size=size)
     if not (0.0 < x_max < math.inf):  # NaN fails it too
         raise DomainError(f"x_max = {x_max} must be positive and finite")
+    _require_normal("x_max", x_max, x_max * GRID_SPAN, "x_max * GRID_SPAN")
     if size < 8:
         raise DomainError(f"grid size = {size} must be at least 8")
     pos = np.geomspace(GRID_SPAN, 1.0, size - 1)
@@ -240,10 +251,11 @@ class Curve:
     def _interp(self) -> PchipInterpolator:
         return PchipInterpolator(self.xs[1:], self.scaled)
 
-    def check_tangency_cap(self, cap: float) -> None:
+    def check_tangency_cap(self) -> None:
+        """Raise a `GuardError` when |F|/x^3 exceeds BOUND_CAP at a positive node."""
         worst = float(np.max(np.abs(self.scaled)))
-        if worst > cap:
-            raise GuardError(f"|F|/x^3 reached {worst:.3e}, above the cap {cap:.3e}")
+        if worst > BOUND_CAP:
+            raise GuardError(f"|F|/x^3 reached {worst:.3e}, above the cap {BOUND_CAP:.3e}")
 
     @cached_property
     def _ends(self) -> tuple[float, float]:
@@ -310,9 +322,7 @@ class _PushKernel:
         self.unit = graded_grid(1.0, grid_size)
         self._max_ratio = float(self.unit[-1] / self.unit[-2]) ** REGRAPH_SPREAD
 
-    def image(
-        self, xs: np.ndarray, fs: np.ndarray, bound_cap: float | None
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    def image(self, xs: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
         """Image points (X, Y), smallest secant dX/dx, drift constant."""
         big_x, big_y = self._ev.values(xs, fs)
         if big_x[0] != 0.0 or big_y[0] != 0.0:
@@ -328,17 +338,16 @@ class _PushKernel:
         min_slope = float((dx / (xs[1:] - xs[:-1])).min())
         xm = float(xs[-1])
         drift_c = float(abs(big_x[-1] - (xm + self._a2 * xm * xm)) / xm**3)
-        if bound_cap is not None:
-            # the PCHIP re-graph is monotone between nodes, so the cap on the
-            # image nodes also holds for any re-graph of them; X^3 as two
-            # products, which cost less than a power
-            pos = big_x[1:]
-            ratio = big_y[1:] / (pos * pos * pos)
-            worst = float(max(ratio.max(), -ratio.min()))  # NaN if any is NaN
-            if not worst <= bound_cap:
-                raise GuardError(
-                    f"|F|/x^3 reached {worst:.3e} after the push, above the cap {bound_cap:.3e}"
-                )
+        # the PCHIP re-graph is monotone between nodes, so the cap on the
+        # image nodes also holds for any re-graph of them; X^3 as two
+        # products, which cost less than a power
+        pos = big_x[1:]
+        ratio = big_y[1:] / (pos * pos * pos)
+        worst = float(max(ratio.max(), -ratio.min()))  # NaN if any is NaN
+        if not worst <= BOUND_CAP:
+            raise GuardError(
+                f"|F|/x^3 reached {worst:.3e} after the push, above the cap {BOUND_CAP:.3e}"
+            )
         return big_x, big_y, min_slope, drift_c
 
     def spread_doubled(self, xs: np.ndarray) -> bool:
@@ -422,24 +431,17 @@ def bound_certificate(c: Curve, n_power: int, m_max: int) -> BoundCertificate:
     return BoundCertificate(tuple(ks), n_power, m_max)
 
 
-def push_curve(
-    m: MapSpec | PlanarSeriesMap,
-    c: Curve,
-    *,
-    n_power: int = 8,
-    m_max: int = 2,
-    bound_cap: float | None = 100.0,
-) -> tuple[Curve, BoundCertificate]:
+def push_curve(m: MapSpec | PlanarSeriesMap, c: Curve) -> tuple[Curve, BoundCertificate]:
     """One forward push of a curve, re-graphed onto the graded grid.
 
-    Returns the image curve and its measured certificate (derivative
-    envelopes, smallest secant slope of the abscissa map, and the drift
-    constant of x_max).
+    A level's push, every guard and the cap BOUND_CAP included.  Returns the
+    image curve and its certificate: derivative envelopes at N =
+    DEFAULT_NORM_ORDER and m_max = 2, smallest secant dX/dx, drift constant.
     """
     kernel = _PushKernel(m, c.xs.size)
-    big_x, big_y, min_slope, drift_c = kernel.image(c.xs, c.fs, bound_cap)
+    big_x, big_y, min_slope, drift_c = kernel.image(c.xs, c.fs)
     out = Curve(*kernel.regraph(big_x, big_y))
-    cert = bound_certificate(out, n_power, m_max)
+    cert = bound_certificate(out, DEFAULT_NORM_ORDER, 2)
     return out, replace(cert, min_dxdx=min_slope, xmax_drift_c=drift_c)
 
 
@@ -467,6 +469,9 @@ SEED_CAP = 0.5
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The graph-transform settings, one per solver flag of the CLI; the level
+    cap MAX_LEVELS and the tangency cap BOUND_CAP are constants of the method."""
+
     norm_order: int = DEFAULT_NORM_ORDER  # flattening order N
     delta: float = DEFAULT_DELTA
     rho0: float | None = None  # None: derived from the error model, see initial_rho
@@ -474,8 +479,6 @@ class SolverConfig:
     grid_size: int = 512
     m_max: int = 2
     tol_converge: float = 1e-9
-    max_levels: int = 8
-    bound_cap: float = 100.0
 
     def initial_rho(self) -> float:
         """The first seed length: rho0 when given, else derived from the error model.
@@ -504,13 +507,10 @@ class SolverConfig:
         return gap * r / (1.0 - r)
 
     def validate(self) -> None:
-        """Raise a `DomainError` naming the first field outside its domain."""
-        require_integers(
-            norm_order=self.norm_order,
-            grid_size=self.grid_size,
-            m_max=self.m_max,
-            max_levels=self.max_levels,
-        )
+        """Raise a `DomainError` naming the first field outside its domain; a
+        field that puts a compared abscissa or the smallest grid node of some
+        level below the smallest normal float is outside it."""
+        require_integers(norm_order=self.norm_order, grid_size=self.grid_size, m_max=self.m_max)
         # tolerance, order and delta before rho0, which is derived from them
         if not self.tol_converge > 0.0:
             raise DomainError(f"tol_converge = {self.tol_converge:g} must be positive")
@@ -520,19 +520,20 @@ class SolverConfig:
             raise DomainError(f"delta = {self.delta:g} must be finite")
         if not self.delta > 0.0:
             raise DomainError(f"delta = {self.delta:g} must be positive")
+        _require_normal("delta", self.delta, self.delta * COMPARE_SPAN, "delta * COMPARE_SPAN")
         rho0 = self.initial_rho()
         if not (0.0 < rho0 < self.delta):
             raise DomainError(f"rho0 = {rho0:g} must lie in (0, delta = {self.delta:g})")
+        _require_normal("rho0", rho0, rho0 * GRID_SPAN, "rho0 * GRID_SPAN")
         if self.grid_size < 64:
             raise DomainError(f"grid_size = {self.grid_size} must be at least 64")
         if not 0 <= self.m_max <= 3:
             raise DomainError(f"m_max = {self.m_max} must be between 0 and 3")
         if not (0.0 < self.rho_factor < 1.0):
             raise DomainError(f"rho_factor = {self.rho_factor:g} must lie in (0, 1)")
-        if self.max_levels < 2:
-            raise DomainError(f"max_levels = {self.max_levels} must be at least 2")
-        if not self.bound_cap > 0.0:  # NaN fails it too
-            raise DomainError(f"bound_cap = {self.bound_cap:g} must be positive")
+        deepest = rho0 * self.rho_factor ** (MAX_LEVELS - 1) * GRID_SPAN
+        what = f"the last level's rho0 * rho_factor^{MAX_LEVELS - 1} * GRID_SPAN"
+        _require_normal("rho_factor", self.rho_factor, deepest, what)
 
 
 @dataclass(frozen=True)
@@ -593,7 +594,7 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
                 history=trace,
             )
         prev = x_max
-        xs, fs, slope, drift = kernel.image(xs, fs, cfg.bound_cap)
+        xs, fs, slope, drift = kernel.image(xs, fs)
         x_max = float(xs[-1])
         if x_max <= prev:
             raise GuardError(
@@ -621,8 +622,8 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
     )
 
 
-def _comparison_grid(delta: float, size: int = 256) -> np.ndarray:
-    return np.geomspace(delta * 1e-5, 0.5 * delta, size)
+def _comparison_grid(delta: float) -> np.ndarray:
+    return np.geomspace(delta * COMPARE_SPAN, 0.5 * delta, 256)
 
 
 def _refine(
@@ -683,7 +684,7 @@ def solve_manifold(
     levels: list[LevelResult] = []
     gaps: list[float] = []
     converged = False
-    for lv, gap in _refine(kernel, cfg, cfg.max_levels):
+    for lv, gap in _refine(kernel, cfg, MAX_LEVELS):
         levels.append(lv)
         if gap is not None:
             gaps.append(gap)
@@ -693,7 +694,7 @@ def solve_manifold(
     if not converged:
         raise ConvergenceError(
             f"refinement gaps never reached {cfg.tol_converge:g} "
-            f"after {cfg.max_levels} levels",
+            f"after {MAX_LEVELS} levels",
             history=gaps,
         )
     final = levels[-1].curve
@@ -704,7 +705,7 @@ def solve_manifold(
         xmax_drift_c=max(lv.max_drift_c for lv in levels),
     )
     out = pullback_curve(final, nf.shift)
-    out.check_tangency_cap(cfg.bound_cap)
+    out.check_tangency_cap()
     diag = SolveDiagnostics(
         tuple(levels), tuple(gaps), converged, nf, cfg, cfg.seed_error_est(gaps[-1])
     )

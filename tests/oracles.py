@@ -398,7 +398,7 @@ def run_level_regraph_every_push(kernel, rho: float, cfg):
     fs = np.zeros_like(xs)
     pushes = 0
     while float(xs[-1]) <= cfg.delta:
-        big_x, big_y, _, _ = kernel.image(xs, fs, cfg.bound_cap)
+        big_x, big_y, _, _ = kernel.image(xs, fs)
         xs, fs = kernel.regraph(big_x, big_y)
         pushes += 1
     return pushes, Curve(xs, fs)

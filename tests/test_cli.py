@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -204,6 +205,20 @@ class TestManifoldGt:
         assert out == ""
         assert err.startswith("GuardError: |F|/x^3 reached ")
 
+    def test_tiny_seed_is_a_domain_error(self, capsys):
+        # validate names it before 2 / rho0 can overflow in the step cap
+        code, out, err = run_cli(capsys, "manifold-gt", "--map", "builtin:PERT", "--rho0", "5e-324")
+        assert (code, out) == (1, "")
+        assert err == (
+            "DomainError: rho0 = 5e-324 is too small: rho0 * GRID_SPAN = 0 is not a normal float\n"
+        )
+
+
+def test_every_solver_config_field_has_a_flag():
+    # a setting that no flag reaches is a constant of the method, not a field
+    fields = sorted(f.name for f in dataclasses.fields(SolverConfig))
+    assert fields == sorted(cli._SOLVER_FLAGS.values())
+
 
 class TestManifoldParam:
     def test_phi_csv(self, capsys):
@@ -299,11 +314,24 @@ class TestVerifyCommands:
         assert np.all(np.diff(cols["metric"]) <= 0.0)
         assert parse_report(err)["status"] == "PASS"
 
+    def test_shadow_pair_on_a_battery_map(self, tmp_path, capsys):
+        # on the raw map y = 0 is O(x^3) off the curve and this pair fails;
+        # flattened to N = 8 it is O(x^9) off, and the metric contracts
+        path = tmp_path / "battery2.map"
+        path.write_text(format_map_spec(acceptance_battery(1729)[2]), encoding="utf-8")
+        pair = ["--x", "0.02", "--xhat", "0.02000000000001", "--y", "0", "--yhat", "0"]
+        code, out, err = run_cli(capsys, "verify-shadow", "--map", str(path), *pair)
+        assert (code, err) == (0, "")
+        rep = parse_report(out)
+        assert rep["status"] == "PASS" and float(rep["after"]) < float(rep["before"])
+
     def test_shadow_pair_fail_exit_status(self, capsys):
-        # on the raw perturbed map an x offset picks up a y offset of order
-        # x^2 dx, which the x^-3 weight of the metric blows up
+        # flattened only to N = 3, Y keeps an x^4 term: an x offset picks up
+        # a y offset of order x^3 dx, which the x^-3 weight of the metric
+        # turns into an x offset of order dx
         code, out, _ = run_cli(
             capsys, "verify-shadow", "--map", "builtin:PERT", "--x", "0.05", "--xhat", "0.05000000002",
+            "--order", "3",
         )
         assert code == EXIT_VERIFY_FAILED
         rep = parse_report(out)
@@ -492,7 +520,8 @@ VERDICTS = {
     ),
     "shadow-pair-fail": (
         "FAIL", None,
-        ["verify-shadow", "--map", "builtin:PERT", "--x", "0.05", "--xhat", "0.05000000002"],
+        ["verify-shadow", "--map", "builtin:PERT", "--x", "0.05", "--xhat", "0.05000000002",
+         "--order", "3"],
     ),
     "shadow-orbit-pass": (
         "PASS", None,

@@ -66,6 +66,10 @@ class TestGrid:
             (lambda: graded_grid(-1.0, 64), "x_max = -1.0 must be positive and finite"),
             (lambda: graded_grid(float("nan"), 64), "x_max = nan must be positive"),
             (lambda: graded_grid(0.1, 4), "grid size = 4 must be at least 8"),
+            (
+                lambda: graded_grid(1e-320, 64),
+                "x_max = 1e-320 is too small: x_max * GRID_SPAN = 0 is not a normal float",
+            ),
             (lambda: Curve(np.zeros(3), np.zeros(4)), "got shapes xs (3,) and fs (4,)"),
             (lambda: Curve(np.arange(4.0), np.arange(4.0) + 1.0), "starts at (0, 1)"),
             (
@@ -214,7 +218,7 @@ class TestPushCurve:
         fs[1:] = 0.5 * xs[1:] * np.where(np.arange(127) % 2 == 0, 1.0, -1.0)
         curve = Curve(xs, fs)
         with pytest.raises(GuardError, match="monotonicity"):
-            push_curve(canon(1.0, -1.0), curve, bound_cap=None)
+            push_curve(canon(1.0, -1.0), curve)
 
     def test_bound_preserved_under_push(self):
         # curves below x^N stay below X^N after one push of a flattened map
@@ -226,7 +230,7 @@ class TestPushCurve:
                 xs = graded_grid(rho, 256)
                 fs = np.zeros_like(xs)
                 fs[1:] = rng.uniform(-0.9, 0.9) * xs[1:] ** 8
-                out, _ = push_curve(fm, Curve(xs, fs), bound_cap=None)
+                out, _ = push_curve(fm, Curve(xs, fs))
                 assert np.all(np.abs(out.fs[1:]) <= out.xs[1:] ** 8 * (1 + 1e-9))
 
 
@@ -278,11 +282,11 @@ class TestSolveManifold:
         _, cert, _ = solve_manifold(pert(c=0.1), _fast_cfg())
         assert cert.min_dxdx >= 1.0 - 1e-13
 
-    def test_nonconvergence_raises_with_history(self):
-        cfg = _fast_cfg(tol_converge=1e-30, max_levels=2)
-        with pytest.raises(ConvergenceError) as err:
-            solve_manifold(pert(c=0.1), cfg)
-        assert err.value.history is not None
+    def test_nonconvergence_raises_with_history(self, monkeypatch):
+        monkeypatch.setattr(graphtransform, "MAX_LEVELS", 2)
+        with pytest.raises(ConvergenceError, match="after 2 levels$") as err:
+            solve_manifold(pert(c=0.1), _fast_cfg(tol_converge=1e-30))
+        assert len(err.value.history) == 1
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -298,16 +302,34 @@ class TestSolveManifold:
             (dict(grid_size=32), "grid_size = 32 must be at least 64"),
             (dict(m_max=4), "m_max = 4 must be between 0 and 3"),
             (dict(rho_factor=1.0), "rho_factor = 1 must lie in (0, 1)"),
-            (dict(max_levels=1), "max_levels = 1 must be at least 2"),
             (dict(delta=float("inf")), "delta = inf must be finite"),
             (dict(delta=-0.05), "delta = -0.05 must be positive"),
             (dict(delta=0.0), "delta = 0 must be positive"),
-            (dict(bound_cap=-1.0), "bound_cap = -1 must be positive"),
-            (dict(bound_cap=float("nan")), "bound_cap = nan must be positive"),
             (dict(grid_size=64.5), "grid_size = 64.5 must be an integer"),
             (dict(norm_order=8.5), "norm_order = 8.5 must be an integer"),
             (dict(m_max=1.5), "m_max = 1.5 must be an integer"),
-            (dict(max_levels=2.5), "max_levels = 2.5 must be an integer"),
+            (
+                dict(delta=1e-320),
+                "delta = 1e-320 is too small: delta * COMPARE_SPAN = 0 is not a normal float",
+            ),
+            (
+                dict(rho0=1e-320),
+                "rho0 = 1e-320 is too small: rho0 * GRID_SPAN = 0 is not a normal float",
+            ),
+            (
+                dict(rho0=5e-324),
+                "rho0 = 5e-324 is too small: rho0 * GRID_SPAN = 0 is not a normal float",
+            ),
+            (
+                dict(rho_factor=1e-320),
+                "rho_factor = 1e-320 is too small: "
+                "the last level's rho0 * rho_factor^7 * GRID_SPAN = 0 is not a normal float",
+            ),
+            (
+                dict(rho_factor=5e-324),
+                "rho_factor = 5e-324 is too small: "
+                "the last level's rho0 * rho_factor^7 * GRID_SPAN = 0 is not a normal float",
+            ),
         ],
     )
     def test_invalid_config_names_its_value(self, overrides, message):
@@ -317,9 +339,13 @@ class TestSolveManifold:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            (dict(bound_cap=-1.0), "bound_cap = -1 must be positive"),
             (dict(grid_size=64.5), "grid_size = 64.5 must be an integer"),
             (dict(norm_order=8.5), "norm_order = 8.5 must be an integer"),
+            (
+                dict(rho_factor=5e-324),
+                "rho_factor = 5e-324 is too small: "
+                "the last level's rho0 * rho_factor^7 * GRID_SPAN = 0 is not a normal float",
+            ),
         ],
     )
     def test_solve_rejects_the_field_before_any_push(self, overrides, message):

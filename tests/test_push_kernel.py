@@ -436,13 +436,13 @@ def test_image_guards_trip_on_nan(monkeypatch):
     fs = 1e-3 * xs**3
     fs[10] = np.nan  # a NaN ordinate keeps every row and spoils X and Y
     with pytest.raises(GuardError, match="image abscissas stall at x = "):
-        kernel.image(xs, fs, 100.0)
+        kernel.image(xs, fs)
     # a NaN in Y alone passes the monotonicity guard and trips the cap
     big_x, big_y = kernel._ev.values(xs, 1e-3 * xs**3)
     big_y[10] = np.nan
     monkeypatch.setattr(kernel, "_ev", SimpleNamespace(values=lambda x, y: (big_x, big_y)))
     with pytest.raises(GuardError, match=r"\|F\|/x\^3 reached nan after the push"):
-        kernel.image(xs, fs, 100.0)
+        kernel.image(xs, fs)
 
 
 def _origin_moved(monkeypatch):
@@ -450,7 +450,7 @@ def _origin_moved(monkeypatch):
     xs = 0.01 * kernel.unit
     big_x, big_y = kernel._ev.values(xs, 0.0 * xs)
     monkeypatch.setattr(kernel, "_ev", SimpleNamespace(values=lambda x, y: (big_x + 1e-3, big_y)))
-    kernel.image(xs, 0.0 * xs, 100.0)
+    kernel.image(xs, 0.0 * xs)
 
 
 def _regraph_short(monkeypatch):
@@ -529,7 +529,7 @@ def test_push_curve_is_the_first_level_step(m):
     levels, _ = rho_refinement(m, cfg, 1)
     assert levels[0].nu_bar == 1
     f = flatten_map(m, 8, headroom=2)
-    out, cert = push_curve(compose_maps(f, f), seed_curve(rho, size), n_power=8, m_max=2)
+    out, cert = push_curve(compose_maps(f, f), seed_curve(rho, size))
     assert np.array_equal(levels[0].curve.xs, out.xs)
     assert np.array_equal(levels[0].curve.fs, out.fs)
     assert levels[0].min_dxdx == cert.min_dxdx
@@ -559,7 +559,7 @@ def _carried_images(m, rho, size, pushes):
     return out
 
 
-def test_monotonicity_guard_on_a_carried_push():
+def test_monotonicity_guard_on_a_carried_push(monkeypatch):
     # F ~ c x^3 after one push; the mu x y term then folds the abscissas
     m, rho, size = pert(1.0, -1.0, 1e6), 0.0125, 512
     (x1, y1), (x2, _) = _carried_images(m, rho, size, 2)
@@ -567,12 +567,13 @@ def test_monotonicity_guard_on_a_carried_push():
     assert not kernel.spread_doubled(x1)
     bad = int(np.argmin(np.diff(x2) > 0.0))
     want = f"graph monotonicity guard failed: image abscissas stall at x = {x1[bad]:.6g}"
+    monkeypatch.setattr(graphtransform, "BOUND_CAP", 1e12)
     with pytest.raises(GuardError) as err:
-        _run_level(kernel, rho, SolverConfig(rho0=rho, bound_cap=1e12))
+        _run_level(kernel, rho, SolverConfig(rho0=rho))
     assert str(err.value) == want
 
 
-def _check_bound_cap(c):
+def _check_bound_cap(monkeypatch, c):
     # the x^2 y term of Y triples |F|/x^3 per push near x = 0.0125; the
     # sign of the c x^3 term sets the sign of F after each push
     m = MapSpec({(1, 0): 1.0, (2, 0): 1.0}, {(0, 1): -1.0, (1, 1): 1.0, (2, 1): -1e4, (3, 0): c})
@@ -586,17 +587,18 @@ def _check_bound_cap(c):
     assert not any(kernel.spread_doubled(x) for x, _ in images)
     cap = 0.5 * (worst[1] + worst[2])
     want = f"|F|/x^3 reached {worst[2]:.3e} after the push, above the cap {cap:.3e}"
+    monkeypatch.setattr(graphtransform, "BOUND_CAP", cap)
     with pytest.raises(GuardError) as err:
-        _run_level(kernel, rho, SolverConfig(rho0=rho, bound_cap=cap))
+        _run_level(kernel, rho, SolverConfig(rho0=rho))
     assert str(err.value) == want
 
 
-def test_bound_cap_on_a_carried_push():
-    _check_bound_cap(1.0)
+def test_bound_cap_on_a_carried_push(monkeypatch):
+    _check_bound_cap(monkeypatch, 1.0)
 
 
-def test_bound_cap_on_a_carried_push_below_the_axis():
-    _check_bound_cap(-1.0)
+def test_bound_cap_on_a_carried_push_below_the_axis(monkeypatch):
+    _check_bound_cap(monkeypatch, -1.0)
 
 
 def test_graded_grid_is_a_scaled_unit_grid():
