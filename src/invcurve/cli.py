@@ -196,7 +196,6 @@ def _cmd_manifold_gt(m: MapSpec, args) -> _Result:
         ("norm_order", cfg.norm_order),
         ("grid_size", cfg.grid_size),
         ("levels", len(diag.levels)),
-        ("converged", diag.converged),
         ("x_max", curve.x_max),
         ("tangency_a3", a3),
         ("min_dxdx", cert.min_dxdx),

@@ -111,6 +111,10 @@ GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
 TANGENCY_POWER = 3
 BOUND_CAP = 100.0  # the tangency cap on |F|/x^3, at every image node and on the returned curve
 MAX_LEVELS = 8  # the most rho-levels a solve runs
+# the most pushes of F^2 the first two levels, which every solve runs, may
+# each need; a push costs about 60 us at the default grid, so a level within
+# the budget takes seconds, not hours
+PUSH_BUDGET = 100_000
 COMPARE_SPAN = 1e-5  # two levels are compared on [COMPARE_SPAN * delta, delta/2]
 # the scalars that `Curve.eval` reads as one float, without arrays
 _REAL_SCALARS = (float, int, np.floating, np.integer)
@@ -509,7 +513,11 @@ class SolverConfig:
     def validate(self) -> None:
         """Raise a `DomainError` naming the first field outside its domain; a
         field that puts a compared abscissa or the smallest grid node of some
-        level below the smallest normal float is outside it."""
+        level below the smallest normal float is outside it, and so is a seed
+        length rho whose level needs more than PUSH_BUDGET pushes of F^2 in
+        one of the two levels every solve runs.  F^2 moves x to about
+        x + 2 x^2, so 1/x falls by about 2 per push, and a level from rho to
+        delta needs about (1/rho - 1/delta) / 2 pushes."""
         require_integers(norm_order=self.norm_order, grid_size=self.grid_size, m_max=self.m_max)
         # tolerance, order and delta before rho0, which is derived from them
         if not self.tol_converge > 0.0:
@@ -534,6 +542,19 @@ class SolverConfig:
         deepest = rho0 * self.rho_factor ** (MAX_LEVELS - 1) * GRID_SPAN
         what = f"the last level's rho0 * rho_factor^{MAX_LEVELS - 1} * GRID_SPAN"
         _require_normal("rho_factor", self.rho_factor, deepest, what)
+        rho1 = rho0 * self.rho_factor
+        first, second = ((1.0 / rho - 1.0 / self.delta) / 2.0 for rho in (rho0, rho1))
+        if first > PUSH_BUDGET:
+            raise DomainError(
+                f"rho0 = {rho0:g} is too small: the first level needs about "
+                f"{first:.3g} pushes, above PUSH_BUDGET = {PUSH_BUDGET}"
+            )
+        if second > PUSH_BUDGET:
+            raise DomainError(
+                f"rho_factor = {self.rho_factor:g} is too small for rho0 = {rho0:g}: the second "
+                f"level, at rho0 * rho_factor = {rho1:g}, needs about {second:.3g} pushes, "
+                f"above PUSH_BUDGET = {PUSH_BUDGET}"
+            )
 
 
 @dataclass(frozen=True)
@@ -555,7 +576,6 @@ class LevelResult:
 class SolveDiagnostics:
     levels: tuple[LevelResult, ...]
     gaps: tuple[float, ...]
-    converged: bool
     normal_form: NormalFormResult
     config: SolverConfig = field(repr=False)
     seed_error_est: float  # the returned level's, config.seed_error_est(gaps[-1])
@@ -683,15 +703,13 @@ def solve_manifold(
     nf, kernel = _prepare(m, cfg)
     levels: list[LevelResult] = []
     gaps: list[float] = []
-    converged = False
     for lv, gap in _refine(kernel, cfg, MAX_LEVELS):
         levels.append(lv)
         if gap is not None:
             gaps.append(gap)
             if gap <= cfg.tol_converge:
-                converged = True
                 break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"refinement gaps never reached {cfg.tol_converge:g} "
             f"after {MAX_LEVELS} levels",
@@ -707,7 +725,7 @@ def solve_manifold(
     out = pullback_curve(final, nf.shift)
     out.check_tangency_cap()
     diag = SolveDiagnostics(
-        tuple(levels), tuple(gaps), converged, nf, cfg, cfg.seed_error_est(gaps[-1])
+        tuple(levels), tuple(gaps), nf, cfg, cfg.seed_error_est(gaps[-1])
     )
     return out, cert, diag
 

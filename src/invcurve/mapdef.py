@@ -188,7 +188,8 @@ def format_map_spec(m: MapSpec) -> str:
 
 
 def eval_map(m: MapSpec, p: Point) -> Point:
-    """The image of a point; the exact Jacobian is `m.evaluator.jacobian`."""
+    """The image of a point; `m.evaluator.image_jacobian` gives it with the
+    exact Jacobian."""
     return Point(*m.evaluator.values(p.x, p.y))
 
 
@@ -203,62 +204,64 @@ def invert_point(m: MapSpec, target: Point) -> Point:
     Starts from (x - x^2, -y); damped steps (halving on residual increase,
     at most 40 times) keep the iteration stable near the fixed point, where
     the Jacobian is close to diag(1, -1).  The iteration runs on Python
-    floats: every value comes from `eval_map`, the residual is a max-norm
-    over two floats, and the step is Cramer's rule on the Jacobian, which
-    the map's evaluator takes at the iterate from its Horner rows, only when
-    a step is taken.  A singular Jacobian, a non-finite candidate and a
-    candidate whose image is not finite are a `ConvergenceError` naming the
-    iterate; a residual still above INVERT_TOL after INVERT_MAX_ITER steps
-    is one naming the target.  A target whose x^2 overflows is a
-    `DomainError`.
+    floats and builds no `Point` per iterate.  Each iterate, the start and
+    every candidate, takes its image and its exact Jacobian from one pass
+    of the map's evaluator (`image_jacobian`), whose image has the bits of
+    `eval_map`'s.  The residual is a max-norm over two floats, and the step
+    is Cramer's rule on the Jacobian.  A singular Jacobian, a non-finite
+    candidate and a candidate whose image is not finite are a
+    `ConvergenceError` naming the iterate; a residual still above
+    INVERT_TOL after INVERT_MAX_ITER steps is one naming the target.  A
+    target whose x^2 overflows, or whose start has an image that is not
+    finite, is a `DomainError`.
     """
     tx, ty = target.x, target.y
     try:
         start = tx - tx**2
     except OverflowError:
         raise power_overflow("target x", tx, 2) from None
-    p = Point(start, -ty)
-    image = eval_map(m, p)
-    rx, ry = image.x - tx, image.y - ty
+    x, y = start, -ty
+    image_jacobian = m.evaluator.image_jacobian
+    (gx, a, b), (gy, c, d) = image_jacobian(x, y)
+    Point(gx, gy)  # an image that is not finite is a DomainError, as in eval_map
+    rx, ry = gx - tx, gy - ty
     res_norm = max(abs(rx), abs(ry))
     for _ in range(INVERT_MAX_ITER):
         if res_norm <= INVERT_TOL:
-            return p
-        (a, b), (c, d) = m.evaluator.jacobian(p.x, p.y)
+            return Point(x, y)
         det = a * d - b * c
         if det == 0.0:
             raise ConvergenceError(
-                f"point inversion hit a singular Jacobian at ({p.x!r}, {p.y!r}) "
+                f"point inversion hit a singular Jacobian at ({x!r}, {y!r}) "
                 f"(determinant {det!r})",
                 history=res_norm,
             )
         sx, sy = (d * rx - b * ry) / det, (a * ry - c * rx) / det
         scale = 1.0
         for _ in range(40):
-            cx, cy = p.x - scale * sx, p.y - scale * sy
+            cx, cy = x - scale * sx, y - scale * sy
             if not (math.isfinite(cx) and math.isfinite(cy)):
                 raise ConvergenceError(
-                    f"point inversion stepped from ({p.x!r}, {p.y!r}) to the non-finite "
+                    f"point inversion stepped from ({x!r}, {y!r}) to the non-finite "
                     f"candidate ({cx!r}, {cy!r}) (determinant {det!r})",
                     history=res_norm,
                 )
-            cand = Point(cx, cy)
-            try:
-                image = eval_map(m, cand)
-            except ValueError:  # the image overflowed: Point rejects it
+            # the last candidate is always taken, with its Jacobian
+            (gx, a, b), (gy, c, d) = image_jacobian(cx, cy)
+            if not (math.isfinite(gx) and math.isfinite(gy)):
                 raise ConvergenceError(
-                    f"point inversion stepped from ({p.x!r}, {p.y!r}) to the candidate "
+                    f"point inversion stepped from ({x!r}, {y!r}) to the candidate "
                     f"({cx!r}, {cy!r}), whose image is not finite",
                     history=res_norm,
-                ) from None
-            nrx, nry = image.x - tx, image.y - ty
-            new_norm = max(abs(nrx), abs(nry))
+                )
+            rx, ry = gx - tx, gy - ty
+            new_norm = max(abs(rx), abs(ry))
             if new_norm < res_norm or new_norm <= INVERT_TOL:
                 break
             scale *= 0.5
-        p, rx, ry, res_norm = cand, nrx, nry, new_norm
+        x, y, res_norm = cx, cy, new_norm
     if res_norm <= INVERT_TOL:
-        return p
+        return Point(x, y)
     raise ConvergenceError(
         f"point inversion stalled with residual {res_norm:.3e} at target "
         f"({target.x}, {target.y})",

@@ -548,17 +548,24 @@ class MapEvaluator:
 
     At a single point NumPy's dispatch costs more than the arithmetic, so
     the rows are lists of Python floats, highest x power first, and each
-    row is one Horner chain in x: P_j(x) = sum_i C_k[j, i] x^i.  The image
-    and the exact offset of a nearby point's image (`pair_image`) take the
-    x-divided sum Q_j = (P_j(xh) - P_j(x)) / (xh - x) from the same chain,
-    by synthetic division: Q_j is the polynomial whose coefficients are the
-    chain's partial sums at x, evaluated at xh.  The y-divided sum is
-    sum_j P_j(x) E_j with E_j = (yh^j - y^j) / (yh - y), built up as
-    E_(j+1) = y E_j + yh^j.  So the offset of the image of (xh, yh) is
-    dx sum_j Q_j yh^j + dy sum_j P_j(x) E_j, no two images are subtracted,
-    and a separation far below the spacing of doubles keeps every digit.
-    With xh = x and yh = y the same sums are the Jacobian's columns
-    (`jacobian`).  The rule's weight j bounds these sums too, since
+    row is one Horner chain in x: P_j(x) = sum_i C_k[j, i] x^i.  Two passes
+    over the rows serve every point operation, each summing only what its
+    callers read.  The value pass (`_value_sums`) sums the image
+    sum_j P_j(x) y^j and the y-divided sum sum_j P_j(x) E_j with
+    E_j = (yh^j - y^j) / (yh - y), built up as E_(j+1) = y E_j + yh^j.  The
+    slope pass (`_slope_sums`) adds the x-divided sum
+    Q_j = (P_j(xh) - P_j(x)) / (xh - x), taken from the same chain by
+    synthetic division: Q_j is the polynomial whose coefficients are the
+    chain's partial sums at x, evaluated at xh.  The offset of the image of
+    (xh, yh) from that of (x, y) (`pair_image`) is
+    dx sum_j Q_j yh^j + dy sum_j P_j(x) E_j, so no two images are
+    subtracted, and a separation far below the spacing of doubles keeps
+    every digit; with dx = 0 the first term is 0 and the value pass gives
+    the offset.  With xh = x and yh = y the slope pass's sums are the image
+    and the Jacobian's columns (`image_jacobian`, one pass per Newton
+    iterate).  The value pass also serves `values`.  Both passes take the
+    image's sum in the same order, so it has the same bits from either.
+    The rule's weight j bounds these sums too, since
     |E_j| <= j ymax^(j-1): with |x|, |xh| <= 1 and nx the highest x power,
     |Q_j| <= nx S_j, so the rows `_point_rows` drops move a value or an
     image by less than ROW_CUT |y|, an x-slope by nx ROW_CUT |y|, a
@@ -612,9 +619,30 @@ class MapEvaluator:
         acc *= v[:, None]
         return acc.sum(axis=0)
 
-    def _sums(self, x: float, y: float, xh: float, yh: float) -> list:
-        """(sum_j P_j(x) y^j, sum_j Q_j yh^j, sum_j P_j(x) E_j) of each
-        component, over the rows the point rule keeps."""
+    def _value_sums(self, x: float, y: float, yh: float) -> list:
+        """The value pass: (sum_j P_j(x) y^j, sum_j P_j(x) E_j) of each
+        component, over the rows the point rule keeps for (x, y) and (x, yh)."""
+        r = self._point_rows(x, y, x, yh)
+        out = []
+        for part in self._horner:
+            v = b = e = 0.0  # e = E_j
+            w = wh = 1.0  # y^j, yh^j
+            for row in part[:r]:
+                p = 0.0
+                for c in row:
+                    p = p * x + c
+                v += p * w
+                b += p * e
+                e = e * y + wh
+                w *= y
+                wh *= yh
+            out.append((v, b))
+        return out
+
+    def _slope_sums(self, x: float, y: float, xh: float, yh: float) -> list:
+        """The slope pass: (sum_j P_j(x) y^j, sum_j Q_j yh^j,
+        sum_j P_j(x) E_j) of each component, over the rows the point rule
+        keeps for (x, y) and (xh, yh)."""
         r = self._point_rows(x, y, xh, yh)
         out = []
         for part in self._horner:
@@ -641,31 +669,25 @@ class MapEvaluator:
             out = self._contract(_powers(x, self._nx), _powers(y, rows - 1))
             return out[0], out[1]
         x, y = float(x), float(y)
-        r = self._point_rows(x, y, x, y)
-        out = []
-        for part in self._horner:
-            v, w = 0.0, 1.0  # y^j
-            for row in part[:r]:
-                p = 0.0
-                for c in row:
-                    p = p * x + c
-                v += p * w
-                w *= y
-            out.append(v)
-        return out[0], out[1]
+        (big_x, _), (big_y, _) = self._value_sums(x, y, y)
+        return big_x, big_y
 
-    def jacobian(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        """The exact Jacobian ((dX/dx, dX/dy), (dY/dx, dY/dy)) at a point."""
+    def image_jacobian(self, x: float, y: float) -> tuple[tuple[float, float, float], ...]:
+        """((X, dX/dx, dX/dy), (Y, dY/dx, dY/dy)) at a point, from one pass:
+        the image and the exact Jacobian's rows."""
         x, y = float(x), float(y)
-        (_, xx, xy), (_, yx, yy) = self._sums(x, y, x, y)
-        return (xx, xy), (yx, yy)
+        return tuple(self._slope_sums(x, y, x, y))
 
     def pair_image(self, x: float, y: float, dx: float, dy: float) -> tuple[float, ...]:
         """(X, Y, dX, dY): the image of (x, y) and the offset from it of the
         image of (x + dx, y + dy), each difference an exact multiple of dx
-        or dy (see the class docstring)."""
+        or dy (see the class docstring).  With dx = 0 the value pass gives
+        it: the x-divided sums would only be multiplied by 0."""
         x, y, dx, dy = float(x), float(y), float(dx), float(dy)
-        (big_x, ax, bx), (big_y, ay, by) = self._sums(x, y, x + dx, y + dy)
+        if dx == 0.0:
+            (big_x, bx), (big_y, by) = self._value_sums(x, y, y + dy)
+            return big_x, big_y, dy * bx, dy * by
+        (big_x, ax, bx), (big_y, ay, by) = self._slope_sums(x, y, x + dx, y + dy)
         return big_x, big_y, dx * ax + dy * bx, dx * ay + dy * by
 
 

@@ -12,9 +12,12 @@ is propagated with exact divided differences of the polynomial components:
 the difference of a monomial at the two points splits into terms carrying
 the factors dx and dy, which keeps every digit of a separation of, say,
 1e-40.  The image and its offset come from one call of the map's cached
-evaluator (`series.MapEvaluator.pair_image`) per step: one Horner chain in x
-per kept y-power row of each component, whose partial sums also give the
-x-divided sums, and one pass over those rows for the y-divided sums.
+evaluator (`series.MapEvaluator.pair_image`) per step, one pass over the
+kept y-power rows of each component: one Horner chain in x per row, whose
+partial sums also give the x-divided sums, and the y-divided sums in the
+same pass.  A step whose pair differs only in the ordinate (dx = 0, as on
+every step of an orbit pair on a map whose X has no y terms) takes the
+value pass, without the x-divided sums.
 """
 
 from __future__ import annotations

@@ -525,8 +525,69 @@ def offset_image_termwise(terms, x: float, y: float, dx: float, dy: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# point inversion as it was before its Newton step ran on floats
+# point inversion as it was before its Newton step ran on floats, and before
+# each iterate took its image and its Jacobian from one evaluator pass
 # ---------------------------------------------------------------------------
+
+
+def _jacobian(m: MapSpec, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((dX/dx, dX/dy), (dY/dx, dY/dy)) at a point, from the evaluator."""
+    (_, a, b), (_, c, d) = m.evaluator.image_jacobian(x, y)
+    return (a, b), (c, d)
+
+
+def invert_point_two_pass(m: MapSpec, target: Point) -> Point:
+    """`mapdef.invert_point` with each image from `eval_map` and the
+    Jacobian from a second pass, taken only at the iterate a step leaves
+    (kept verbatim, apart from reading the Jacobian through `_jacobian`)."""
+    tx, ty = target.x, target.y
+    p = Point(tx - tx**2, -ty)
+    image = eval_map(m, p)
+    rx, ry = image.x - tx, image.y - ty
+    res_norm = max(abs(rx), abs(ry))
+    for _ in range(INVERT_MAX_ITER):
+        if res_norm <= INVERT_TOL:
+            return p
+        (a, b), (c, d) = _jacobian(m, p.x, p.y)
+        det = a * d - b * c
+        if det == 0.0:
+            raise ConvergenceError(
+                f"point inversion hit a singular Jacobian at ({p.x!r}, {p.y!r}) "
+                f"(determinant {det!r})",
+                history=res_norm,
+            )
+        sx, sy = (d * rx - b * ry) / det, (a * ry - c * rx) / det
+        scale = 1.0
+        for _ in range(40):
+            cx, cy = p.x - scale * sx, p.y - scale * sy
+            if not (math.isfinite(cx) and math.isfinite(cy)):
+                raise ConvergenceError(
+                    f"point inversion stepped from ({p.x!r}, {p.y!r}) to the non-finite "
+                    f"candidate ({cx!r}, {cy!r}) (determinant {det!r})",
+                    history=res_norm,
+                )
+            cand = Point(cx, cy)
+            try:
+                image = eval_map(m, cand)
+            except ValueError:  # the image overflowed: Point rejects it
+                raise ConvergenceError(
+                    f"point inversion stepped from ({p.x!r}, {p.y!r}) to the candidate "
+                    f"({cx!r}, {cy!r}), whose image is not finite",
+                    history=res_norm,
+                ) from None
+            nrx, nry = image.x - tx, image.y - ty
+            new_norm = max(abs(nrx), abs(nry))
+            if new_norm < res_norm or new_norm <= INVERT_TOL:
+                break
+            scale *= 0.5
+        p, rx, ry, res_norm = cand, nrx, nry, new_norm
+    if res_norm <= INVERT_TOL:
+        return p
+    raise ConvergenceError(
+        f"point inversion stalled with residual {res_norm:.3e} at target "
+        f"({target.x}, {target.y})",
+        history=res_norm,
+    )
 
 
 def invert_point_linalg(m: MapSpec, target: Point) -> Point:
@@ -534,7 +595,7 @@ def invert_point_linalg(m: MapSpec, target: Point) -> Point:
     candidate, the step by `np.linalg.solve` (kept verbatim, apart from
     reading the Jacobian from the evaluator)."""
     p = Point(target.x - target.x**2, -target.y)
-    image, jac = eval_map(m, p), np.array(m.evaluator.jacobian(p.x, p.y))
+    image, jac = eval_map(m, p), np.array(_jacobian(m, p.x, p.y))
     res = np.array([image.x - target.x, image.y - target.y])
     res_norm = float(np.max(np.abs(res)))
     for _ in range(INVERT_MAX_ITER):
@@ -545,7 +606,7 @@ def invert_point_linalg(m: MapSpec, target: Point) -> Point:
         for _ in range(40):
             cand = Point(p.x - scale * step[0], p.y - scale * step[1])
             image = eval_map(m, cand)
-            jac_new = np.array(m.evaluator.jacobian(cand.x, cand.y))
+            jac_new = np.array(_jacobian(m, cand.x, cand.y))
             new_res = np.array([image.x - target.x, image.y - target.y])
             new_norm = float(np.max(np.abs(new_res)))
             if new_norm < res_norm or new_norm <= INVERT_TOL:

@@ -8,6 +8,7 @@ from invcurve import (
     SolverConfig,
     cli,
     format_map_spec,
+    graphtransform,
     invariance_residual,
     parameterize_manifold,
     pert,
@@ -153,7 +154,9 @@ class TestManifoldGt:
         assert code == 0
         cols = parse_csv(out)
         assert np.max(np.abs(cols["F"])) <= 1e-12
-        assert "converged = True" in err
+        report = parse_report(err)
+        gaps = [float(v) for key, v in report.items() if key.startswith("gap_")]
+        assert gaps and gaps[-1] <= SolverConfig().tol_converge
 
     def test_output_file_and_determinism(self, tmp_path, capsys):
         target = tmp_path / "curve.csv"
@@ -211,6 +214,20 @@ class TestManifoldGt:
         assert (code, out) == (1, "")
         assert err == (
             "DomainError: rho0 = 5e-324 is too small: rho0 * GRID_SPAN = 0 is not a normal float\n"
+        )
+
+    def test_seed_beyond_the_push_budget_is_a_domain_error(self, capsys, monkeypatch):
+        # about 5e8 pushes in the first level: validate rejects the seed
+        # before the solve prepares its map
+        def no_solve(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(graphtransform, "_prepare", no_solve)
+        code, out, err = run_cli(capsys, "manifold-gt", "--map", "builtin:PERT", "--rho0", "1e-9")
+        assert (code, out) == (1, "")
+        assert err == (
+            "DomainError: rho0 = 1e-09 is too small: the first level needs about 5e+08 pushes, "
+            "above PUSH_BUDGET = 100000\n"
         )
 
 

@@ -261,9 +261,10 @@ class TestBoundCertificate:
 
 class TestSolveManifold:
     def test_canonical_curve_is_flat(self):
-        curve, cert, diag = solve_manifold(canon(0.5, -1.0), _fast_cfg())
+        cfg = _fast_cfg()
+        curve, cert, diag = solve_manifold(canon(0.5, -1.0), cfg)
         assert np.max(np.abs(curve.fs)) <= 1e-12
-        assert diag.converged
+        assert diag.gaps[-1] <= cfg.tol_converge
 
     def test_perturbed_leading_coefficient(self):
         curve, _, diag = solve_manifold(pert(c=0.1), _fast_cfg())
@@ -330,11 +331,30 @@ class TestSolveManifold:
                 "rho_factor = 5e-324 is too small: "
                 "the last level's rho0 * rho_factor^7 * GRID_SPAN = 0 is not a normal float",
             ),
+            (
+                dict(rho0=1e-9),
+                "rho0 = 1e-09 is too small: the first level needs about 5e+08 pushes, "
+                "above PUSH_BUDGET = 100000",
+            ),
+            (
+                dict(rho_factor=1e-6),
+                "rho_factor = 1e-06 is too small for rho0 = 0.025: the second level, at "
+                "rho0 * rho_factor = 2.5e-08, needs about 2e+07 pushes, above PUSH_BUDGET = 100000",
+            ),
         ],
     )
     def test_invalid_config_names_its_value(self, overrides, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SolverConfig(**overrides).validate()
+
+    def test_push_budget_bounds_the_first_two_levels(self):
+        # (1/rho - 1/delta) / 2 pushes against PUSH_BUDGET, at each edge
+        edge = 1.0 / (2.0 * graphtransform.PUSH_BUDGET + 1.0 / 0.05)
+        SolverConfig(delta=0.05, rho0=1.002 * edge, rho_factor=0.9985).validate()
+        with pytest.raises(DomainError, match="^rho0 = "):
+            SolverConfig(delta=0.05, rho0=0.999 * edge).validate()
+        with pytest.raises(DomainError, match="^rho_factor = 0.998 "):
+            SolverConfig(delta=0.05, rho0=1.002 * edge, rho_factor=0.998).validate()
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -614,8 +634,9 @@ def test_random_map_solve_is_well_behaved():
     from oracles import random_form2_map
 
     m = random_form2_map(rng)
-    curve, cert, diag = solve_manifold(m, _fast_cfg())
-    assert diag.converged
+    cfg = _fast_cfg()
+    curve, cert, diag = solve_manifold(m, cfg)
+    assert diag.gaps[-1] <= cfg.tol_converge
     assert cert.min_dxdx >= 1.0 - 1e-12
     max_res, _ = invariance_residual(m, curve, samples=60)
     assert max_res <= 1e-8

@@ -21,10 +21,15 @@ from invcurve import (
     pert,
     to_planar_series,
 )
-from invcurve import mapdef
 from invcurve.cli import resolve_map
-import oracles
-from oracles import acceptance_battery, flatten_map, invert_point_linalg, jacobian_fsum
+from invcurve.series import MapEvaluator
+from oracles import (
+    acceptance_battery,
+    flatten_map,
+    invert_point_linalg,
+    invert_point_two_pass,
+    jacobian_fsum,
+)
 
 # admissible maps: the quadratic skeleton with lambda > 0 and any mu, plus
 # terms of degree 3 to 6 whose coefficients range over every finite binary64
@@ -113,7 +118,7 @@ class TestEvaluation:
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = Point(*rng.uniform(-0.2, 0.2, size=2))
-            jac = np.array(m.evaluator.jacobian(p.x, p.y))
+            jac = np.array([row[1:] for row in m.evaluator.image_jacobian(p.x, p.y)])
             h = 1e-6
             fd = np.empty((2, 2))
             for col, (dx, dy) in enumerate([(h, 0.0), (0.0, h)]):
@@ -131,9 +136,12 @@ class TestEvaluation:
         for raw in acceptance_battery(1729):
             for m in (raw, flatten_map(raw, 8)):
                 for x, y in rng.uniform(-1.2, 1.2, (40, 2)):
-                    jac = m.evaluator.jacobian(x, y)
+                    rows = m.evaluator.image_jacobian(x, y)
                     # x and y are NumPy scalars; every output is a Python float
-                    assert all(type(v) is float for row in jac for v in row)
+                    assert all(type(v) is float for row in rows for v in row)
+                    # the slope pass's image has the value pass's bits
+                    assert [row[0] for row in rows] == list(m.evaluator.values(x, y))
+                    jac = [row[1:] for row in rows]
                     pair = m.evaluator.pair_image(x, y, 1e-9 * x, 1e-9 * y)
                     assert all(type(v) is float for v in pair)
                     for terms, row in zip(m.sorted_terms(), jac):
@@ -194,7 +202,13 @@ class TestInvertPoint:
     )
     def test_non_finite_candidate_is_a_typed_error(self, monkeypatch, det, message):
         m = canon()
-        monkeypatch.setattr(m.evaluator, "jacobian", lambda x, y: ((det, 0.0), (0.0, 1.0)))
+        real = m.evaluator.image_jacobian
+
+        def spoiled(x, y):  # the true image, with the Jacobian diag(det, 1)
+            (gx, _, _), (gy, _, _) = real(x, y)
+            return (gx, det, 0.0), (gy, 0.0, 1.0)
+
+        monkeypatch.setattr(m.evaluator, "image_jacobian", spoiled)
         with pytest.raises(ConvergenceError, match=message):
             invert_point(m, Point(0.5, 0.0))
 
@@ -204,29 +218,50 @@ class TestInvertPoint:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             invert_point(pert(), Point(x, 0.0))
 
-    def test_preimages_match_the_linalg_oracle_on_repulsion_inputs(self, monkeypatch):
-        # the targets repulsion_check inverts on each battery map (x0 = 0.02,
-        # offset 1e-9, 20 steps of two inversions), each inverted by both
-        calls = []
+    @staticmethod
+    def _repulsion_targets(monkeypatch):
+        """The targets repulsion_check inverts on each battery map (x0 = 0.02,
+        offset 1e-9, 20 steps of two inversions), with a function that runs
+        an inversion of one and counts the evaluator's value and slope passes
+        it makes; the next target is invert_point's preimage."""
+        passes = {"_value_sums": 0, "_slope_sums": 0}
+        for name in passes:
+            def counted(self, *args, _name=name, _real=getattr(MapEvaluator, name)):
+                passes[_name] += 1
+                return _real(self, *args)
 
-        def counted(m, p):
-            calls.append(1)
-            return eval_map(m, p)
+            monkeypatch.setattr(MapEvaluator, name, counted)
 
-        monkeypatch.setattr(mapdef, "eval_map", counted)
-        monkeypatch.setattr(oracles, "eval_map", counted)
+        def run(invert, m, target):
+            passes.update(dict.fromkeys(passes, 0))
+            return invert(m, target), passes["_value_sums"], passes["_slope_sums"]
+
         for m in acceptance_battery(1729):
             phi = parameterize_manifold(m, 10).phi
             target = Point(0.02, phi.eval(0.02) + 1e-9)
             for _ in range(40):
-                del calls[:]
-                got = invert_point(m, target)
-                evals = len(calls)
-                del calls[:]
-                want = invert_point_linalg(m, target)
-                assert abs(got.x - want.x) <= 1e-12 and abs(got.y - want.y) <= 1e-12
-                assert evals <= len(calls)
-                target = got
+                yield m, target, run
+                target = invert_point(m, target)
+
+    def test_preimages_match_the_linalg_oracle_on_repulsion_inputs(self, monkeypatch):
+        # one slope pass per iterate, where the oracle makes a value pass and
+        # a slope pass, and the same number of iterates
+        for m, target, run in self._repulsion_targets(monkeypatch):
+            got, values, slopes = run(invert_point, m, target)
+            want, oracle_values, oracle_slopes = run(invert_point_linalg, m, target)
+            assert abs(got.x - want.x) <= 1e-12 and abs(got.y - want.y) <= 1e-12
+            assert values == 0 and slopes == oracle_values == oracle_slopes
+
+    def test_preimages_equal_the_two_pass_loop_on_repulsion_inputs(self, monkeypatch):
+        # the same iterates as the loop that took each image from eval_map
+        # and each Jacobian from a second pass: the same bits, one pass per
+        # iterate against one value pass per iterate and one slope pass per
+        # step
+        for m, target, run in self._repulsion_targets(monkeypatch):
+            got, values, slopes = run(invert_point, m, target)
+            want, oracle_values, oracle_slopes = run(invert_point_two_pass, m, target)
+            assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+            assert values == 0 and slopes == oracle_values > oracle_slopes
 
 
 def test_degree_reported():

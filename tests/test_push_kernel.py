@@ -101,7 +101,7 @@ def test_map_evaluates_as_its_series_embedding():
         xs, ys = rng.uniform(-1.2, 1.2, (2, 200))
         assert bits(ev.values(xs, ys)) == bits(emb.values(xs, ys))
         for x, y, dx, dy in rng.uniform(-1.2, 1.2, (20, 4)).tolist():
-            for op, args in (("values", (x, y)), ("jacobian", (x, y)),
+            for op, args in (("values", (x, y)), ("image_jacobian", (x, y)),
                              ("pair_image", (x, y, 1e-9 * dx, 1e-9 * dy))):
                 assert bits(getattr(ev, op)(*args)) == bits(getattr(emb, op)(*args))
 
@@ -206,7 +206,7 @@ def test_point_row_cut_changes_no_value_it_may_not(case, dx_exp, dy_exp, seed):
     dxs = 10.0**dx_exp * rng.uniform(-1.0, 1.0, xs.size) * (1.0 - np.abs(xs))
     dys = 10.0**dy_exp * rng.uniform(-1.0, 1.0, xs.size) * (1.0 - np.abs(ys))
     for x, y, dx, dy in zip(xs.tolist(), ys.tolist(), dxs.tolist(), dys.tolist()):
-        ops = [("values", (x, y)), ("jacobian", (x, y)), ("pair_image", (x, y, dx, 0.0)),
+        ops = [("values", (x, y)), ("image_jacobian", (x, y)), ("pair_image", (x, y, dx, 0.0)),
                ("pair_image", (x, y, 0.0, dy)), ("pair_image", (x, y, dx, dy))]
         # the rule keeps the fewest rows, at least 2, whose bound is below
         # ROW_CUT, and the weighted tail of the rows it drops is below it
@@ -219,8 +219,9 @@ def test_point_row_cut_changes_no_value_it_may_not(case, dx_exp, dy_exp, seed):
             want = [getattr(ev, op)(*args) for op, args in ops]
         for k in range(2):
             _check_cut(got[0][k], want[0][k], ROW_CUT * abs(y))
-            _check_cut(got[1][k][0], want[1][k][0], nx * ROW_CUT * abs(y))
-            _check_cut(got[1][k][1], want[1][k][1], ROW_CUT)
+            _check_cut(got[1][k][0], want[1][k][0], ROW_CUT * abs(y))
+            _check_cut(got[1][k][1], want[1][k][1], nx * ROW_CUT * abs(y))
+            _check_cut(got[1][k][2], want[1][k][2], ROW_CUT)
             for g, w in zip(got[2:], want[2:]):
                 _check_cut(g[k], w[k], ROW_CUT * abs(y))
             _check_cut(got[2][2 + k], want[2][2 + k], nx * abs(dx) * abs(y) * ROW_CUT)

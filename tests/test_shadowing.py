@@ -103,6 +103,38 @@ class TestStepCheck:
                     want, scale = eval_fsum(terms, x, y)
                     assert abs(image - want) <= 32.0 * eps * scale, (pair, image, want)
 
+    def test_ordinate_only_offsets_take_the_value_pass(self, monkeypatch):
+        # a pair with dx = 0 (or -0.0) skips the x-divided sums, which would
+        # only be multiplied by dx: its figures equal the slope pass's as
+        # floats (an offset may come out as -0.0 where the slope pass gives
+        # 0.0) and meet the termwise bound, on raw and flattened maps
+        eps = np.finfo(float).eps
+        slope_passes = []
+        slope_sums = MapEvaluator._slope_sums
+
+        def spy(self, *args):
+            slope_passes.append(args)
+            return slope_sums(self, *args)
+
+        monkeypatch.setattr(MapEvaluator, "_slope_sums", spy)
+        rng = np.random.default_rng(29)
+        for raw in acceptance_battery(1729):
+            for m in (raw, flatten_map(raw, 8)):
+                ev = m.evaluator
+                draws = [sample_shadow_pair(rng, 0.05, 8) for _ in range(30)]
+                cases = [(p.p.x, p.p.y, *p.offset) for p in draws if p.offset[0] == 0.0]
+                assert len(cases) >= 10
+                x, y, _, dy = cases[0]
+                cases.append((x, y, -0.0, dy))
+                for x, y, dx, dy in cases:
+                    got = ev.pair_image(x, y, dx, dy)
+                    assert not slope_passes
+                    (big_x, ax, bx), (big_y, ay, by) = slope_sums(ev, x, y, x + dx, y + dy)
+                    assert got == (big_x, big_y, dx * ax + dy * bx, dx * ay + dy * by)
+                    for terms, offset in zip(m.sorted_terms(), got[2:]):
+                        want = offset_image_termwise(terms, x, y, dx, dy)
+                        assert abs(offset - want) <= 8.0 * eps * abs(want), (x, y, dy)
+
     def test_one_step_keeps_at_most_four_rows(self, monkeypatch):
         # |y| <= x^8 on the working interval, so a step of a battery map's
         # order-12 flattening needs at most 4 of its 13 y-power rows (CANON
