@@ -242,7 +242,6 @@ def _cmd_verify_invariance(m: MapSpec, args) -> _Result:
         ("max_residual", max_res),
         ("tol", tol),
         ("samples", int(rep.xs.size)),
-        ("failures", len(rep.failures)),
     ]
     return _Result(pairs, ok=max_res <= tol)
 

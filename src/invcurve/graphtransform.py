@@ -5,11 +5,12 @@ through F^2, the square of the flattened map F, and stops once the curve
 covers [0, delta].  The curve is the unique invariant graph of F, so it is
 also that of F^2, and one push of F^2 moves x_max as far as two of F: a
 solve takes half the pushes, and the fixed cost of a push dominates it.  The
-flattening runs at two series orders above normalize_map's rule (order 14
-at N = 8; at order 12 the truncation of the square shows at the nodes, about
-2e-16), and F^2 is composed from it with `series.compose_maps` at that
-order; the flattening cut back to normalize_map's order is normalize_map's,
-bit for bit, and it is what `SolveDiagnostics.normal_form` carries.  The
+flattening runs at two series orders above normalize_map's rule (order 16
+at the solver's N = 12; at order 14 the truncation of the square shows at
+the nodes on (delta/2, delta], about 3e-14), and F^2 is composed from it
+with `series.compose_maps` at that order; the flattening cut back to
+normalize_map's order is normalize_map's, bit for bit, and it is what
+`SolveDiagnostics.normal_form` carries.  The
 image of a sampled graph that passes the push guards is again a sampled
 graph, so each push carries the image points forward as the next curve;
 the level re-graphs them onto the graded grid only when the widest
@@ -21,14 +22,15 @@ whose final curve is within tol_converge of the previous level's on
 [0, delta/2] and returns that level.
 
 The refinement runs coarse first.  The flat seed is off the curve by about
-C rho^(N+1) in flattened coordinates, so with the default schedule (rho0 =
-delta/2, rho_factor = 1/3) the first level is cheap (about 10 pushes) and
-its seed error sits above the interpolation floor: on the acceptance
-battery at N = 8 the first gap is 9.8e-17 to 2.2e-15, 69 to 169 times the
-gap between rho = delta/4 and delta/8, so it is evidence that the sequence
-contracts and not round-off.  That gap is far below tol_converge, so the
-solver returns the second level (rho = delta/6, about 50 pushes), whose
-seed error is the gap times
+C rho^(N+1) in flattened coordinates, and the solver flattens to N = 12
+(SOLVER_NORM_ORDER), so even a seed reaching most of the way to delta is
+close.  With the default schedule (rho0 = 0.9 delta, rho_factor = 1/3) the
+first level takes 2 pushes, and its seed error sits above the interpolation
+floor: on the acceptance battery the first gap is 6.8e-20 to 3.5e-18, 560
+to 3200 times the gap between rho = 0.3 delta and 0.1 delta, so it is
+evidence that the sequence contracts and not round-off.  That gap is far
+below tol_converge, so the solver returns the second level (rho =
+0.3 delta, about 24 pushes), whose seed error is the gap times
 r / (1 - r) with the known ratio r = rho_factor^(N+1) (Richardson's step;
 Sidi, Practical Extrapolation Methods, 2003).  That figure,
 `SolveDiagnostics.seed_error_est`, is a model figure, not a bound, and it
@@ -63,9 +65,9 @@ reuses heap memory instead of mapping fresh pages every push:
   (`series.MapEvaluator`, `m.evaluator`): one matrix product of the stacked
   components with the power table of x, weighted by the power table of y.
   Only the rows of the powers of y that can change a value count, and in
-  flattened coordinates the carried ordinate is F = O(x^(N+1)), below 2e-11
-  on the acceptance battery, so a push of the order-14 square uses 2 to 4
-  of its 15 powers of y (y^0 .. y^2 on most pushes);
+  flattened coordinates the carried ordinate is F = O(x^(N+1)), below
+  7.2e-14 on the acceptance battery, so a push of the order-16 square uses
+  2 or 3 of its 17 powers of y (y^0 .. y^2 on most pushes);
 * a re-graph's grid is x_max times the unit grid computed once per solve,
   and a level carries raw (xs, fs) arrays, building one `Curve` when it
   ends.
@@ -454,6 +456,11 @@ def push_curve(m: MapSpec | PlanarSeriesMap, c: Curve) -> tuple[Curve, BoundCert
 # ---------------------------------------------------------------------------
 
 
+# The solver's flattening order N, four above normalize_map's
+# DEFAULT_NORM_ORDER: the flat seed's error C rho^(N+1) then stays near
+# 1e-18 for a seed reaching 0.9 delta, so two short levels settle a solve.
+SOLVER_NORM_ORDER = 12
+
 # Default seed length: the flat seed is off the curve by about
 # C rho^(N+1) in flattened coordinates (N the flattening order), so the
 # default rho0 puts that error at SEED_SAFETY * tol_converge, capped at
@@ -461,14 +468,15 @@ def push_curve(m: MapSpec | PlanarSeriesMap, c: Curve) -> tuple[Curve, BoundCert
 # battery maps 1, 2, 5 and 8 (seed 1729) for N = 3, 4, 5, 6, 8 at
 # rho = delta/2 .. delta/16, gave C <= 0.7 wherever the gap was above 1e-15;
 # smaller gaps reach the map's round-off floor (1e-20 to about 5e-16) and
-# stop shrinking.  The cap is the binding term at N = 8.  It sits at
-# delta/2, the coarsest seed that calibration covered, so the first level
-# is cheap and the confirming gap shows the seed error above the floor
-# (9.8e-17 to 2.2e-15 on the battery at N = 8); with rho_factor 1/3 the
-# returned level, delta/6, needs fewer pushes than delta/8 did and so
-# collects less round-off.
+# stop shrinking.  At N = 12 the model asks for rho = 0.12, above delta, so
+# the cap binds.  It sits at 0.9 delta, inside the (0, delta) that rho0
+# must lie in, so the first level takes 2 pushes, and the confirming gap
+# shows its seed error above the floor: 6.8e-20 to 3.5e-18 on the battery
+# (seed 1729, C <= 1.2 against rho^13), 560 to 3200 times the gap
+# between levels 2 and 3.  With rho_factor 1/3 the returned level,
+# 0.3 delta, takes about 24 pushes.
 SEED_SAFETY = 1e-3
-SEED_CAP = 0.5
+SEED_CAP = 0.9
 
 
 @dataclass(frozen=True)
@@ -476,7 +484,7 @@ class SolverConfig:
     """The graph-transform settings, one per solver flag of the CLI; the level
     cap MAX_LEVELS and the tangency cap BOUND_CAP are constants of the method."""
 
-    norm_order: int = DEFAULT_NORM_ORDER  # flattening order N
+    norm_order: int = SOLVER_NORM_ORDER  # flattening order N
     delta: float = DEFAULT_DELTA
     rho0: float | None = None  # None: derived from the error model, see initial_rho
     rho_factor: float = 1.0 / 3.0

@@ -26,8 +26,9 @@ from .errors import DomainError, SeriesError, require_integers
 from .mapdef import MapSpec, to_planar_series
 from .series import DEFAULT_ORDER, PlanarSeriesMap, Series1, Series2, _horner, _index, _mul1, _mul2
 
-# the flattening order N when none is given: the solver's, normalize_map's and
-# the hypothesis power of the shadowing check
+# the flattening order N when none is given: normalize_map's, the hypothesis
+# power of the shadowing check and the power of push_curve's certificate; the
+# graph-transform solver flattens to its own graphtransform.SOLVER_NORM_ORDER
 DEFAULT_NORM_ORDER = 8
 
 # the conjugated pure-x coefficients of Y through order N must cancel to

@@ -539,8 +539,8 @@ class MapEvaluator:
     w_ny ymax^(ny-1) alone reaches ROW_CUT (the ordinates of a raw map's
     Newton steps).  The cut bites where the push runs: in coordinates
     flattened to order N the carried ordinate is F = O(x^(N+1)), below
-    2e-11 on the acceptance battery, so a push of the solver's order-14
-    push map keeps 2 to 4 of its 15 rows.
+    7.2e-14 on the acceptance battery, so a push of the solver's order-16
+    push map keeps 2 or 3 of its 17 rows.
 
     On arrays the points are columns of power tables of x and y, and an
     evaluation is one matrix product of the layout with them (`_contract`),

@@ -100,8 +100,9 @@ def manifold_jet(m: MapSpec, order: int) -> list[float]:
     return [float(v) for v in a[3:]]
 
 
-def random_form2_map(rng: np.random.Generator) -> MapSpec:
-    """A random admissible map with cubic/quartic coefficients in [-1, 1]."""
+def random_form2_map(rng: np.random.Generator, amplitude: float = 1.0) -> MapSpec:
+    """A random admissible map with cubic/quartic coefficients in
+    [-amplitude, amplitude]."""
     lam = float(rng.uniform(0.5, 2.0))
     mu = float(rng.uniform(-1.0, 1.0))
     x_terms = {(1, 0): 1.0, (2, 0): 1.0, (1, 1): mu}
@@ -109,7 +110,7 @@ def random_form2_map(rng: np.random.Generator) -> MapSpec:
     for table in (x_terms, y_terms):
         for deg in (3, 4):
             for i in range(deg + 1):
-                table[(deg - i, i)] = float(rng.uniform(-1.0, 1.0))
+                table[(deg - i, i)] = float(rng.uniform(-amplitude, amplitude))
     return MapSpec(x_terms, y_terms)
 
 

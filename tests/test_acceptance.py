@@ -34,7 +34,7 @@ from oracles import acceptance_battery, flatten_map, pert_jet_closed_form, sampl
 
 DELTA = 0.05
 RANDOM_SEED = 1729
-BASE_CFG = SolverConfig()  # norm_order 8, delta 0.05, derived rho0 delta/2, grid 512
+BASE_CFG = SolverConfig()  # norm_order 12, delta 0.05, derived rho0 0.9 delta, grid 512
 
 BATTERY = acceptance_battery(RANDOM_SEED)
 

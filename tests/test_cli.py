@@ -305,7 +305,7 @@ class TestVerifyCommands:
         curve, _, _ = solve_manifold(m, SolverConfig(rho0=0.00625, grid_size=128))
         max_res, lib = invariance_residual(m, curve)
         assert rep["max_residual"] == f"{max_res:.17g}"
-        assert rep["samples"] == str(lib.xs.size) and rep["failures"] == "0"
+        assert rep["samples"] == str(lib.xs.size) and "failures" not in rep
 
     def test_shadow_pair_example(self, capsys):
         code, out, _ = run_cli(

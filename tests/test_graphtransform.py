@@ -43,6 +43,7 @@ from oracles import (
     flatten_map,
     invariance_residual_forward_per_sample,
     invariance_residual_per_sample,
+    random_form2_map,
 )
 
 
@@ -338,8 +339,9 @@ class TestSolveManifold:
             ),
             (
                 dict(rho_factor=1e-6),
-                "rho_factor = 1e-06 is too small for rho0 = 0.025: the second level, at "
-                "rho0 * rho_factor = 2.5e-08, needs about 2e+07 pushes, above PUSH_BUDGET = 100000",
+                "rho_factor = 1e-06 is too small for rho0 = 0.045: the second level, at "
+                "rho0 * rho_factor = 4.5e-08, needs about 1.11e+07 pushes, "
+                "above PUSH_BUDGET = 100000",
             ),
         ],
     )
@@ -631,8 +633,6 @@ def test_rho_refinement_gaps_shrink():
 
 def test_random_map_solve_is_well_behaved():
     rng = np.random.default_rng(99)
-    from oracles import random_form2_map
-
     m = random_form2_map(rng)
     cfg = _fast_cfg()
     curve, cert, diag = solve_manifold(m, cfg)
@@ -642,9 +642,19 @@ def test_random_map_solve_is_well_behaved():
     assert max_res <= 1e-8
 
 
+def test_wide_family_solves_at_the_default_config():
+    # 40 draws at rng seed 11 with cubic and quartic coefficients in
+    # [-10, 10]: each passes normalize_to_order's cancellation check at the
+    # solver's order 12 and converges
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        _, _, diag = solve_manifold(random_form2_map(rng, 10.0), SolverConfig())
+        assert diag.gaps[-1] <= diag.config.tol_converge
+
+
 class TestSeedRule:
     def test_default_is_the_cap(self):
-        assert SolverConfig().initial_rho() == 0.05 / 2.0
+        assert SolverConfig().initial_rho() == 0.9 * 0.05
 
     def test_low_flattening_order_follows_the_error_model(self):
         rho = SolverConfig(norm_order=3).initial_rho()
@@ -653,9 +663,9 @@ class TestSeedRule:
     def test_replace_rederives(self):
         cfg = SolverConfig()
         assert replace(cfg, norm_order=3).initial_rho() == SolverConfig(norm_order=3).initial_rho()
-        assert replace(cfg, delta=0.02).initial_rho() == 0.02 / 2.0
+        assert replace(cfg, delta=0.02).initial_rho() == 0.9 * 0.02
         tight = replace(cfg, tol_converge=1e-30).initial_rho()
-        assert tight == pytest.approx((1e-33) ** (1.0 / 9.0), rel=1e-14)
+        assert tight == pytest.approx((1e-33) ** (1.0 / 13.0), rel=1e-14)
 
     def test_explicit_rho0_wins(self):
         cfg = SolverConfig(rho0=0.002)
@@ -663,7 +673,7 @@ class TestSeedRule:
 
     def test_levels_record_the_rho_used(self):
         derived, _ = rho_refinement(pert(c=0.1), SolverConfig(grid_size=128), 2)
-        assert [lv.rho for lv in derived] == [0.025, 0.025 / 3.0]
+        assert [lv.rho for lv in derived] == [0.9 * 0.05, 0.9 * 0.05 / 3.0]
         explicit, _ = rho_refinement(pert(c=0.1), SolverConfig(rho0=0.025, grid_size=128), 1)
         assert explicit[0].rho == 0.025
 
@@ -673,10 +683,10 @@ class TestSeedRule:
             SolverConfig(delta=-0.05).validate()
 
     def test_default_schedule_is_coarse_first(self, battery_solves):
-        # coarse first: delta/2 confirms and delta/6 is returned
+        # coarse first: 0.9 delta confirms and 0.3 delta is returned
         for _, _, diag in battery_solves[1]:
-            assert [lv.rho for lv in diag.levels] == [0.025, 0.025 / 3.0]
-            assert sum(lv.nu_bar for lv in diag.levels) <= 70
+            assert [lv.rho for lv in diag.levels] == [0.9 * 0.05, 0.9 * 0.05 / 3.0]
+            assert sum(lv.nu_bar for lv in diag.levels) <= 30
             assert diag.seed_error_est == diag.config.seed_error_est(diag.gaps[-1])
 
     def test_normal_form_is_normalize_maps(self, battery_solves):
@@ -702,11 +712,12 @@ class TestSeedRule:
 
     def test_returned_nodes_match_the_determined_jet(self, battery_solves):
         # phi through order 14 from an order-15 solve, so every coefficient
-        # is determined; the two solvers stay independent
+        # is determined; the two solvers stay independent.  The worst node
+        # error on the battery is 2.7e-19
         for m, (curve, _, _) in zip(*battery_solves):
             phi = parameterize_manifold(m, 15).phi.truncate(14)
             sel = (curve.xs > 0.0) & (curve.xs <= 0.025)
-            assert np.max(np.abs(curve.fs[sel] - phi.eval(curve.xs[sel]))) <= 1e-17
+            assert np.max(np.abs(curve.fs[sel] - phi.eval(curve.xs[sel]))) <= 1e-18
 
     def test_seed_error_est_tracks_the_visible_seed_error(self):
         # at N = 3 the seed error stands far above the floor; level 3 stands

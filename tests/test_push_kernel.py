@@ -116,7 +116,7 @@ def every_row():
 
 def test_row_cut_leaves_the_battery_curves_unchanged():
     # in flattened coordinates every carried ordinate is tiny, so a push of
-    # the order-14 square keeps 2 to 4 of its 15 y-power rows; the curves do
+    # the order-16 square keeps 2 or 3 of its 17 y-power rows; the curves do
     # not move a bit
     kept = []
     rows = MapEvaluator._rows
@@ -129,7 +129,8 @@ def test_row_cut_leaves_the_battery_curves_unchanged():
         cut = [solve_manifold(m, BASE_CFG) for m in BATTERY]
     with every_row():
         full = [solve_manifold(m, BASE_CFG) for m in BATTERY]
-    assert max(r for r, every in kept if every == 15) <= 4
+    square_rows = max(_prepare(m, BASE_CFG)[1]._ev._ny + 1 for m in BATTERY)
+    assert max(r for r, every in kept if every == square_rows) <= 4
     for (c_cut, _, d_cut), (c_full, _, d_full) in zip(cut, full):
         assert c_cut.xs.tobytes() == c_full.xs.tobytes()
         assert c_cut.fs.tobytes() == c_full.fs.tobytes()
@@ -529,7 +530,7 @@ def test_push_curve_is_the_first_level_step(m):
     cfg = SolverConfig(delta=rho + 0.5 * rho * rho, rho0=rho, grid_size=size)
     levels, _ = rho_refinement(m, cfg, 1)
     assert levels[0].nu_bar == 1
-    f = flatten_map(m, 8, headroom=2)
+    f = flatten_map(m, cfg.norm_order, headroom=2)
     out, cert = push_curve(compose_maps(f, f), seed_curve(rho, size))
     assert np.array_equal(levels[0].curve.xs, out.xs)
     assert np.array_equal(levels[0].curve.fs, out.fs)
