@@ -4,13 +4,14 @@ The engine starts from the horizontal seed [0, rho] x {0}, pushes it forward
 through F^2, the square of the flattened map F, and stops once the curve
 covers [0, delta].  The curve is the unique invariant graph of F, so it is
 also that of F^2, and one push of F^2 moves x_max as far as two of F: a
-solve takes half the pushes, and the fixed cost of a push dominates it.  The
-flattening runs at two series orders above normalize_map's rule (order 16
-at the solver's N = 12; at order 14 the truncation of the square shows at
-the nodes on (delta/2, delta], about 3e-14), and F^2 is composed from it
-with `series.compose_maps` at that order; the flattening cut back to
-normalize_map's order is normalize_map's, bit for bit, and it is what
-`SolveDiagnostics.normal_form` carries.  The
+solve takes half the pushes, and the fixed cost of a push dominates it.  F
+is the map M conjugated by normalize_map's shear S(x, y) = (x, y + s(x)),
+and a push steps the points twice under the shear with M's own rows
+(`_PushKernel`): no series of F or F^2 is composed, and the flattened
+ordinate, O(x^(N+1)), keeps its digits down to the smallest node, so the
+certificate's envelopes measure the curve and not rounding.
+`SolveDiagnostics.normal_form` carries normalize_map's flattening, whose
+shift pulls the curve back.  The
 image of a sampled graph that passes the push guards is again a sampled
 graph, so each push carries the image points forward as the next curve;
 the level re-graphs them onto the graded grid only when the widest
@@ -24,14 +25,14 @@ whose final curve is within tol_converge of the previous level's on
 The refinement runs coarse first.  The flat seed is off the curve by about
 C rho^(N+1) in flattened coordinates, and the solver flattens to N = 12
 (SOLVER_NORM_ORDER), so even a seed reaching most of the way to delta is
-close.  With the default schedule (rho0 = 0.9 delta, rho_factor = 1/3) the
+close.  With the default schedule (rho0 = 0.9 delta, rho_factor = 1/2) the
 first level takes 2 pushes, and its seed error sits above the interpolation
-floor: on the acceptance battery the first gap is 6.8e-20 to 3.5e-18, 560
-to 3200 times the gap between rho = 0.3 delta and 0.1 delta, so it is
+floor: on the acceptance battery the first gap is 6.5e-20 to 3.5e-18, 160
+to 340 times the gap between rho = 0.45 delta and 0.225 delta, so it is
 evidence that the sequence contracts and not round-off.  That gap is far
 below tol_converge, so the solver returns the second level (rho =
-0.3 delta, about 24 pushes), whose seed error is the gap times
-r / (1 - r) with the known ratio r = rho_factor^(N+1) (Richardson's step;
+0.45 delta, 13 pushes), whose seed error is the gap times r / (1 - r) with
+the known ratio r = rho_factor^(N+1) = 2^-13 (Richardson's step;
 Sidi, Practical Extrapolation Methods, 2003).  That figure,
 `SolveDiagnostics.seed_error_est`, is a model figure, not a bound, and it
 sees neither the grid nor the interpolant.
@@ -56,21 +57,18 @@ and runs every per-push guard on the image: monotonicity, the smallest
 dX/dx, the drift constant and the cap on |Y|/X^3 (the growth margin is
 checked by the loop); its `regraph` step fits them back onto the grid.
 Re-graphing is kept rare because each one adds interpolation error and
-removes none.  Each push costs a few dozen NumPy calls on grid-sized arrays;
-its largest temporaries are the power table of x and the product of the
-coefficients with it, about two dozen rows of grid size, so the allocator
-reuses heap memory instead of mapping fresh pages every push:
+removes none.  Each push costs a few dozen NumPy calls on grid-sized arrays.
+Its largest temporaries are the power table of x and its product with
+the step's rows, under twenty rows of grid size, so the allocator reuses
+heap memory instead of mapping fresh pages every push:
 
-* the map is evaluated by its cached dense-matrix evaluator
-  (`series.MapEvaluator`, `m.evaluator`): one matrix product of the stacked
-  components with the power table of x, weighted by the power table of y.
-  Only the rows of the powers of y that can change a value count, and in
-  flattened coordinates the carried ordinate is F = O(x^(N+1)), below
-  7.2e-14 on the acceptance battery, so a push of the order-16 square uses
-  2 or 3 of its 17 powers of y (y^0 .. y^2 on most pushes);
+* each step reads every row at once, one matrix product of the stacked
+  rows (M's y-power rows from its cached dense-matrix evaluator,
+  `m.evaluator`, then s, s' and the pure-x row) with the power table of x,
+  and sums the y-power rows by one Horner chain in y;
 * a re-graph's grid is x_max times the unit grid computed once per solve,
-  and a level carries raw (xs, fs) arrays, building one `Curve` when it
-  ends.
+  and a level carries raw (xs, fs) arrays and the rows at xs, building one
+  `Curve` when it ends.
 
 One monotone cubic (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980),
 `PchipInterpolator`, serves both the re-graph and `Curve.eval`, the certify
@@ -84,14 +82,16 @@ grid, the smallest observed dX/dx, and the drift constant
 |X_max - (x_max + a_2 x_max^2)| / x_max^3, with a_2 the x^2 coefficient of X
 in the pushed map (1 for a map, 2 for its square).
 
-Independence: `compose_maps` also squares the map for the conjugacy
-(`parameterization.square_map`), so a defect there could move both solvers
-together.  Criterion 04's invariance residual evaluates the original
-polynomial map, not any series of it, but it does not catch such a defect:
-a 1e-9 or a 1e-12 change planted in one coefficient of `compose_maps`'
-output passes all ten acceptance criteria.  The test that catches it is
+Independence: the push reads the original polynomial map, the
+flattening's shift and the pure-x row, which normalize_map's shift solve
+sums on univariate series (`normalform.pure_row`), so the graph transform
+composes no planar maps.  `compose_maps` squares the map for the conjugacy
+alone (`parameterization.square_map`): a defect planted there moves phi and
+leaves the graph-transform curve as it was, bit for bit.  The shift solve
+and the conjugacy still share `_mul1`, `_horner` and `Series1.compose`;
 `test_phi_matches_the_exact_jet_on_the_battery`, which holds phi to the
-exact jet solved from the original map.  Neither solver seeds the other.
+exact jet solved from the original map, guards them.  Neither solver seeds
+the other.
 """
 
 from __future__ import annotations
@@ -106,15 +106,15 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GuardError, require_integers
 from .mapdef import DEFAULT_DELTA, MapSpec
-from .normalform import DEFAULT_NORM_ORDER, NormalFormResult, normalize_map, pullback_curve
-from .series import PlanarSeriesMap, compose_maps
+from .normalform import DEFAULT_NORM_ORDER, NormalFormResult, normalize_map, pullback_curve, pure_row
+from .series import PlanarSeriesMap, Series1
 
 GRID_SPAN = 1e-6  # smallest positive node = GRID_SPAN * x_max
 TANGENCY_POWER = 3
 BOUND_CAP = 100.0  # the tangency cap on |F|/x^3, at every image node and on the returned curve
 MAX_LEVELS = 8  # the most rho-levels a solve runs
 # the most pushes of F^2 the first two levels, which every solve runs, may
-# each need; a push costs about 60 us at the default grid, so a level within
+# each need; a push costs about 0.1 ms at the default grid, so a level within
 # the budget takes seconds, not hours
 PUSH_BUDGET = 100_000
 COMPARE_SPAN = 1e-5  # two levels are compared on [COMPARE_SPAN * delta, delta/2]
@@ -318,19 +318,111 @@ def seed_curve(rho: float, grid_size: int) -> Curve:
 
 
 class _PushKernel:
-    """One push of a sampled graph through a map, with its guards (`image`), and
-    the re-graph of the image onto the graded grid (`regraph`)."""
+    """One push of a sampled graph, with its guards (`image`), and the
+    re-graph of the image onto the graded grid (`regraph`).
 
-    def __init__(self, m: MapSpec | PlanarSeriesMap, grid_size: int):
-        self._ev = m.evaluator
-        # the x^2 coefficient of X: 1 for an admissible map, 2 for its square
-        self._a2 = float(self._ev._coef[0, 0, 2])
+    A push is `steps` steps of the map m conjugated by the shear
+    S(x, y) = (x, y + s(x)) of a shift s of degree N: a step takes (x, f)
+    to (X, F) = (X(x, y), Y(x, y) + s(X)) with y = f - s(x).  push_curve's
+    kernel takes one step with s = 0, a step of m; the solver's takes two
+    with the flattening's shift, the square of the flattened map.
+
+    f is O(x^(N+1)) where y is O(x^3), so a step subtracts no two values
+    of m, which would leave rounding of 1e-16 x^3 in F.  With X0 and P(x)
+    the images X(x, -s(x)) and Y(x, -s(x)) + s(X0) of the shear's zero
+    section, and dX, dY the divided differences of X and Y in y between
+    -s(x) and y,
+
+        X = X0 + f dX,    F = P(x) + f dY + (X - X0) s'(X).
+
+    P is summed at np.longdouble (`normalform.pure_row`) through
+    x^(3d + 2), d = max(N, m's x-degree), and rounded once, with its terms
+    through x^N, rounding, zeroed as `normalize_map` does; at x = 0.0525
+    the terms past x^38 are 2e-24 of P on the battery maps of seeds 1729, 7
+    and 11, and 1.4e-16 on the amplitude-10 wide family.  s'(X) stands for
+    s[X, X0], a relative O(x^13) off, in a term O(x^3) times F.  A step
+    reads every row at x (m's rows y^0 .. y^ny, s, s' and P) from one
+    matrix product with the power table of x, and hands those at X on."""
+
+    def __init__(self, m: MapSpec | PlanarSeriesMap, grid_size: int,
+                 shift: Series1 = Series1((0.0,)), steps: int = 1):
+        ev, n = m.evaluator, shift.order
+        self._steps, self._ny = steps, ev._ny
+        # the x^2 coefficient of X in the pushed map: 1 for a step of an
+        # admissible map, 2 for two
+        self._a2 = steps * float(ev._coef[0, 0, 2])
+        # the power table's degree d, and P = P_0 + u (P_1 + u P_2) with
+        # u = x^(d+1) and P_b of degree d
+        self._deg = d = max(n, ev._nx)
+        top = 3 * d + 2
+        layout = np.zeros((self._ny + 1, 2, top + 1), np.longdouble)
+        layout[:, :, : ev._nx + 1] = ev._coef.swapaxes(0, 1)
+        s = np.zeros(top + 1, np.longdouble)
+        s[: n + 1] = shift._c
+        pure = pure_row(layout, s, top).astype(np.float64)
+        if n:
+            pure[: n + 1] = 0.0  # the rounding that the flattening zeroes
+        # the rows: 2j + k is m's C_k[j], then -s, -s', P_0, P_1, P_2 and u
+        rows = np.zeros((2 * self._ny + 8, d + 2))
+        rows[: 2 * self._ny + 2, : ev._nx + 1] = ev._by_row
+        rows[-6, : n + 1] = -shift._c
+        rows[-5, :n] = -shift._c[1:] * np.arange(1, n + 1)
+        rows[-4:-1, : d + 1] = pure.reshape(3, d + 1)
+        rows[-1, d + 1] = 1.0
+        self._rows = rows
         self.unit = graded_grid(1.0, grid_size)
         self._max_ratio = float(self.unit[-1] / self.unit[-2]) ** REGRAPH_SPREAD
 
-    def image(self, xs: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Image points (X, Y), smallest secant dX/dx, drift constant."""
-        big_x, big_y = self._ev.values(xs, fs)
+    def rows_at(self, xs: np.ndarray) -> np.ndarray:
+        """The step's rows at the abscissas xs, from their power table, whose
+        rows past x are each block below times the block's top power."""
+        top = self._deg + 1
+        table = np.empty((top + 1, xs.size))
+        table[0], table[1], k = 1.0, xs, 1
+        while k < top:
+            b = min(k, top - k)
+            np.multiply(table[1 : b + 1], table[k], out=table[k + 1 : k + b + 1])
+            k += b
+        return self._rows @ table
+
+    def _step(
+        self, xs: np.ndarray, fs: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step of the conjugated map from the points (x, f), with v the
+        rows at x: (X, F) and the rows at X."""
+        h = v[-6]  # the ordinate of the zero section, -s(x)
+        ys = fs + h
+        # Horner in y at h over m's rows, with the divided differences
+        # between h and y by synthetic division
+        top = 2 * self._ny
+        dd = v[top : top + 2].copy()
+        val = v[top : top + 2] * h
+        val += v[top - 2 : top]
+        for j in range(top - 4, -2, -2):
+            dd *= ys
+            dd += val
+            val *= h
+            val += v[j : j + 2]
+        offset = fs * dd[0]
+        big_x = val[0] + offset
+        w = self.rows_at(big_x)
+        big_f = v[-2] * v[-1]
+        big_f += v[-3]
+        big_f *= v[-1]
+        big_f += v[-4]
+        big_f += fs * dd[1]
+        big_f -= offset * w[-5]
+        return big_x, big_f, w
+
+    def image(
+        self, xs: np.ndarray, fs: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """Image points (X, F), the rows at X, smallest secant dX/dx, drift
+        constant.  `rows` are the rows at xs that the push which made the
+        points returned; None takes them from xs."""
+        big_x, big_y, w = xs, fs, self.rows_at(xs) if rows is None else rows
+        for _ in range(self._steps):
+            big_x, big_y, w = self._step(big_x, big_y, w)
         if big_x[0] != 0.0 or big_y[0] != 0.0:
             raise GuardError(
                 f"image of the origin moved off the origin, to ({big_x[0]:.6g}, {big_y[0]:.6g})"
@@ -354,7 +446,7 @@ class _PushKernel:
             raise GuardError(
                 f"|F|/x^3 reached {worst:.3e} after the push, above the cap {BOUND_CAP:.3e}"
             )
-        return big_x, big_y, min_slope, drift_c
+        return big_x, big_y, w, min_slope, drift_c
 
     def spread_doubled(self, xs: np.ndarray) -> bool:
         """Whether some neighbouring abscissas are further apart, in log, than
@@ -445,7 +537,7 @@ def push_curve(m: MapSpec | PlanarSeriesMap, c: Curve) -> tuple[Curve, BoundCert
     DEFAULT_NORM_ORDER and m_max = 2, smallest secant dX/dx, drift constant.
     """
     kernel = _PushKernel(m, c.xs.size)
-    big_x, big_y, min_slope, drift_c = kernel.image(c.xs, c.fs)
+    big_x, big_y, _, min_slope, drift_c = kernel.image(c.xs, c.fs)
     out = Curve(*kernel.regraph(big_x, big_y))
     cert = bound_certificate(out, DEFAULT_NORM_ORDER, 2)
     return out, replace(cert, min_dxdx=min_slope, xmax_drift_c=drift_c)
@@ -472,9 +564,8 @@ SOLVER_NORM_ORDER = 12
 # the cap binds.  It sits at 0.9 delta, inside the (0, delta) that rho0
 # must lie in, so the first level takes 2 pushes, and the confirming gap
 # shows its seed error above the floor: 6.8e-20 to 3.5e-18 on the battery
-# (seed 1729, C <= 1.2 against rho^13), 560 to 3200 times the gap
-# between levels 2 and 3.  With rho_factor 1/3 the returned level,
-# 0.3 delta, takes about 24 pushes.
+# (seed 1729, C <= 1.2 against rho^13).  With rho_factor 1/2 the returned
+# level, 0.45 delta, takes 13 pushes.
 SEED_SAFETY = 1e-3
 SEED_CAP = 0.9
 
@@ -487,7 +578,7 @@ class SolverConfig:
     norm_order: int = SOLVER_NORM_ORDER  # flattening order N
     delta: float = DEFAULT_DELTA
     rho0: float | None = None  # None: derived from the error model, see initial_rho
-    rho_factor: float = 1.0 / 3.0
+    rho_factor: float = 0.5
     grid_size: int = 512
     m_max: int = 2
     tol_converge: float = 1e-9
@@ -568,7 +659,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class LevelResult:
     """One rho-level of the push loop.  `nu_bar` and `x_max_trace` count
-    steps of the pushed map, the square of the flattened map in a solve."""
+    pushes; in a solve a push is one step of the square of the flattened
+    map, two steps of the map under the flattening's shear."""
 
     rho: float
     curve: Curve
@@ -589,23 +681,17 @@ class SolveDiagnostics:
     seed_error_est: float  # the returned level's, config.seed_error_est(gaps[-1])
 
 
-# series orders of the flattened map kept above normalize_map's rule for its
-# square, the push map: at two fewer its truncation shows at the nodes
-PUSH_HEADROOM = 2
-
-
 def _prepare(m: MapSpec, cfg: SolverConfig) -> tuple[NormalFormResult, _PushKernel]:
-    """normalize_map's flattening F, and the kernel that pushes F^2, composed
-    from the flattening at PUSH_HEADROOM more series orders."""
-    wide = normalize_map(m, cfg.norm_order, headroom=PUSH_HEADROOM)
-    f = wide.normalized
-    nf = wide.truncate(f.order - PUSH_HEADROOM)
-    return nf, _PushKernel(compose_maps(f, f), cfg.grid_size)
+    """normalize_map's flattening F, and the kernel that pushes F^2 by
+    stepping the map M twice under F's shear."""
+    nf = normalize_map(m, cfg.norm_order)
+    return nf, _PushKernel(m, cfg.grid_size, nf.shift.truncate(nf.order), steps=2)
 
 
 def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResult:
     xs = rho * kernel.unit
     fs = np.zeros_like(xs)
+    rows = None
     x_max = float(xs[-1])
     trace = [x_max]
     min_slope = math.inf
@@ -622,7 +708,7 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
                 history=trace,
             )
         prev = x_max
-        xs, fs, slope, drift = kernel.image(xs, fs)
+        xs, fs, rows, slope, drift = kernel.image(xs, fs, rows)
         x_max = float(xs[-1])
         if x_max <= prev:
             raise GuardError(
@@ -633,6 +719,7 @@ def _run_level(kernel: _PushKernel, rho: float, cfg: SolverConfig) -> LevelResul
         # always re-graphed, so every level curve lies on the graded grid
         if x_max > cfg.delta or kernel.spread_doubled(xs):
             xs, fs = kernel.regraph(xs, fs)
+            rows = None
             regraphs += 1
         trace.append(x_max)
         min_slope = min(min_slope, slope)

@@ -14,6 +14,8 @@ run the series module's Horner in y (`series._horner`) and take s(X') with
 `Series1.compose`.  So the x-axis is invariant up to
 O(x^(N+1)), and -s is the N-jet of the map's invariant graph: a curve
 y = F(x) in the new coordinates is y = F(x) - s(x) in the original ones.
+`pure_row` sums P for the solve and, past x^N, for the graph transform's
+push, which reads it where the conjugated map's ordinates cancel.
 """
 
 from __future__ import annotations
@@ -43,26 +45,24 @@ class NormalFormResult:
     shift: Series1
     order: int
 
-    def truncate(self, series_order: int) -> NormalFormResult:
-        """The same flattening with the map and the shift cut to `series_order`."""
-        return NormalFormResult(
-            self.normalized.truncate(series_order),
-            self.gammas,
-            self.shift.truncate(series_order),
-            self.order,
-        )
+
+def pure_row(coef: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
+    """P_0 .. P_order of the pure-x part P(x) = fy(x, -s(x)) + s(fx(x, -s(x)))
+    of the conjugated Y, from coef[j, c], the univariate series
+    sum_i c_ij x^i of component c, and the shift s_0 .. s_order (the first
+    three zero), at their dtype."""
+    # y = -s(x) = O(x^3), so only y^j with j <= order // 3 reach x^order
+    rows = coef[: order // 3 + 1, :, : order + 1].swapaxes(0, 1)
+    big_x, big_y = (Series1._wrap(_horner(r, -s, _mul1, order), order) for r in rows)
+    return (big_y + Series1._wrap(s.copy(), order).compose(big_x))._c
 
 
 def _solve_shift(coef: np.ndarray, order: int) -> np.ndarray:
-    """s_0 .. s_order (the first three zero) at np.longdouble, from coef[j, c],
-    the univariate series sum_i c_ij x^i of component c, through x^order."""
+    """s_0 .. s_order (the first three zero) at np.longdouble, from coef[j, c]
+    as in `pure_row`, through x^order."""
     s = np.zeros(order + 1, dtype=np.longdouble)
     for k in range(3, order + 1):
-        # y = -s(x) = O(x^3), so only y^j with j <= k // 3 reach x^k
-        rows = coef[: k // 3 + 1, :, : k + 1].swapaxes(0, 1)
-        big_x, big_y = (Series1._wrap(_horner(r, -s[: k + 1], _mul1, k), k) for r in rows)
-        pure = big_y + Series1._wrap(s[: k + 1].copy(), k).compose(big_x)
-        s[k] = (0.0 - pure._c[k]) / 2
+        s[k] = (0.0 - pure_row(coef, s[: k + 1], k)[k]) / 2
     return s
 
 
@@ -109,16 +109,12 @@ def normalize_to_order(m: PlanarSeriesMap, order: int) -> NormalFormResult:
     return NormalFormResult(normalized, gammas, shift, order)
 
 
-def normalize_map(
-    m: MapSpec, order: int = DEFAULT_NORM_ORDER, headroom: int = 0
-) -> NormalFormResult:
+def normalize_map(m: MapSpec, order: int = DEFAULT_NORM_ORDER) -> NormalFormResult:
     """Flatten a polynomial map through `order` at the series order
-    max(order + 2, degree, DEFAULT_ORDER) + headroom: the headroom
-    `normalize_to_order` needs, and never below the degree, so the map's own
-    terms are exact.  A positive `headroom` keeps that many more orders of
-    the conjugated map, for a caller that composes it with itself."""
-    require_integers(order=order, headroom=headroom)
-    series_order = max(order + 2, m.degree, DEFAULT_ORDER) + headroom
+    max(order + 2, degree, DEFAULT_ORDER): the headroom `normalize_to_order`
+    needs, and never below the degree, so the map's own terms are exact."""
+    require_integers(order=order)
+    series_order = max(order + 2, m.degree, DEFAULT_ORDER)
     return normalize_to_order(to_planar_series(m, series_order), order)
 
 

@@ -49,12 +49,12 @@ built once per map from its layout (`PlanarSeriesMap.evaluator`, which
 arrays of points, one contraction of the layout with power tables of x
 and y, and, at a point, the values, the Jacobian, or the image together
 with the exact offset of a nearby point's image, from Horner chains in x
-over the layout's rows held as Python floats.  Both use only the y-power
-rows that can change a result at the points given, by one rule: it weights
-each row, keeps one table of the weights and their suffix sums per
-evaluator, and cuts at the first row where a bound on the weighted tail
-falls below ROW_CUT.  For the small ordinates of a push or a shadowing
-step that keeps the first two to four rows.
+over the layout's rows held as Python floats.  The array path sums every
+row.  The point path uses only the y-power rows that can change a result
+at the point, by one rule: it weights each row, keeps one table of the
+weights and their suffix sums per evaluator, and cuts at the first row
+where a bound on the weighted tail falls below ROW_CUT.  For the small
+ordinates of a shadowing step that keeps the first two to four rows.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ import numpy as np
 from .errors import SeriesError, require_integers
 
 DEFAULT_ORDER = 12
-# the evaluator drops the y-power rows whose weighted tail is below ROW_CUT:
-# they move a value by less than ROW_CUT |y|, too little to change one of
-# size 2^-5 |y| or more
+# at a point the evaluator drops the y-power rows whose weighted tail is
+# below ROW_CUT: they move a value by less than ROW_CUT |y|, too little to
+# change one of size 2^-5 |y| or more
 ROW_CUT = 2.0**-60
 # an evaluator whose row weights sum above CUT_WEIGHT keeps every row: below
 # it, the powers that underflow in the row rule's bound move it by less than
@@ -521,13 +521,19 @@ class MapEvaluator:
 
     Built once per map from its coefficient layout (`PlanarSeriesMap.coef`):
     component k is the dense matrix C_k[j, i] of x^i y^j, trimmed to the
-    highest powers present, taken at binary64.  Every operation sums over
-    the rows y^0 .. y^(r-1) that can change its result and drops the rest.
-    With S_j = max_k sum_i |C_k[j, i]|, |x| <= 1 and ymax the largest |y|
-    involved, a dropped row j adds at most S_j ymax^j to a value.
+    highest powers present, taken at binary64.
 
-    One rule (`_cut`) sets r for every operation.  It weights row j by
-    w_j = j S_j and takes the smallest r >= 2 whose bound
+    On arrays the points are columns of power tables of x and y, and an
+    evaluation is one matrix product of the layout with them, over every
+    row.
+
+    A point operation sums over the rows y^0 .. y^(r-1) that can change
+    its result and drops the rest.  With S_j = max_k sum_i |C_k[j, i]|,
+    |x| <= 1 and ymax the largest |y| involved, a dropped row j adds at
+    most S_j ymax^j to a value.
+
+    One rule (`_cut`) sets r for every point operation.  It weights row j
+    by w_j = j S_j and takes the smallest r >= 2 whose bound
     w_r ymax^(r-1) + W_(r+1) ymax^r is below ROW_CUT = 2^-60, with W_r the
     suffix sums of the weights, read from a table built here
     (`_cut_table`).  With ymax <= 1 the bound is at least the tail
@@ -537,14 +543,8 @@ class MapEvaluator:
     keeps every row where an |x| or an |y| exceeds 1 or is not finite,
     where the weights sum above CUT_WEIGHT, or where the top row's term
     w_ny ymax^(ny-1) alone reaches ROW_CUT (the ordinates of a raw map's
-    Newton steps).  The cut bites where the push runs: in coordinates
-    flattened to order N the carried ordinate is F = O(x^(N+1)), below
-    7.2e-14 on the acceptance battery, so a push of the solver's order-16
-    push map keeps 2 or 3 of its 17 rows.
-
-    On arrays the points are columns of power tables of x and y, and an
-    evaluation is one matrix product of the layout with them (`_contract`),
-    over the rows `_rows` keeps.
+    Newton steps).  The cut bites where the shadowing steps run: in
+    coordinates flattened to order N the ordinates are O(x^(N+1)).
 
     At a single point NumPy's dispatch costs more than the arithmetic, so
     the rows are lists of Python floats, highest x power first, and each
@@ -563,8 +563,9 @@ class MapEvaluator:
     every digit; with dx = 0 the first term is 0 and the value pass gives
     the offset.  With xh = x and yh = y the slope pass's sums are the image
     and the Jacobian's columns (`image_jacobian`, one pass per Newton
-    iterate).  The value pass also serves `values`.  Both passes take the
-    image's sum in the same order, so it has the same bits from either.
+    iterate).  The value pass also serves `values` at a point.  Both
+    passes take the image's sum in the same order, so it has the same bits
+    from either.
     The rule's weight j bounds these sums too, since
     |E_j| <= j ymax^(j-1): with |x|, |xh| <= 1 and nx the highest x power,
     |Q_j| <= nx S_j, so the rows `_point_rows` drops move a value or an
@@ -579,27 +580,13 @@ class MapEvaluator:
     def __init__(self, coef: np.ndarray):
         self._coef = coef = np.asarray(coef, dtype=np.float64)
         self._ny, self._nx = coef.shape[1] - 1, coef.shape[2] - 1
-        # the array path's matrix: row 2j + k is C_k[j], so the rows of the
-        # powers y^0 .. y^(r-1) of both components are its first 2r rows
+        # the matrix of the array path and of the push kernel: row 2j + k is C_k[j]
         self._by_row = coef.transpose(1, 0, 2).reshape(-1, self._nx + 1)
         # the row rule's table of the weights w_j = j S_j
         row_sums = np.abs(coef).sum(axis=2).max(axis=0).tolist()
         self._cut_table = _cut_table([j * s for j, s in enumerate(row_sums)])
         # the point path's Horner rows: [k][j] is C_k[j], highest power first
         self._horner = [[_high_first(row) for row in part] for part in coef.tolist()]
-
-    def _rows(self, x: np.ndarray, y: np.ndarray) -> int:
-        """The number r of y-power rows, from y^0, that can change the
-        values at the points (x, y), by the rule in the class docstring."""
-        every = self._ny + 1
-        if not max(x.max(initial=0.0), -x.min(initial=0.0)) <= 1.0:
-            return every
-        # ymax <= 1 keeps the float powers in `_cut` from overflowing, which
-        # raises; a NaN fails the test too
-        ymax = float(max(y.max(initial=0.0), -y.min(initial=0.0)))
-        if not ymax <= 1.0:
-            return every
-        return _cut(ymax, self._cut_table, every)
 
     def _point_rows(self, x: float, y: float, xh: float, yh: float) -> int:
         """The number r of y-power rows, from y^0, that can change an
@@ -609,15 +596,6 @@ class MapEvaluator:
         if not (abs(x) <= 1.0 and abs(xh) <= 1.0 and ay <= 1.0 and ayh <= 1.0):
             return self._ny + 1
         return _cut(ay if ay >= ayh else ayh, self._cut_table, self._ny + 1)
-
-    def _contract(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The sums of both components for the point columns of the power
-        tables u and v (the rows y^0 .. y^(r-1) that count), shape (2, points)."""
-        rows = v.shape[0]
-        acc = self._by_row[: 2 * rows] @ u
-        acc = acc.reshape(rows, 2, -1)
-        acc *= v[:, None]
-        return acc.sum(axis=0)
 
     def _value_sums(self, x: float, y: float, yh: float) -> list:
         """The value pass: (sum_j P_j(x) y^j, sum_j P_j(x) E_j) of each
@@ -665,9 +643,10 @@ class MapEvaluator:
     def values(self, x, y):
         """(X, Y) at a point (floats) or at 1-d arrays of points (arrays)."""
         if isinstance(x, np.ndarray):
-            rows = self._rows(x, y)
-            out = self._contract(_powers(x, self._nx), _powers(y, rows - 1))
-            return out[0], out[1]
+            acc = (self._by_row @ _powers(x, self._nx)).reshape(self._ny + 1, 2, -1)
+            acc *= _powers(y, self._ny)[:, None]
+            big_x, big_y = acc.sum(axis=0)
+            return big_x, big_y
         x, y = float(x), float(y)
         (big_x, _), (big_y, _) = self._value_sums(x, y, y)
         return big_x, big_y

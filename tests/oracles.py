@@ -124,9 +124,71 @@ def acceptance_battery(seed: int = 1729) -> list[MapSpec]:
     return maps
 
 
-def flatten_map(m: MapSpec, n_power: int = 8, headroom: int = 0):
+def flattened_push_decimal(m: MapSpec, shift, order: int, xs, fs, steps: int, digits: int = 160):
+    """`steps` steps from the points (xs, fs) of the map conjugated by the
+    shear (x, y) -> (x, y + s(x)), s = sum shift[k] x^k, less the
+    conjugate's pure-x terms of Y through x^order, in decimal arithmetic
+    at `digits` digits; (X, F) rounded to floats.
+
+    The terms taken off are summed in exact rationals; with the shift of a
+    flattening to `order` they are the rounding that the flattening
+    zeroes.  A step subtracts values of the map of size x^3 that agree
+    through x^order, so the digits cover that cancellation.
+    """
+    from decimal import Decimal, localcontext
+
+    s = [Fraction(c) for c in shift]
+    h = ([-c for c in s] + [Fraction(0)] * order)[: order + 1]
+    h_powers = [[Fraction(1)] + [Fraction(0)] * order]
+
+    def on_section(terms) -> list:
+        out = [Fraction(0)] * (order + 1)
+        for (i, j), c in terms.items():
+            while len(h_powers) <= j:
+                h_powers.append(_poly_mul(h_powers[-1], h, order))
+            for k, v in enumerate(h_powers[j][: order + 1 - i]):
+                out[i + k] += Fraction(c) * v
+        return out
+
+    big_x0, pure = on_section(m.x_terms), on_section(m.y_terms)
+    s_of_x0 = [s[-1]]
+    for c in s[-2::-1]:
+        s_of_x0 = _poly_mul(s_of_x0, big_x0, order)
+        s_of_x0[0] += c
+    pure = [a + b for a, b in zip(pure, s_of_x0 + [Fraction(0)] * order)]
+
+    def horner(coeffs, x):
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = acc * x + c
+        return acc
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        sd = [Decimal(c.numerator) / Decimal(c.denominator) for c in s]
+        pd = [Decimal(c.numerator) / Decimal(c.denominator) for c in pure]
+        terms = [[(Decimal(c), i, j) for (i, j), c in t.items()] for t in (m.x_terms, m.y_terms)]
+        out_x, out_f = [], []
+        for x, f in zip(np.asarray(xs).tolist(), np.asarray(fs).tolist()):
+            x, f = Decimal(x), Decimal(f)
+            for _ in range(steps):
+                y = f - horner(sd, x)
+                # (powers by products: Decimal rejects 0 ** 0)
+                xp, yp = [Decimal(1)], [Decimal(1)]
+                for _ in range(m.degree):
+                    xp.append(xp[-1] * x)
+                    yp.append(yp[-1] * y)
+                big_x, big_y = (sum(c * xp[i] * yp[j] for c, i, j in t) for t in terms)
+                f = big_y + horner(sd, big_x) - horner(pd, x)
+                x = big_x
+            out_x.append(float(x))
+            out_f.append(float(f))
+    return np.array(out_x), np.array(out_f)
+
+
+def flatten_map(m: MapSpec, n_power: int = 8):
     """The map in flattened coordinates (no pure-x terms in Y through n_power)."""
-    return normalize_map(m, n_power, headroom).normalized
+    return normalize_map(m, n_power).normalized
 
 
 def sample_shadow_pair(rng: np.random.Generator, delta: float, n_power: int):
@@ -389,9 +451,9 @@ def run_level_regraph_every_push(kernel, rho: float, cfg):
     """The graph-transform level loop that re-graphs after every push.
 
     It pushes with the same kernel and stops by the same rule as
-    `graphtransform._run_level`, which carries the image points instead and
-    re-graphs only when their spacing has thinned out.  Returns (nu_bar,
-    final curve).
+    `graphtransform._run_level`, which carries the image points, with their
+    ordinates in the map's own coordinates, instead and re-graphs only when
+    their spacing has thinned out.  Returns (nu_bar, final curve).
     """
     from invcurve import Curve
 
@@ -399,7 +461,7 @@ def run_level_regraph_every_push(kernel, rho: float, cfg):
     fs = np.zeros_like(xs)
     pushes = 0
     while float(xs[-1]) <= cfg.delta:
-        big_x, big_y, _, _ = kernel.image(xs, fs)
+        big_x, big_y, _, _, _ = kernel.image(xs, fs)
         xs, fs = kernel.regraph(big_x, big_y)
         pushes += 1
     return pushes, Curve(xs, fs)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import invcurve
 from invcurve import (
     ConvergenceError,
     Curve,
@@ -642,6 +643,36 @@ def test_random_map_solve_is_well_behaved():
     assert max_res <= 1e-8
 
 
+def test_a_compose_maps_defect_moves_phi_alone(monkeypatch):
+    # the push reads the map and the flattening's shift, no composed series,
+    # so a defect planted in compose_maps' output moves the conjugacy's phi
+    # and leaves the graph-transform curve as it was, bit for bit
+    from invcurve import parameterization, series
+    from invcurve.series import _index
+
+    compose = series.compose_maps
+
+    def planted(outer, inner):
+        out = compose(outer, inner)
+        fy = out.fy._c.copy()
+        fy[_index(5, 0)] += 1e-9
+        return PlanarSeriesMap(out.fx, Series2._wrap(fy, out.order), out.order)
+
+    assert not hasattr(graphtransform, "compose_maps")
+    m = acceptance_battery(1729)[2]
+    runs = []
+    for patch in (False, True):
+        if patch:
+            for mod in (invcurve, series, parameterization):
+                monkeypatch.setattr(mod, "compose_maps", planted)
+        curve, _, _ = solve_manifold(m)
+        runs.append((curve, parameterize_manifold(m, 10).phi))
+    (clean, phi), (dirty, dirty_phi) = runs
+    assert clean.xs.tobytes() == dirty.xs.tobytes()
+    assert clean.fs.tobytes() == dirty.fs.tobytes()
+    assert np.max(np.abs(dirty_phi._c - phi._c)) > 1e-10
+
+
 def test_wide_family_solves_at_the_default_config():
     # 40 draws at rng seed 11 with cubic and quartic coefficients in
     # [-10, 10]: each passes normalize_to_order's cancellation check at the
@@ -673,7 +704,7 @@ class TestSeedRule:
 
     def test_levels_record_the_rho_used(self):
         derived, _ = rho_refinement(pert(c=0.1), SolverConfig(grid_size=128), 2)
-        assert [lv.rho for lv in derived] == [0.9 * 0.05, 0.9 * 0.05 / 3.0]
+        assert [lv.rho for lv in derived] == [0.9 * 0.05, 0.9 * 0.05 * 0.5]
         explicit, _ = rho_refinement(pert(c=0.1), SolverConfig(rho0=0.025, grid_size=128), 1)
         assert explicit[0].rho == 0.025
 
@@ -683,15 +714,15 @@ class TestSeedRule:
             SolverConfig(delta=-0.05).validate()
 
     def test_default_schedule_is_coarse_first(self, battery_solves):
-        # coarse first: 0.9 delta confirms and 0.3 delta is returned
+        # coarse first: 0.9 delta confirms and 0.45 delta is returned
         for _, _, diag in battery_solves[1]:
-            assert [lv.rho for lv in diag.levels] == [0.9 * 0.05, 0.9 * 0.05 / 3.0]
-            assert sum(lv.nu_bar for lv in diag.levels) <= 30
+            assert [lv.rho for lv in diag.levels] == [0.9 * 0.05, 0.9 * 0.05 * 0.5]
+            assert sum(lv.nu_bar for lv in diag.levels) <= 17
             assert diag.seed_error_est == diag.config.seed_error_est(diag.gaps[-1])
 
     def test_normal_form_is_normalize_maps(self, battery_solves):
-        # the push map is the square of a flattening at two more series
-        # orders; cut back, that flattening is normalize_map's, bit for bit
+        # the solve pushes with the map and this flattening's shift, and
+        # reports normalize_map's flattening, bit for bit
         for m, (_, _, diag) in zip(*battery_solves):
             got, want = diag.normal_form, normalize_map(m, diag.config.norm_order)
             assert got.gammas == want.gammas and got.order == want.order
@@ -718,6 +749,32 @@ class TestSeedRule:
             phi = parameterize_manifold(m, 15).phi.truncate(14)
             sel = (curve.xs > 0.0) & (curve.xs <= 0.025)
             assert np.max(np.abs(curve.fs[sel] - phi.eval(curve.xs[sel]))) <= 1e-18
+
+    def test_outer_nodes_match_the_determined_jet(self, battery_solves):
+        # phi through order 24 from order-25 solves; the push steps the map
+        # itself and reads no truncated square, so on (delta/2, delta] too
+        # the nodes sit at the curve's rounding: the worst error on the
+        # battery is 3.4e-16
+        for m, (curve, _, diag) in zip(*battery_solves):
+            phi = parameterize_manifold(m, 25).phi.truncate(24)
+            delta = diag.config.delta
+            sel = (curve.xs > 0.5 * delta) & (curve.xs <= delta)
+            assert np.max(np.abs(curve.fs[sel] - phi.eval(curve.xs[sel]))) <= 1e-15
+
+    def test_certificate_is_the_determined_jets(self, battery_solves):
+        # K_m of the returned level against K_m of the flattened jet on the
+        # same nodes: phi through order 24 from order-25 solves, whose terms
+        # from x^13 on are the flattened curve's (the shift ends at x^12).
+        # The push keeps a flattened ordinate to the rounding of the terms a
+        # step adds, so the envelopes agree to 0.22 % on the battery, and
+        # stay below 500, 6000 and 70000
+        for m, (_, cert, diag) in zip(*battery_solves):
+            final = diag.levels[-1].curve
+            c = np.array(parameterize_manifold(m, 25).phi.coeffs[:25])
+            c[:13] = 0.0
+            jet = bound_certificate(Curve(final.xs, np.polyval(c[::-1], final.xs)), 12, 2)
+            np.testing.assert_allclose(cert.ks, jet.ks, rtol=1e-2, atol=0.0)
+            assert all(k <= bound for k, bound in zip(cert.ks, (500.0, 6000.0, 70000.0)))
 
     def test_seed_error_est_tracks_the_visible_seed_error(self):
         # at N = 3 the seed error stands far above the floor; level 3 stands

@@ -1,12 +1,14 @@
 """The graph-transform push kernel against its references.
 
-The kernel evaluates the map with the map's dense-matrix evaluator and
-re-graphs with the package's one PCHIP, which `Curve.eval` reads too; these
-tests hold the evaluator to the exactly summed terms, its cuts of the
-y-power rows, on arrays and at a point, to the sums over every row, and the
-PCHIP, in the re-graph and in `Curve.eval`, to SciPy's bit for bit, check
-that every push path gives the same curves, and hold the level loop, which
-carries pushed points forward, to the loop that re-graphs after every push.
+The kernel steps the map under the flattening's shear from the rows of the
+map's dense-matrix evaluator and re-graphs with the package's one PCHIP,
+which `Curve.eval` reads too; these tests hold the evaluator to the exactly
+summed terms and its cuts of the y-power rows at a point to the sums over
+every row, the push to the flattened square in high-precision decimals,
+and the PCHIP, in the re-graph and in `Curve.eval`, to SciPy's bit for
+bit, check that every push path gives the same curves, and hold the level
+loop, which carries pushed points forward, to the loop that re-graphs
+after every push.
 SciPy is the test-only oracle here; the package imports no part of SciPy.
 """
 
@@ -17,7 +19,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from scipy.interpolate import PchipInterpolator as ScipyPchip
 
 import invcurve
 from invcurve import (
+    Curve,
     GuardError,
     MapSpec,
     PlanarSeriesMap,
@@ -51,10 +53,11 @@ from invcurve.graphtransform import (
     _PushKernel,
     _run_level,
 )
-from invcurve.series import CUT_WEIGHT, ROW_CUT, MapEvaluator, _cut, _cut_table, compose_maps
+from invcurve.series import CUT_WEIGHT, ROW_CUT, MapEvaluator, _cut, _cut_table
 from oracles import (
     eval_fsum,
     flatten_map,
+    flattened_push_decimal,
     row_cut_bound_loop,
     row_cut_tail_loop,
     row_weights,
@@ -106,38 +109,6 @@ def test_map_evaluates_as_its_series_embedding():
                 assert bits(getattr(ev, op)(*args)) == bits(getattr(emb, op)(*args))
 
 
-@contextlib.contextmanager
-def every_row():
-    """The evaluator with its row choice patched to keep every y-power row,
-    as it did before it dropped any."""
-    with mock.patch.object(MapEvaluator, "_rows", lambda self, x, y: self._ny + 1):
-        yield
-
-
-def test_row_cut_leaves_the_battery_curves_unchanged():
-    # in flattened coordinates every carried ordinate is tiny, so a push of
-    # the order-16 square keeps 2 or 3 of its 17 y-power rows; the curves do
-    # not move a bit
-    kept = []
-    rows = MapEvaluator._rows
-
-    def spy(self, x, y):
-        kept.append((rows(self, x, y), self._ny + 1))
-        return kept[-1][0]
-
-    with mock.patch.object(MapEvaluator, "_rows", spy):
-        cut = [solve_manifold(m, BASE_CFG) for m in BATTERY]
-    with every_row():
-        full = [solve_manifold(m, BASE_CFG) for m in BATTERY]
-    square_rows = max(_prepare(m, BASE_CFG)[1]._ev._ny + 1 for m in BATTERY)
-    assert max(r for r, every in kept if every == square_rows) <= 4
-    for (c_cut, _, d_cut), (c_full, _, d_full) in zip(cut, full):
-        assert c_cut.xs.tobytes() == c_full.xs.tobytes()
-        assert c_cut.fs.tobytes() == c_full.fs.tobytes()
-        assert d_cut.gaps == d_full.gaps
-        assert [lv.nu_bar for lv in d_cut.levels] == [lv.nu_bar for lv in d_full.levels]
-
-
 # a table of 1 .. 13 y-power rows and 1 .. 13 x-power columns per component,
 # some coefficients zero and the others of size 1e-3 .. 1e3, and points with
 # |x| <= 1 and |y| <= ymax, ymax = 10^-30 .. 1
@@ -152,24 +123,6 @@ def _tables_and_points(draw):
     xs = rng.uniform(-1.0, 1.0, size)
     ys = 10.0 ** draw(st.floats(-30.0, 0.0)) * rng.uniform(-1.0, 1.0, size)
     return coef, xs, ys
-
-
-@settings(max_examples=300, deadline=None)
-@given(_tables_and_points())
-def test_row_cut_changes_no_value_it_may_not(case):
-    # the dropped rows add less than ROW_CUT |y| to each value, so the cut
-    # moves a value by at most twice that, and not at all where the value is
-    # 2^-5 |y| or more: half its ulp is then at least 2^-59 |y|
-    coef, xs, ys = case
-    ev = MapEvaluator(coef)
-    got = ev.values(xs, ys)
-    with every_row():
-        want = ev.values(xs, ys)
-    rows = ev._ny + 1
-    for g, w in zip(got, want):
-        assert np.all(np.abs(g - w) <= ROW_CUT * np.abs(ys) * rows)
-        exact = np.abs(g) >= 2.0**-5 * np.abs(ys)
-        assert np.array_equal(g[exact], w[exact])
 
 
 @contextlib.contextmanager
@@ -282,28 +235,10 @@ def test_row_rule_keeps_at_least_the_tail_loops_rows(case):
         assert r == every
 
 
-def test_row_rule_chooses_the_walks_rows_on_the_solver_traffic():
-    # on the pushes of the battery solves, and on the certify workload's
-    # kind of shadowing step (a flattened battery map, a pair in the
-    # hypotheses' box), the bound cuts exactly where the walk over the float
-    # tail does
-    seen = []
-    rows = MapEvaluator._rows
-
-    def spy(self, x, y):
-        seen.append((self, float(np.abs(x).max()), float(np.abs(y).max()), rows(self, x, y)))
-        return seen[-1][-1]
-
-    with mock.patch.object(MapEvaluator, "_rows", spy):
-        for m in BATTERY:
-            solve_manifold(m, BASE_CFG)
-    cut = 0
-    for ev, xmax, ymax, r in seen:
-        droppable = list(enumerate(row_weights(ev)))[:1:-1]
-        want = row_cut_tail_loop(ymax, droppable) if xmax <= 1.0 and ymax <= 1.0 else ev._ny + 1
-        assert r == want
-        cut += r < ev._ny + 1
-    assert cut > len(seen) // 2
+def test_point_rule_chooses_the_walks_rows_on_shadowing_steps():
+    # on the certify workload's kind of shadowing step (a flattened battery
+    # map, a pair in the hypotheses' box), the bound cuts exactly where the
+    # walk over the float tail does
     rng = np.random.default_rng(5)
     for m in BATTERY[2:5]:
         ev = flatten_map(m, 8).evaluator
@@ -333,20 +268,6 @@ def test_row_cut_keeps_every_row_outside_its_bound(x_far, y_bad):
         with every_point_row():
             want = ev.pair_image(x, y, xh - x, yh - y)
         np.testing.assert_array_equal(got, want)
-    # on arrays
-    xs = np.linspace(0.0, 0.05, 8)
-    ys = 1e-15 * xs
-    assert ev._rows(xs, ys) == 3 < ev._ny + 1
-    xs[-1], ys[-2] = x_far, y_bad
-    assert ev._rows(xs, ys) == ev._ny + 1
-    with np.errstate(over="ignore", invalid="ignore"):  # y^12 and inf * 0
-        big_x, big_y = ev.values(xs, ys)
-        with every_row():
-            want = ev.values(xs, ys)
-    if math.isnan(y_bad):
-        assert math.isnan(big_x[-2]) and math.isnan(big_y[-2])
-    np.testing.assert_array_equal(big_x, want[0])
-    np.testing.assert_array_equal(big_y, want[1])
 
 
 def test_end_slope_clamps():
@@ -436,13 +357,13 @@ def test_image_guards_trip_on_nan(monkeypatch):
     kernel = _PushKernel(flatten_map(BATTERY[2], 8), 64)
     xs = 0.01 * kernel.unit
     fs = 1e-3 * xs**3
-    fs[10] = np.nan  # a NaN ordinate keeps every row and spoils X and Y
+    fs[10] = np.nan  # a NaN ordinate spoils X and Y
     with pytest.raises(GuardError, match="image abscissas stall at x = "):
         kernel.image(xs, fs)
     # a NaN in Y alone passes the monotonicity guard and trips the cap
-    big_x, big_y = kernel._ev.values(xs, 1e-3 * xs**3)
+    big_x, big_y, rows = kernel._step(xs, 1e-3 * xs**3, kernel.rows_at(xs))
     big_y[10] = np.nan
-    monkeypatch.setattr(kernel, "_ev", SimpleNamespace(values=lambda x, y: (big_x, big_y)))
+    monkeypatch.setattr(kernel, "_step", lambda xs, fs, v: (big_x, big_y, rows))
     with pytest.raises(GuardError, match=r"\|F\|/x\^3 reached nan after the push"):
         kernel.image(xs, fs)
 
@@ -450,8 +371,8 @@ def test_image_guards_trip_on_nan(monkeypatch):
 def _origin_moved(monkeypatch):
     kernel = _PushKernel(pert(), 64)
     xs = 0.01 * kernel.unit
-    big_x, big_y = kernel._ev.values(xs, 0.0 * xs)
-    monkeypatch.setattr(kernel, "_ev", SimpleNamespace(values=lambda x, y: (big_x + 1e-3, big_y)))
+    big_x, big_y, rows = kernel._step(xs, 0.0 * xs, kernel.rows_at(xs))
+    monkeypatch.setattr(kernel, "_step", lambda xs, fs, v: (big_x + 1e-3, big_y, rows))
     kernel.image(xs, 0.0 * xs)
 
 
@@ -526,16 +447,56 @@ def test_regraph_and_curve_eval_build_the_module_interpolator(monkeypatch):
 @pytest.mark.parametrize("m", [pert(c=0.1), BATTERY[2]])
 def test_push_curve_is_the_first_level_step(m):
     rho, size = 0.01, 256
-    # delta just above rho: the level ends after one push
+    seed = seed_curve(rho, size)
+    # push_curve is a one-push level of the map it is given: delta just
+    # above rho + rho^2 / 2, and the level ends after one push
     cfg = SolverConfig(delta=rho + 0.5 * rho * rho, rho0=rho, grid_size=size)
+    lv = _run_level(_PushKernel(m, size), rho, cfg)
+    out, cert = push_curve(m, seed)
+    assert lv.nu_bar == 1
+    assert np.array_equal(lv.curve.xs, out.xs)
+    assert np.array_equal(lv.curve.fs, out.fs)
+    assert (lv.min_dxdx, lv.max_drift_c) == (cert.min_dxdx, cert.xmax_drift_c)
+    # a solve's level pushes the square of the flattened map with its own
+    # kernel, and re-graphs the images
     levels, _ = rho_refinement(m, cfg, 1)
     assert levels[0].nu_bar == 1
-    f = flatten_map(m, cfg.norm_order, headroom=2)
-    out, cert = push_curve(compose_maps(f, f), seed_curve(rho, size))
-    assert np.array_equal(levels[0].curve.xs, out.xs)
-    assert np.array_equal(levels[0].curve.fs, out.fs)
-    assert levels[0].min_dxdx == cert.min_dxdx
-    assert levels[0].max_drift_c == cert.xmax_drift_c
+    _, kernel = _prepare(m, cfg)
+    big_x, big_y, _, slope, drift = kernel.image(seed.xs, seed.fs)
+    want = Curve(*kernel.regraph(big_x, big_y))
+    assert np.array_equal(levels[0].curve.xs, want.xs)
+    assert np.array_equal(levels[0].curve.fs, want.fs)
+    assert (levels[0].min_dxdx, levels[0].max_drift_c) == (slope, drift)
+    assert drift == abs(big_x[-1] - (rho + 2.0 * rho * rho)) / rho**3
+
+
+@pytest.mark.parametrize("m", [pert(c=0.1), *BATTERY[2:6]])
+def test_push_is_the_flattened_square_to_rounding(m):
+    # three carried pushes from a seed at 0.9 delta against the map stepped
+    # twice under the flattening's shear in 160-digit decimals, less the
+    # pure-x terms the flattening zeroes.  A step subtracts no two values
+    # of the map, so each flattened ordinate, O(x^13) where the map's
+    # ordinates are O(x^3), keeps its digits down to the first node, 1e-6
+    # x_max: the worst error is 5.1e-15 of the sizes |F1| + |F2| of the
+    # one-step and two-step images, and X is within 6.3e-16 relative.
+    # Forming F2 as the map's Y plus s(X) would leave rounding of 1e-16 x^3
+    cfg = SolverConfig(grid_size=256)
+    nf, kernel = _prepare(m, cfg)
+    shift = nf.shift.truncate(nf.order).coeffs
+    xs, fs, rows = seed_curve(0.045, 256).xs, np.zeros(256), None
+    for _ in range(3):
+        big_x, big_y, rows, _, _ = kernel.image(xs, fs, rows)
+        _, f1 = flattened_push_decimal(m, shift, nf.order, xs, fs, 1)
+        x2, f2 = flattened_push_decimal(m, shift, nf.order, xs, fs, 2)
+        np.testing.assert_allclose(big_x, x2, rtol=2e-15, atol=0.0)
+        assert np.all(np.abs(big_y - f2) <= 2e-14 * (np.abs(f1) + np.abs(f2)))
+        xs, fs = big_x, big_y
+    # push_curve's kernel takes one step of the map itself
+    xs = seed_curve(0.045, 256).xs
+    big_x, big_y, _, _, _ = _PushKernel(m, 256).image(xs, 1e-3 * xs**3)
+    x1, f1 = flattened_push_decimal(m, [0.0], 0, xs, 1e-3 * xs**3, 1)
+    np.testing.assert_allclose(big_x, x1, rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(big_y, f1, rtol=2e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("idx", range(len(BATTERY)))
